@@ -387,50 +387,12 @@ def _write_outputs(values: dict, command: str, json_text: str, text_text: str) -
 # -- command implementations ----------------------------------------------------------------
 
 
-def _stepwise_display_report(budget: Budget) -> dict:
-    """Compare the static expansion of the iterative closed form with its
-    displayed bracket series; project any class difference onto brackets of
-    nominal order two or higher."""
-    derived = stepwise.expand_static(stepwise.build_iterative(), budget)
-    display = expand(stepwise.reference_iterative(), budget)
-    diff = derived.sub(display)
-    classes = []
-    status = "pass"
-    if not diff.is_zero():
-        basis = comparator.build_basis(budget)
-        for (e_count, o_count), piece in sorted(diff.classify().items()):
-            projection = comparator.project(piece, basis, min_order=2)
-            explained = projection.residual.is_zero()
-            row = {
-                "e": e_count,
-                "o": o_count,
-                "status": "explained" if explained else "unexplained",
-                "delta_brackets": [
-                    {
-                        "bracket": ("beta * " if entry.beta_exp else "") + entry.element.text,
-                        "weight": str(entry.weight),
-                        "m_exp": entry.m_exp,
-                    }
-                    for entry in projection.entries
-                ],
-            }
-            if not explained:
-                row["unexplained"] = eriksen.term_strings(projection.residual)
-                status = "fail"
-            classes.append(row)
-    return {
-        "budget": {"max_word_len": budget.max_word_len, "max_e_count": budget.max_e_count},
-        "status": status,
-        "classes": classes,
-    }
-
-
 def _cmd_derive(args, values) -> tuple[str, str, bool]:
     budget = Budget(values["max_len"], values["max_e"])
     if args.target == "eriksen":
         report = eriksen.compare_to_reference(budget)
     elif args.target == "stepwise":
-        report = _stepwise_display_report(budget)
+        report = stepwise.derive_display(budget)
     else:
         _, report = stepwise.derive_second_step(budget)
     ok = report["status"] == "pass"
@@ -454,6 +416,19 @@ def _cmd_concretize(args, values) -> tuple[str, str, bool]:
     return concretizer.report_json(report), _generic_text(report), ok
 
 
+def _scan_grid(values) -> np.ndarray:
+    """The logarithmic scan points; rejects non-positive ends and fewer than two points."""
+    for dest in ("scan_from", "scan_to"):
+        if not 0 < values[dest] < float("inf"):
+            flag = "--" + dest.replace("_", "-")
+            raise UsageError(f"{flag} must be positive and finite, got {values[dest]}")
+    if values["scan_points"] < 2:
+        raise UsageError(f"--scan-points must be at least 2, got {values['scan_points']}")
+    return np.logspace(
+        np.log10(values["scan_from"]), np.log10(values["scan_to"]), values["scan_points"]
+    )
+
+
 def _cmd_spectra(args, values) -> tuple[str, str, bool]:
     try:
         if args.target == "run":
@@ -469,13 +444,8 @@ def _cmd_spectra(args, values) -> tuple[str, str, bool]:
             )
             report = spectra.compare_closed_form(model)
         elif args.target == "amm-scan":
-            anomalies = np.logspace(
-                np.log10(values["scan_from"]),
-                np.log10(values["scan_to"]),
-                values["scan_points"],
-            )
             report = spectra.amm_linearity_scan(
-                [2.0 + x for x in anomalies],
+                [2.0 + x for x in _scan_grid(values)],
                 values["B"],
                 values["levels"],
                 e=values["e"],
@@ -483,14 +453,9 @@ def _cmd_spectra(args, values) -> tuple[str, str, bool]:
                 hbar=values["hbar"],
             )
         elif args.target == "correction-scan":
-            fields = np.logspace(
-                np.log10(values["scan_from"]),
-                np.log10(values["scan_to"]),
-                values["scan_points"],
-            )
             report = spectra.correction_residual_scan(
                 values["g"],
-                list(fields),
+                list(_scan_grid(values)),
                 values["levels"],
                 e=values["e"],
                 m=values["m"],

@@ -17,19 +17,27 @@ onto one representative (the highest-order label wins, so the span per
 order cutoff is never understated).  Every surviving direction becomes
 a basis element: the collection is deliberately redundant, because
 different bracket spellings of the same content are exactly what the
-agreement narrative trades in.  A scan from high nominal order to low
-marks each direction already spanned by the ones scanned before it and
-records the exact relation, e.g. acomm(O, comm(comm(O, E), E)) =
-comm(comm(pow(O, 2), E), E) - 2 pow(comm(O, E), 2).
+agreement narrative trades in.  Building the basis does no elimination.
+
+Elimination.  One exact sparse kernel, `_Echelon`, does every
+elimination in this module.  Each class gets one echelon, built the
+first time a caller asks for that class: its elements are inserted from
+high nominal order to low, and each one already spanned by those before
+it is recorded with its exact relation, e.g. acomm(O, comm(comm(O, E),
+E)) = comm(comm(pow(O, 2), E), E) - 2 pow(comm(O, E), 2).
 
 Projection.  A single-class operator is split into (beta, m) strata;
-each stratum is a rational vector over the class words and is reduced
-against the elements, preferring low order first, then the listing
-order.  Whatever cannot be expressed is returned verbatim as a
-residual, and reconstruction (combination plus residual) is exact by
-construction.  Because the columns are redundant, reports project at
-the certified minimum order, which keeps low-order spellings out of a
-difference that certifies higher.
+each stratum is a rational vector over the class words.  Certification
+is one reduction per stratum against the class echelon: because its
+rows were inserted from high order to low, the weights over the
+independent elements are unique, and the lowest order among them is
+the certified minimum order.  Projection spells a stratum in as few
+elements as it can, preferring low order first, then the listing order.
+Whatever cannot be expressed is returned verbatim as a residual, and
+reconstruction (entries plus residual) is exact by construction.
+Because the columns are redundant, reports project at the certified
+minimum order, which keeps low-order spellings out of a difference that
+certifies higher.
 
 Beta and mass bookkeeping: basis expansions are pure words.  The beta
 and m content of the projected operator is uniform within a stratum, so
@@ -45,7 +53,7 @@ from itertools import combinations
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from fwforge.lang import format_term, format_tree
+from fwforge.lang import format_term, format_tree, term_strings
 from fwforge.ncalg import (
     AbstractExpr,
     Acomm,
@@ -71,6 +79,7 @@ __all__ = [
     "project",
     "min_hbar_order",
     "diff_report",
+    "explain",
 ]
 
 
@@ -109,6 +118,11 @@ class ProjectionEntry:
     beta_exp: int
     m_exp: int
 
+    @property
+    def bracket(self) -> str:
+        """The element text, with the stratum's beta factor when it has one."""
+        return ("beta * " if self.beta_exp else "") + self.element.text
+
 
 @dataclass(frozen=True)
 class Projection:
@@ -116,10 +130,6 @@ class Projection:
 
     entries: tuple[ProjectionEntry, ...]
     residual: AbstractExpr
-
-    @property
-    def combination(self) -> tuple[tuple[BasisElement, Fraction, int], ...]:
-        return tuple((entry.element, entry.weight, entry.m_exp) for entry in self.entries)
 
     def reconstruct(self) -> AbstractExpr:
         total = self.residual
@@ -150,23 +160,114 @@ def _letter_counts(expansion: AbstractExpr) -> tuple[int, int]:
     return (word.count("E"), len(word) - word.count("E"))
 
 
-class BracketBasis:
-    """Ordered admitted elements plus the recorded dependencies."""
+def _word_vector(expansion: AbstractExpr) -> dict[str, Fraction]:
+    return {word: coeff for (_, word, _), coeff in expansion.terms()}
 
-    def __init__(
-        self,
-        budget: Budget,
-        elements: Sequence[BasisElement],
-        dependencies: Sequence[Dependency],
-    ):
+
+_ZERO = Fraction(0)
+
+
+def _axpy(target: dict, scale: Fraction, source: dict) -> None:
+    """target += scale * source, dropping entries that cancel."""
+    for key, value in source.items():
+        updated = target.get(key, _ZERO) + scale * value
+        if updated:
+            target[key] = updated
+        else:
+            target.pop(key, None)
+
+
+class _Echelon:
+    """Exact sparse row echelon over word vectors, with row provenance.
+
+    Rows are kept in insertion order as (pivot word, vector, combo), where
+    the pivot is the least word left after reduction and the combo is the
+    row's combination over the inserted labels:
+    vector == sum(combo[label] * inserted vector of label).  Each row is
+    reduced against every earlier one, so one pass in order clears all
+    pivots.
+    """
+
+    def __init__(self):
+        self._rows: list[tuple[str, dict[str, Fraction], dict]] = []
+
+    def reduce(self, vector: dict[str, Fraction]) -> tuple[dict[str, Fraction], dict]:
+        """(remainder, weights) with vector == remainder + sum(weights[l] * vector of l)."""
+        remainder = dict(vector)
+        weights: dict = {}
+        for pivot, row_vector, row_combo in self._rows:
+            factor = remainder.get(pivot)
+            if not factor:
+                continue
+            scale = factor / row_vector[pivot]
+            _axpy(remainder, -scale, row_vector)
+            _axpy(weights, scale, row_combo)
+        return remainder, weights
+
+    def insert(self, label, vector: dict[str, Fraction]) -> dict | None:
+        """Add a labelled vector: None when it is independent of the rows so
+        far, else its exact weights over the earlier labels (no row added)."""
+        remainder, weights = self.reduce(vector)
+        if not remainder:
+            return weights
+        combo = {name: -value for name, value in weights.items()}
+        combo[label] = Fraction(1)
+        self._rows.append((min(remainder), remainder, combo))
+        return None
+
+
+class BracketBasis:
+    """Ordered admitted elements; per-class echelons are built on first use."""
+
+    def __init__(self, budget: Budget, elements: Sequence[BasisElement]):
         self.budget = budget
         self.elements = tuple(elements)
-        self.dependencies = tuple(dependencies)
         self._by_class: dict[tuple[int, int], list[BasisElement]] = {}
         self._by_text: dict[str, BasisElement] = {}
+        self._scans: dict[tuple[int, int], tuple[_Echelon, list[Dependency]]] = {}
         for element in self.elements:
             self._by_class.setdefault(element.klass, []).append(element)
             self._by_text[element.text] = element
+
+    def _scan(self, klass: tuple[int, int]) -> tuple[_Echelon, list[Dependency]]:
+        """The class echelon and its dependencies, built on first use.
+
+        Elements go in from high order to low (commutators before powers
+        before anticommutators, then text); each one already spanned by
+        those before it becomes a Dependency with its exact relation.
+        """
+        scan = self._scans.get(klass)
+        if scan is None:
+            echelon = _Echelon()
+            dependencies: list[Dependency] = []
+            for element in sorted(
+                self.class_elements(*klass),
+                key=lambda el: (-el.order, _kind_rank(el.tree), el.text),
+            ):
+                members = echelon.insert(element.text, _word_vector(element.expansion))
+                if members is not None:
+                    dependencies.append(
+                        Dependency(
+                            text=element.text,
+                            tree=element.tree,
+                            order=element.order,
+                            e_count=element.e_count,
+                            o_count=element.o_count,
+                            members=tuple(sorted(members.items())),
+                        )
+                    )
+            scan = self._scans[klass] = (echelon, dependencies)
+        return scan
+
+    def echelon(self, klass: tuple[int, int]) -> _Echelon:
+        return self._scan(klass)[0]
+
+    @property
+    def dependencies(self) -> tuple[Dependency, ...]:
+        """Every element spanned by the higher-order ones of its class."""
+        found = [dep for klass in self.classes() for dep in self._scan(klass)[1]]
+        found.sort(key=lambda dep: (dep.order, (dep.e_count, dep.o_count), dep.text))
+        return tuple(found)
 
     def class_elements(self, e_count: int, o_count: int) -> tuple[BasisElement, ...]:
         return tuple(self._by_class.get((e_count, o_count), ()))
@@ -273,14 +374,9 @@ class _DirectionTable:
             group[0] = candidate
         return False
 
-    def representatives(self) -> Iterator[tuple[_Candidate, str]]:
+    def representatives(self) -> Iterator[_Candidate]:
         for best, _ in self._groups.values():
-            yield best, _parity_of(best.tree)
-
-
-def _parity_of(tree: BracketExpr) -> str:
-    parity, _ = parity_and_order(tree)
-    return parity
+            yield best
 
 
 def _bracket_candidates(
@@ -409,7 +505,23 @@ def build_basis(budget: Budget | int, max_e_count: int | None = None) -> Bracket
             ):
                 table.offer(tree, expansion)
 
-    return _admit(table, budget)
+    # Every representative becomes an element: the basis is deliberately
+    # overcomplete (see the module docstring).
+    elements = []
+    for best in table.representatives():
+        e_count, o_count = _letter_counts(best.expansion)
+        elements.append(
+            BasisElement(
+                text=format_tree(best.tree),
+                tree=best.tree,
+                order=best.order,
+                e_count=e_count,
+                o_count=o_count,
+                expansion=best.expansion,
+            )
+        )
+    elements.sort(key=lambda el: (el.order, el.klass, el.text))
+    return BracketBasis(budget, elements)
 
 
 def _expand_atom(atom: BracketExpr, budget: Budget) -> AbstractExpr:
@@ -426,86 +538,6 @@ def _expand_atom(atom: BracketExpr, budget: Budget) -> AbstractExpr:
     return AbstractExpr.from_terms([((0, word, 0), Fraction(1))])
 
 
-def _admit(table: _DirectionTable, budget: Budget) -> BracketBasis:
-    """Turn direction representatives into the ordered (redundant) basis.
-
-    Every representative becomes an element: the basis is deliberately
-    overcomplete, since bracket spellings of the same content is what
-    the agreement narrative trades in.  A scan from high order to low
-    (commutators before powers before anticommutators, then text) marks
-    each direction that already lies in the span of the ones scanned
-    before it and records the exact relation as a Dependency.
-    """
-    scored: list[tuple[tuple, _Candidate, str, tuple[int, int]]] = []
-    for best, _parity in table.representatives():
-        klass = _letter_counts(best.expansion)
-        text = format_tree(best.tree)
-        sort_key = (-best.order, klass, _kind_rank(best.tree), text)
-        scored.append((sort_key, best, text, klass))
-    scored.sort(key=lambda item: item[0])
-
-    # Per-class echelon rows: (pivot word, vector, combo over earlier texts).
-    echelons: dict[tuple[int, int], list[tuple[str, dict, dict]]] = {}
-    elements: list[BasisElement] = []
-    dependencies: list[Dependency] = []
-    for _, candidate, text, klass in scored:
-        elements.append(
-            BasisElement(
-                text=text,
-                tree=candidate.tree,
-                order=candidate.order,
-                e_count=klass[0],
-                o_count=klass[1],
-                expansion=candidate.expansion,
-            )
-        )
-        vector = {
-            word: coeff for (_, word, _), coeff in candidate.expansion.terms()
-        }
-        combo: dict[str, Fraction] = {}
-        rows = echelons.setdefault(klass, [])
-        for pivot, row_vector, row_combo in rows:
-            factor = vector.get(pivot)
-            if not factor:
-                continue
-            scale = factor / row_vector[pivot]
-            for word, value in row_vector.items():
-                updated = vector.get(word, Fraction(0)) - scale * value
-                if updated:
-                    vector[word] = updated
-                else:
-                    vector.pop(word, None)
-            for name, value in row_combo.items():
-                updated = combo.get(name, Fraction(0)) + scale * value
-                if updated:
-                    combo[name] = updated
-                else:
-                    combo.pop(name, None)
-        if vector:
-            # Invariant: stored row_vector == sum(combo[n] * expansion(n)),
-            # so the coefficients gathered while reducing flip sign.
-            pivot = min(vector)
-            stored = {name: -value for name, value in combo.items()}
-            stored[text] = Fraction(1)
-            rows.append((pivot, vector, stored))
-        else:
-            members = tuple(sorted(combo.items()))
-            dependencies.append(
-                Dependency(
-                    text=text,
-                    tree=candidate.tree,
-                    order=candidate.order,
-                    e_count=klass[0],
-                    o_count=klass[1],
-                    members=members,
-                )
-            )
-
-    elements.sort(key=lambda el: (el.order, el.klass, el.text))
-    dependencies.sort(key=lambda dep: (dep.order, (dep.e_count, dep.o_count), dep.text))
-    return BracketBasis(budget, elements, dependencies)
-
-
 def _strata(piece: AbstractExpr) -> dict[tuple[int, int], dict[str, Fraction]]:
     strata: dict[tuple[int, int], dict[str, Fraction]] = {}
     for (beta_exp, word, m_exp), coeff in piece.terms():
@@ -518,52 +550,10 @@ def _reduce_against(
     columns: Sequence[BasisElement],
 ) -> tuple[dict[str, Fraction], dict[int, Fraction]]:
     """Reduce `vector` against `columns` in order; return remainder, weights."""
-    rows: list[tuple[str, dict, dict]] = []
+    echelon = _Echelon()
     for index, element in enumerate(columns):
-        col_vector = {
-            word: coeff for (_, word, _), coeff in element.expansion.terms()
-        }
-        col_combo: dict[int, Fraction] = {index: Fraction(1)}
-        for pivot, row_vector, row_combo in rows:
-            factor = col_vector.get(pivot)
-            if not factor:
-                continue
-            scale = factor / row_vector[pivot]
-            for word, value in row_vector.items():
-                updated = col_vector.get(word, Fraction(0)) - scale * value
-                if updated:
-                    col_vector[word] = updated
-                else:
-                    col_vector.pop(word, None)
-            for name, value in row_combo.items():
-                updated = col_combo.get(name, Fraction(0)) - scale * value
-                if updated:
-                    col_combo[name] = updated
-                else:
-                    col_combo.pop(name, None)
-        if col_vector:
-            rows.append((min(col_vector), col_vector, col_combo))
-
-    remainder = dict(vector)
-    weights: dict[int, Fraction] = {}
-    for pivot, row_vector, row_combo in rows:
-        factor = remainder.get(pivot)
-        if not factor:
-            continue
-        scale = factor / row_vector[pivot]
-        for word, value in row_vector.items():
-            updated = remainder.get(word, Fraction(0)) - scale * value
-            if updated:
-                remainder[word] = updated
-            else:
-                remainder.pop(word, None)
-        for index, value in row_combo.items():
-            updated = weights.get(index, Fraction(0)) + scale * value
-            if updated:
-                weights[index] = updated
-            else:
-                weights.pop(index, None)
-    return remainder, weights
+        echelon.insert(index, _word_vector(element.expansion))
+    return echelon.reduce(vector)
 
 
 _SPARSE_LIMIT = 3
@@ -580,10 +570,7 @@ def _sparse_solve(
     earlier listing.  Linearly dependent subsets are skipped: their span
     equals that of a smaller subset already tried.
     """
-    col_vectors = [
-        {word: coeff for (_, word, _), coeff in element.expansion.terms()}
-        for element in columns
-    ]
+    col_vectors = [_word_vector(element.expansion) for element in columns]
     col_supports = [frozenset(vec) for vec in col_vectors]
     target_support = frozenset(vector)
     budget = 300_000
@@ -599,53 +586,10 @@ def _sparse_solve(
                 covered |= col_supports[index]
             if not target_support <= covered:
                 continue
-            rows: list[tuple[str, dict, dict]] = []
-            dependent = False
-            for index in subset:
-                work = dict(col_vectors[index])
-                combo: dict[int, Fraction] = {index: Fraction(1)}
-                for pivot, row_vector, row_combo in rows:
-                    factor = work.get(pivot)
-                    if not factor:
-                        continue
-                    scale = factor / row_vector[pivot]
-                    for word, value in row_vector.items():
-                        updated = work.get(word, Fraction(0)) - scale * value
-                        if updated:
-                            work[word] = updated
-                        else:
-                            work.pop(word, None)
-                    for name, value in row_combo.items():
-                        updated = combo.get(name, Fraction(0)) - scale * value
-                        if updated:
-                            combo[name] = updated
-                        else:
-                            combo.pop(name, None)
-                if not work:
-                    dependent = True
-                    break
-                rows.append((min(work), work, combo))
-            if dependent:
+            echelon = _Echelon()
+            if any(echelon.insert(index, col_vectors[index]) is not None for index in subset):
                 continue
-            remainder = dict(vector)
-            weights: dict[int, Fraction] = {}
-            for pivot, row_vector, row_combo in rows:
-                factor = remainder.get(pivot)
-                if not factor:
-                    continue
-                scale = factor / row_vector[pivot]
-                for word, value in row_vector.items():
-                    updated = remainder.get(word, Fraction(0)) - scale * value
-                    if updated:
-                        remainder[word] = updated
-                    else:
-                        remainder.pop(word, None)
-                for name, value in row_combo.items():
-                    updated = weights.get(name, Fraction(0)) + scale * value
-                    if updated:
-                        weights[name] = updated
-                    else:
-                        weights.pop(name, None)
+            remainder, weights = echelon.reduce(vector)
             if not remainder:
                 return weights
     return None
@@ -686,7 +630,7 @@ def project(
         (
             element
             for element in basis.class_elements(*klass)
-            if min_order is None or element.order >= min_order
+            if element.order >= min_order
         ),
         key=lambda el: (
             el.order,
@@ -724,6 +668,10 @@ def project(
 def min_hbar_order(piece: AbstractExpr, basis: BracketBasis) -> int | None:
     """Largest h with the whole piece inside span(elements of order >= h).
 
+    One reduction per stratum against the class echelon.  Its rows were
+    inserted from high order to low, so a stratum's weights over the
+    independent elements are unique, and the stratum lies in
+    span(order >= h) exactly when every weighted element has order >= h.
     None when some stratum is not even in the full admitted span.
     """
     if piece.is_zero():
@@ -732,22 +680,14 @@ def min_hbar_order(piece: AbstractExpr, basis: BracketBasis) -> int | None:
     if len(classes) != 1:
         raise ValueError(f"certification wants a single class, got {sorted(classes)}")
     (klass,) = classes
-    elements = basis.class_elements(*klass)
-    orders = sorted({element.order for element in elements}, reverse=True)
-    certificate: int | None = None
+    echelon = basis.echelon(klass)
+    orders: list[int] = []
     for vector in _strata(piece).values():
-        stratum_cert: int | None = None
-        for cutoff in orders:
-            columns = [el for el in elements if el.order >= cutoff]
-            remainder, _ = _reduce_against(vector, columns)
-            if not remainder:
-                stratum_cert = cutoff
-                break
-        if stratum_cert is None:
+        remainder, weights = echelon.reduce(vector)
+        if remainder:
             return None
-        if certificate is None or stratum_cert < certificate:
-            certificate = stratum_cert
-    return certificate
+        orders.extend(basis.element(text).order for text in weights)
+    return min(orders)
 
 
 @dataclass(frozen=True)
@@ -762,21 +702,15 @@ class ClassDiff:
         basis_terms = []
         residual: list[str] = []
         if self.projection is not None:
-            for entry in self.projection.entries:
-                bracket_text = entry.element.text
-                if entry.beta_exp:
-                    bracket_text = "beta * " + bracket_text
-                basis_terms.append(
-                    {
-                        "bracket_text": bracket_text,
-                        "coeff": str(entry.weight),
-                        "m_exp": entry.m_exp,
-                    }
-                )
-            residual = [
-                ("-" if coeff < 0 else "") + format_term(beta_exp, word, m_exp, coeff)
-                for (beta_exp, word, m_exp), coeff in self.projection.residual.terms()
+            basis_terms = [
+                {
+                    "bracket_text": entry.bracket,
+                    "coeff": str(entry.weight),
+                    "m_exp": entry.m_exp,
+                }
+                for entry in self.projection.entries
             ]
+            residual = term_strings(self.projection.residual)
         return {
             "e": self.e_count,
             "o": self.o_count,
@@ -888,3 +822,35 @@ def diff_report(
             )
         )
     return DiffReport(budget=budget, classes=tuple(rows))
+
+
+def explain(
+    diff: AbstractExpr, basis: BracketBasis, min_order: int
+) -> tuple[str, list[dict]]:
+    """Spell every class of a difference in brackets of order >= min_order.
+
+    Returns "pass" when every class is explained and "fail" otherwise,
+    with one row per class, smallest class first: its e and o counts, its
+    status ("explained" or "unexplained"), the weighted brackets as
+    `delta_brackets`, and, when the brackets leave a residual, its terms
+    as `unexplained`.
+    """
+    status = "pass"
+    rows = []
+    for (e_count, o_count), piece in sorted(diff.classify().items()):
+        projection = project(piece, basis, min_order=min_order)
+        explained = projection.residual.is_zero()
+        row = {
+            "e": e_count,
+            "o": o_count,
+            "status": "explained" if explained else "unexplained",
+            "delta_brackets": [
+                {"bracket": entry.bracket, "weight": str(entry.weight), "m_exp": entry.m_exp}
+                for entry in projection.entries
+            ],
+        }
+        if not explained:
+            row["unexplained"] = term_strings(projection.residual)
+            status = "fail"
+        rows.append(row)
+    return status, rows

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from fwforge.fseries import nc_binomial_power
-from fwforge.lang import format_term
+from fwforge.lang import term_strings
 from fwforge.ncalg import (
     AbstractExpr,
     Acomm,
@@ -117,14 +117,6 @@ def eriksen_hamiltonian(
 
 
 # -- defining-property verification -------------------------------------------
-
-
-def term_strings(expr: AbstractExpr) -> list[str]:
-    out = []
-    for (beta_exp, word, m_exp), coeff in expr.terms():
-        body = format_term(beta_exp, word, m_exp, coeff)
-        out.append(("-" + body) if coeff < 0 else body)
-    return out
 
 
 def residual_classes(expr: AbstractExpr) -> list[dict]:
@@ -294,23 +286,14 @@ def compare_to_reference(budget: Budget | None = None) -> dict:
         budget = Budget(8, 3)
     derived = eriksen_hamiltonian(budget)
     target = expand(reference_target("full"), budget)
-    diff = derived.sub(target)
-
-    in_scope: dict[tuple[int, int], AbstractExpr] = {}
-    extra: dict[tuple[int, int], AbstractExpr] = {}
-    for (e, o), piece in diff.classify().items():
-        (in_scope if in_reference_scope(e, o) else extra)[(e, o)] = piece
-
-    def class_list(buckets):
-        return [
-            {"e": e, "o": o, "terms": term_strings(buckets[(e, o)])}
-            for (e, o) in sorted(buckets, key=lambda eo: (eo[0] + eo[1], eo[0]))
-        ]
-
+    classes = residual_classes(derived.sub(target))
+    in_scope = [row for row in classes if in_reference_scope(row["e"], row["o"])]
     return {
         "budget": {"max_word_len": budget.max_word_len, "max_e_count": budget.max_e_count},
         "scope": f"2e+o<={SCOPE_MAX_WEIGHT}, e<={SCOPE_MAX_E}",
         "status": "pass" if not in_scope else "fail",
-        "residual_classes": class_list(in_scope),
-        "extra_classes": class_list(extra),
+        "residual_classes": in_scope,
+        "extra_classes": [
+            row for row in classes if not in_reference_scope(row["e"], row["o"])
+        ],
     }

@@ -229,6 +229,14 @@ def format_term(beta_exp: int, word: str, m_exp: int, coeff: Fraction) -> str:
     return " ".join(pieces)
 
 
+def term_strings(expr: AbstractExpr) -> list[str]:
+    """Signed canonical term bodies of `expr`, in AbstractExpr order."""
+    return [
+        ("-" if coeff < 0 else "") + format_term(beta_exp, word, m_exp, coeff)
+        for (beta_exp, word, m_exp), coeff in expr.terms()
+    ]
+
+
 def format_expr(expr: AbstractExpr) -> str:
     """Canonical serialization; parse(format(x)) expands back to x.
 

@@ -503,7 +503,8 @@ def compare_closed_form(model: SpectralModel, n_levels: int | None = None) -> di
 
 def _fit_loglog_slope(x_values, residuals) -> float | None:
     pairs = [(x, r) for x, r in zip(x_values, residuals) if x > 0 and r > 0]
-    if len(pairs) < 2:
+    # A line through one distinct x is undetermined, however many points.
+    if len({x for x, _ in pairs}) < 2:
         return None
     logs_x = np.log([p[0] for p in pairs])
     logs_r = np.log([p[1] for p in pairs])

@@ -12,7 +12,8 @@ hbar-order 2 as
 with every coefficient an eps-function from the series registry.  This
 module encodes that operator, its leading exactly-determined part, the
 classical inverse-mass expansion, and the second-step derivation from
-the first-step operators.
+the first-step operators; both the second step and the displayed series
+are checked by explaining their differences in brackets.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from fwforge.eriksen import residual_classes, term_strings
+from fwforge.comparator import build_basis, explain
 from fwforge.ncalg import (
     AbstractExpr,
     Acomm,
@@ -257,25 +258,23 @@ def derive_second_step(budget: Budget, basis=None) -> tuple[AbstractExpr, dict]:
     )
     derived = expand(structured, budget)
     diff = derived.sub(expand_static(build_iterative(), budget))
-
-    from fwforge.comparator import build_basis, project
-
     if basis is None:
         basis = build_basis(budget)
-    classes = []
-    status = "pass"
-    for (e_count, o_count), piece in sorted(diff.classify().items()):
-        entry = {"e": e_count, "o": o_count}
-        projection = project(piece, basis, min_order=3)
-        explained = projection.residual.is_zero()
-        entry["status"] = "explained" if explained else "unexplained"
-        entry["explained_by"] = [
-            {"bracket": element.text, "weight": str(weight), "m_exp": m_exp}
-            for element, weight, m_exp in projection.combination
-        ]
-        if not explained:
-            entry["unexplained"] = term_strings(projection.residual)
-            status = "fail"
-        classes.append(entry)
-    report = {"status": status, "classes": classes}
-    return derived, report
+    status, classes = explain(diff, basis, min_order=3)
+    return derived, {"status": status, "classes": classes}
+
+
+def derive_display(budget: Budget) -> dict:
+    """Compare the static expansion of the iterative closed form with its
+    displayed bracket series; explain any class difference in brackets of
+    nominal order two or higher."""
+    derived = expand_static(build_iterative(), budget)
+    diff = derived.sub(expand(reference_iterative(), budget))
+    status, classes = "pass", []
+    if not diff.is_zero():
+        status, classes = explain(diff, build_basis(budget), min_order=2)
+    return {
+        "budget": {"max_word_len": budget.max_word_len, "max_e_count": budget.max_e_count},
+        "status": status,
+        "classes": classes,
+    }

@@ -171,6 +171,43 @@ def test_spectra_correction_scan_rejects_vanishing_anomaly(capsys):
     assert "g != 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target", ["amm-scan", "correction-scan"])
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--scan-from", "0"], "--scan-from"),
+        (["--scan-from", "-1"], "--scan-from"),
+        (["--scan-to", "0"], "--scan-to"),
+        (["--scan-points", "1"], "--scan-points"),
+    ],
+)
+def test_spectra_scan_rejects_bad_scan_flags(target, flags, named, capsys):
+    assert cli.main(["spectra", target, "--levels", "16", *flags]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_spectra_scan_through_one_point_fits_no_slope(capsys):
+    code = cli.main(
+        [
+            "spectra",
+            "correction-scan",
+            "--levels",
+            "16",
+            "--scan-from",
+            "0.1",
+            "--scan-to",
+            "0.1",
+            "--scan-points",
+            "3",
+        ]
+    )
+    assert code == 1
+    report = _json_out(capsys)
+    assert report["scan"]["x_values"] == [0.1, 0.1, 0.1]
+    assert report["scan"]["fitted_slope"] is None
+    assert report["status"] == "fail"
+
+
 def test_spectra_relations_pass(capsys):
     assert cli.main(["spectra", "relations", "--levels", "16"]) == 0
     report = _json_out(capsys)

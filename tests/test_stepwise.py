@@ -7,12 +7,15 @@ operators.  Frozen class contents were derived with an independent
 free-word series oracle before being pinned.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fwforge import cli
+from fwforge.lang import parse_expr
 from fwforge.ncalg import (
     AbstractExpr,
     Acomm,
@@ -236,19 +239,19 @@ def test_second_step_report(budget83, basis83, static13_83):
     assert not any("unexplained" in row for row in rows.values())
 
     # the only one-potential deviation is a single depth-three bracket
-    (term,) = rows[(1, 6)]["explained_by"]
+    (term,) = rows[(1, 6)]["delta_brackets"]
     assert term == {
         "bracket": "comm(pow(O, 2), comm(pow(O, 2), comm(O, comm(O, E))))",
         "weight": "9/1024",
         "m_exp": -6,
     }
     assert [
-        (t["weight"], t["m_exp"], t["bracket"]) for t in rows[(2, 4)]["explained_by"]
+        (t["weight"], t["m_exp"], t["bracket"]) for t in rows[(2, 4)]["delta_brackets"]
     ] == [
-        ("1/64", -5, "comm(O, comm(O, pow(comm(O, E), 2)))"),
-        ("1/32", -5, "comm(comm(O, E), comm(pow(O, 2), comm(O, E)))"),
+        ("1/64", -5, "beta * comm(O, comm(O, pow(comm(O, E), 2)))"),
+        ("1/32", -5, "beta * comm(comm(O, E), comm(pow(O, 2), comm(O, E)))"),
     ]
-    assert len(rows[(2, 6)]["explained_by"]) == 20
+    assert len(rows[(2, 6)]["delta_brackets"]) == 20
 
     # classes absent from the report are exactly equal
     for klass in [(1, 2), (1, 4), (2, 2)]:
@@ -263,3 +266,45 @@ def test_second_step_report(budget83, basis83, static13_83):
         if e_count == 0:
             energy_line = energy_line.add(piece)
     assert energy_line.sub(series).is_zero()
+
+
+# -- bracket explanations rebuild their differences ---------------------------------
+
+
+def _second_step_difference(budget):
+    derived, _ = derive_second_step(budget)
+    return derived.sub(expand_static(build_iterative(), budget))
+
+
+def _display_difference(budget):
+    return expand_static(build_iterative(), budget).sub(
+        expand(reference_iterative(), budget)
+    )
+
+
+@pytest.mark.parametrize(
+    "target, budget, difference",
+    [
+        ("stepwise", Budget(6, 2), _display_difference),
+        ("second-step", Budget(7, 2), _second_step_difference),
+    ],
+)
+def test_explanation_rows_rebuild_the_difference(target, budget, difference, tmp_path):
+    """Each row's brackets, read back from the emitted JSON, sum to that
+    class of the difference: a bracket printed without its beta fails."""
+    out = tmp_path / "report.json"
+    argv = ["derive", target, "--max-len", str(budget.max_word_len)]
+    assert cli.main([*argv, "--max-e", str(budget.max_e_count), "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["classes"]
+    diff = difference(budget)
+    assert [(row["e"], row["o"]) for row in rows] == sorted(diff.classify())
+    for row in rows:
+        rebuilt = AbstractExpr.zero()
+        for term in row["delta_brackets"]:
+            weighted = Prod(
+                (Rat(Fraction(term["weight"])), MPow(term["m_exp"]), parse_expr(term["bracket"]))
+            )
+            rebuilt = rebuilt.add(expand(weighted, budget))
+        for text in row.get("unexplained", []):
+            rebuilt = rebuilt.add(expand(parse_expr(text), budget))
+        assert rebuilt.sub(diff.restrict_class(row["e"], row["o"])).is_zero(), row
