@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -97,6 +98,10 @@ class BasisElement:
     @property
     def klass(self) -> tuple[int, int]:
         return (self.e_count, self.o_count)
+
+    @cached_property
+    def word_vector(self) -> dict[str, Fraction]:
+        return {word: coeff for (_, word, _), coeff in self.expansion.terms()}
 
 
 @dataclass(frozen=True)
@@ -153,15 +158,6 @@ def _kind_rank(tree: BracketExpr) -> int:
     if isinstance(tree, Acomm):
         return 2
     return 3
-
-
-def _letter_counts(expansion: AbstractExpr) -> tuple[int, int]:
-    (_, word, _), _ = expansion.terms()[0]
-    return (word.count("E"), len(word) - word.count("E"))
-
-
-def _word_vector(expansion: AbstractExpr) -> dict[str, Fraction]:
-    return {word: coeff for (_, word, _), coeff in expansion.terms()}
 
 
 _ZERO = Fraction(0)
@@ -244,7 +240,7 @@ class BracketBasis:
                 self.class_elements(*klass),
                 key=lambda el: (-el.order, _kind_rank(el.tree), el.text),
             ):
-                members = echelon.insert(element.text, _word_vector(element.expansion))
+                members = echelon.insert(element.text, element.word_vector)
                 if members is not None:
                     dependencies.append(
                         Dependency(
@@ -324,58 +320,64 @@ def _curated_trees() -> frozenset[BracketExpr]:
     )
 
 
+_CURATED = _curated_trees()
+
+
 @dataclass
 class _Candidate:
     tree: BracketExpr
     order: int
     expansion: AbstractExpr
 
+    @cached_property
+    def klass(self) -> tuple[int, int]:
+        """(E count, O count), shared by every word of the expansion."""
+        (_, word, _), _ = self.expansion.terms()[0]
+        return (word.count("E"), len(word) - word.count("E"))
+
+
+def _preference(candidate: _Candidate) -> tuple:
+    text = format_tree(candidate.tree)
+    return (
+        candidate.order,
+        candidate.tree in _CURATED,
+        -len(text),
+        tuple(-ord(ch) for ch in text),
+    )
+
 
 class _DirectionTable:
-    """Candidates grouped by expansion direction (parallel vectors)."""
+    """Candidates grouped by expansion direction (parallel vectors).
 
-    def __init__(self, budget: Budget):
-        self.budget = budget
-        self.curated = _curated_trees()
-        # direction key -> (reference expansion, best candidate, parallels)
-        self._groups: dict[tuple, list] = {}
+    Each direction keeps one (preference, best candidate) pair; a later
+    candidate replaces the best only when its preference is higher.
+    """
 
-    @staticmethod
-    def _direction_key(expansion: AbstractExpr) -> tuple[tuple, Fraction]:
+    def __init__(self):
+        self._best: dict[tuple, tuple[tuple, _Candidate]] = {}
+
+    def offer(self, tree: BracketExpr, expansion: AbstractExpr) -> _Candidate | None:
+        """Record a candidate; return it when its direction is new, else None."""
+        if expansion.is_zero():
+            return None
+        parity, order = parity_and_order(tree)
+        if parity == "mixed" or order is None:
+            return None
         terms = expansion.terms()
         lead = terms[0][1]
         key = tuple((word, coeff / lead) for (_, word, _), coeff in terms)
-        return key, lead
-
-    def _preference(self, candidate: _Candidate) -> tuple:
-        text = format_tree(candidate.tree)
-        return (
-            candidate.order,
-            candidate.tree in self.curated,
-            -len(text),
-            tuple(-ord(ch) for ch in text),
-        )
-
-    def offer(self, tree: BracketExpr, expansion: AbstractExpr) -> bool:
-        """Record a candidate; True when its direction is new."""
-        if expansion.is_zero():
-            return False
-        parity, order = parity_and_order(tree)
-        if parity == "mixed" or order is None:
-            return False
-        key, _ = self._direction_key(expansion)
         candidate = _Candidate(tree, order, expansion)
-        group = self._groups.get(key)
-        if group is None:
-            self._groups[key] = [candidate, [candidate]]
-            return True
-        group[1].append(candidate)
-        if self._preference(candidate) > self._preference(group[0]):
-            group[0] = candidate
-        return False
+        preference = _preference(candidate)
+        held = self._best.get(key)
+        if held is None:
+            self._best[key] = (preference, candidate)
+            return candidate
+        if preference > held[0]:
+            self._best[key] = (preference, candidate)
+        return None
 
     def representatives(self) -> Iterator[_Candidate]:
-        for best, _ in self._groups.values():
+        for _, best in self._best.values():
             yield best
 
 
@@ -389,26 +391,27 @@ def _bracket_candidates(
     fresh: list[_Candidate] = []
     seen_acomm: set[tuple[int, int]] = set()
     for i, left in enumerate(lefts):
-        left_e, left_o = _letter_counts(left.expansion)
+        left_e, left_o = left.klass
         for j, right in enumerate(rights):
             if left.tree == right.tree:
                 continue
-            right_e, right_o = _letter_counts(right.expansion)
+            right_e, right_o = right.klass
             if left_e + right_e > budget.max_e_count:
                 continue
             if left_e + right_e + left_o + right_o > budget.max_word_len:
                 continue
             comm_exp = left.expansion.commutator(right.expansion, budget)
-            if table.offer(Comm(left.tree, right.tree), comm_exp):
-                fresh.append(_Candidate(Comm(left.tree, right.tree), 0, comm_exp))
+            new = table.offer(Comm(left.tree, right.tree), comm_exp)
+            if new is not None:
+                fresh.append(new)
             pair = (min(i, j), max(i, j)) if lefts is rights else (i, j)
             if pair in seen_acomm:
                 continue
             seen_acomm.add(pair)
             acomm_exp = left.expansion.anticommutator(right.expansion, budget)
-            if table.offer(Acomm(left.tree, right.tree), acomm_exp):
-                fresh.append(_Candidate(Acomm(left.tree, right.tree), 0, acomm_exp))
-    # Orders in the returned stubs are unused; the table recomputes them.
+            new = table.offer(Acomm(left.tree, right.tree), acomm_exp)
+            if new is not None:
+                fresh.append(new)
     return fresh
 
 
@@ -419,11 +422,11 @@ def build_basis(budget: Budget | int, max_e_count: int | None = None) -> Bracket
             raise ValueError("pass a Budget or both word and E limits")
         budget = Budget(budget, max_e_count)
 
-    table = _DirectionTable(budget)
+    table = _DirectionTable()
     # Claim the narrative spellings first so they become the
     # representatives of their directions.
     curated_candidates: list[_Candidate] = []
-    for tree in sorted(table.curated, key=format_tree):
+    for tree in sorted(_CURATED, key=format_tree):
         expansion = expand(tree, budget)
         table.offer(tree, expansion)
         if not expansion.is_zero():
@@ -460,9 +463,9 @@ def build_basis(budget: Budget | int, max_e_count: int | None = None) -> Bracket
     ]
     products: list[_Candidate] = []
     for left in bracket_pool:
-        left_e, left_o = _letter_counts(left.expansion)
+        left_e, left_o = left.klass
         for right in bracket_pool:
-            right_e, right_o = _letter_counts(right.expansion)
+            right_e, right_o = right.klass
             if left_e + right_e > budget.max_e_count:
                 continue
             if left_e + right_e + left_o + right_o > budget.max_word_len:
@@ -480,15 +483,11 @@ def build_basis(budget: Budget | int, max_e_count: int | None = None) -> Bracket
     # Three-factor products: a two-factor product times one more small
     # bracket, on either side.  Needed so high-letter-count classes keep
     # full coverage at every grading order.
-    small = [
-        c
-        for c in bracket_pool
-        if sum(_letter_counts(c.expansion)) <= 3
-    ]
+    small = [c for c in bracket_pool if sum(c.klass) <= 3]
     for middle in products:
-        mid_e, mid_o = _letter_counts(middle.expansion)
+        mid_e, mid_o = middle.klass
         for extra in small:
-            extra_e, extra_o = _letter_counts(extra.expansion)
+            extra_e, extra_o = extra.klass
             if mid_e + extra_e > budget.max_e_count:
                 continue
             if mid_e + extra_e + mid_o + extra_o > budget.max_word_len:
@@ -509,7 +508,7 @@ def build_basis(budget: Budget | int, max_e_count: int | None = None) -> Bracket
     # overcomplete (see the module docstring).
     elements = []
     for best in table.representatives():
-        e_count, o_count = _letter_counts(best.expansion)
+        e_count, o_count = best.klass
         elements.append(
             BasisElement(
                 text=format_tree(best.tree),
@@ -552,7 +551,7 @@ def _reduce_against(
     """Reduce `vector` against `columns` in order; return remainder, weights."""
     echelon = _Echelon()
     for index, element in enumerate(columns):
-        echelon.insert(index, _word_vector(element.expansion))
+        echelon.insert(index, element.word_vector)
     return echelon.reduce(vector)
 
 
@@ -570,7 +569,7 @@ def _sparse_solve(
     earlier listing.  Linearly dependent subsets are skipped: their span
     equals that of a smaller subset already tried.
     """
-    col_vectors = [_word_vector(element.expansion) for element in columns]
+    col_vectors = [element.word_vector for element in columns]
     col_supports = [frozenset(vec) for vec in col_vectors]
     target_support = frozenset(vector)
     budget = 300_000
@@ -625,7 +624,6 @@ def project(
     if min_order is None:
         certified = min_hbar_order(piece, basis)
         min_order = 0 if certified is None else certified
-    curated = _curated_trees()
     columns = sorted(
         (
             element
@@ -634,7 +632,7 @@ def project(
         ),
         key=lambda el: (
             el.order,
-            el.tree not in curated,
+            el.tree not in _CURATED,
             _kind_rank(el.tree),
             el.text,
         ),

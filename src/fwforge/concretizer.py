@@ -15,8 +15,11 @@ and re-derives two concrete results:
   three matrix channels (:func:`verify_uniform_commutator`).
 
 Coefficients are Gaussian rationals (exact rational real and imaginary
-parts).  Matrix factors are canonicalized against a fixed 16-element
-basis of the 4x4 matrix algebra.  Operator words are normal ordered with
+parts).  Matrix factors are labels of a fixed 16-element basis of the
+4x4 matrix algebra.  The basis is closed under products up to a phase in
+{1, -1, i, -i}, so a product of two labels is one label and one phase,
+read from a structure-constant table that decomposes each explicit
+matrix product once, on first use.  Operator words are normal ordered with
 every momentum-past-function swap emitting one explicit power of hbar,
 which is what makes the hbar-grading of each derived term exact.
 
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping
 
@@ -147,12 +151,13 @@ def mat_mul(x: Matrix, y: Matrix) -> Matrix:
     )
 
 
-def mat_dagger(x: Matrix) -> Matrix:
-    return tuple(tuple(x[j][i].conj() for j in range(4)) for i in range(4))
-
-
-def mat_trace(x: Matrix) -> QQi:
-    return sum((x[i][i] for i in range(4)), _ZERO)
+def _inner(x: Matrix, y: Matrix) -> QQi:
+    """Trace inner product tr(x^dagger y) / 4, summed entry by entry."""
+    total = sum(
+        (a.conj() * b for row_x, row_y in zip(x, y) for a, b in zip(row_x, row_y)),
+        _ZERO,
+    )
+    return total * Fraction(1, 4)
 
 
 def _pauli():
@@ -206,13 +211,24 @@ _EPSILON = {
 
 def decompose_matrix(matrix: Matrix) -> dict[str, QQi]:
     """Exact coordinates of a 4x4 matrix in the fixed 16-element basis."""
-    quarter = Fraction(1, 4)
     out = {}
     for label, base in MATRIX_BASIS.items():
-        coeff = mat_trace(mat_mul(mat_dagger(base), matrix)) * quarter
+        coeff = _inner(base, matrix)
         if not coeff.is_zero():
             out[label] = coeff
     return out
+
+
+@lru_cache(maxsize=None)
+def _basis_product(left: str, right: str) -> tuple[str, QQi]:
+    """``(label, phase)`` with left @ right == phase * label, phase in {1, -1, i, -i}.
+
+    Unpacking exactly one coordinate asserts the closure on the explicit matrices.
+    """
+    ((label, phase),) = decompose_matrix(
+        mat_mul(MATRIX_BASIS[left], MATRIX_BASIS[right])
+    ).items()
+    return label, phase
 
 
 def recompose_matrix(coords: Mapping[str, QQi]) -> Matrix:
@@ -384,7 +400,7 @@ class ConcreteExpr:
     # multiplicative structure ------------------------------------------------------
 
     def mul(self, other: "ConcreteExpr") -> "ConcreteExpr":
-        """Raw product: matrix factors reduce in the basis, words concatenate."""
+        """Raw product: labels multiply by structure constants, words concatenate."""
         self._check_mode(other)
         out: dict[TermKey, QQi] = {}
         for (mat1, eps1, sc1, w1), c1 in self._terms.items():
@@ -393,20 +409,13 @@ class ConcreteExpr:
                     raise ValueError(
                         "cannot multiply two opaque central prefactors"
                     )
-                coords = decompose_matrix(
-                    mat_mul(MATRIX_BASIS[mat1], MATRIX_BASIS[mat2])
-                )
-                scalars = _scalar_merge(sc1, sc2)
-                word = w1 + w2
-                eps = eps1 or eps2
-                base = c1 * c2
-                for label, mcoeff in coords.items():
-                    key = (label, eps, scalars, word)
-                    total = out.get(key, _ZERO) + base * mcoeff
-                    if total.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = total
+                label, phase = _basis_product(mat1, mat2)
+                key = (label, eps1 or eps2, _scalar_merge(sc1, sc2), w1 + w2)
+                total = out.get(key, _ZERO) + c1 * c2 * phase
+                if total.is_zero():
+                    out.pop(key, None)
+                else:
+                    out[key] = total
         return ConcreteExpr(self.mode, out)
 
     def commutator(self, other: "ConcreteExpr") -> "ConcreteExpr":
@@ -692,13 +701,9 @@ def _identity_cases() -> list[tuple[str, Callable[[], bool]]]:
         return True
 
     def basis_orthonormal() -> bool:
-        labels = list(basis)
-        quarter = Fraction(1, 4)
-        for a in labels:
-            for b in labels:
-                inner = mat_trace(mat_mul(mat_dagger(basis[a]), basis[b])) * quarter
-                expected = _ONE if a == b else _ZERO
-                if inner != expected:
+        for a in basis:
+            for b in basis:
+                if _inner(basis[a], basis[b]) != (_ONE if a == b else _ZERO):
                     return False
         return True
 

@@ -29,11 +29,6 @@ def o_count(word: str) -> int:
     return word.count("O")
 
 
-def word_parity(word: str) -> int:
-    """beta-parity of a word: 0 even, 1 odd."""
-    return o_count(word) & 1
-
-
 def _term_sort_key(key: TermKey) -> tuple:
     beta_exp, word, m_exp = key
     return (beta_exp, (len(word), word), m_exp)
@@ -261,10 +256,7 @@ class AbstractExpr:
 
 _ZERO_FRACTION = Fraction(0)
 
-ZERO = AbstractExpr.zero()
 ONE = AbstractExpr.rational(1)
-E = AbstractExpr.generator("E")
-O = AbstractExpr.generator("O")
 BETA = AbstractExpr.beta()
 
 
@@ -364,18 +356,6 @@ class EpsFun:
 
 
 BracketExpr = Gen | BetaF | MPow | Rat | Sum | Prod | Comm | Acomm | PowN | EpsFun
-
-
-def sum_of(*children) -> Sum:
-    return Sum(tuple(children))
-
-
-def prod_of(*children) -> Prod:
-    return Prod(tuple(children))
-
-
-def scaled(value, node) -> Prod:
-    return Prod((Rat(Fraction(value)), node))
 
 
 # -- expansion -------------------------------------------------------------

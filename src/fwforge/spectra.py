@@ -146,6 +146,10 @@ class SpectralModel:
             raise InvalidModelError(f"mass must be positive, got {self.m}")
         if not self.hbar > 0:
             raise InvalidModelError(f"hbar must be positive, got {self.hbar}")
+        for name in ("m", "hbar", "e", "B", "g"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidModelError(f"{name} must be finite, got {value}")
 
     @property
     def edge_levels(self) -> int:

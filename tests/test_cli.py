@@ -186,6 +186,24 @@ def test_spectra_scan_rejects_bad_scan_flags(target, flags, named, capsys):
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "target, flag, value",
+    [
+        ("run", "--g", "nan"),
+        ("run", "--B", "inf"),
+        ("run", "--m", "inf"),
+        ("run", "--hbar", "inf"),
+        ("run", "--e", "nan"),
+        ("relations", "--B", "inf"),
+        ("amm-scan", "--B", "inf"),
+        ("correction-scan", "--g", "nan"),
+    ],
+)
+def test_spectra_rejects_non_finite_parameters(target, flag, value, capsys):
+    assert cli.main(["spectra", target, "--levels", "16", flag, value]) == 2
+    assert f"{flag[2:]} must be finite, got {value}" in capsys.readouterr().err
+
+
 def test_spectra_scan_through_one_point_fits_no_slope(capsys):
     code = cli.main(
         [

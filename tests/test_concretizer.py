@@ -68,6 +68,21 @@ def test_single_channel_products():
     ) == {"Sigma_z": QQi.of(0, 1)}
 
 
+PHASES = (QQi.of(1), QQi.of(-1), QQi.of(0, 1), QQi.of(0, -1))
+
+
+@pytest.mark.parametrize("left", list(MATRIX_BASIS))
+def test_basis_is_closed_under_products_up_to_a_phase(left):
+    for right in MATRIX_BASIS:
+        product = matrix_factor(ELECTROSTATIC, left).mul(matrix_factor(ELECTROSTATIC, right))
+        [((label, eps, scalars, word), phase)] = product.terms()
+        assert (eps, scalars, word) == ("", (), ())
+        assert phase in PHASES
+        assert recompose_matrix({label: phase}) == mat_mul(
+            MATRIX_BASIS[left], MATRIX_BASIS[right]
+        )
+
+
 @st.composite
 def gaussian_matrices(draw):
     fractions = st.fractions(

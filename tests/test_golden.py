@@ -30,6 +30,9 @@ def test_compare_83_matches_golden(report83):
         (["compare", "--max-len", "6", "--max-e", "2"], "compare_6_2"),
         (["derive", "stepwise", "--max-len", "6", "--max-e", "2"], "derive_stepwise_6_2"),
         (["derive", "eriksen", "--max-len", "8", "--max-e", "3"], "derive_eriksen_8_3"),
+        (["derive", "second-step", "--max-len", "7", "--max-e", "2"], "derive_second_step_7_2"),
+        (["concretize", "electrostatic"], "concretize_electrostatic"),
+        (["concretize", "uniform-field"], "concretize_uniform_field"),
     ],
 )
 def test_report_matches_golden(argv, name, tmp_path):
