@@ -103,12 +103,15 @@ def _budget_flags(parser, registry):
     )
 
 
-def _numeric_flags(parser, registry, *, B_default, g_default, levels_default):
+def _numeric_flags(parser, registry, *, levels_default, B_default=None, g_default=None):
+    # A scan sets the field or anomaly it scans, so it declares no flag for it.
     _add_flag(parser, registry, "--m", kind=float, default=1.0, help_text="mass")
     _add_flag(parser, registry, "--hbar", kind=float, default=1.0, help_text="Planck constant")
     _add_flag(parser, registry, "--e", kind=float, default=1.0, help_text="signed charge")
-    _add_flag(parser, registry, "--B", kind=float, default=B_default, help_text="field strength along z")
-    _add_flag(parser, registry, "--g", kind=float, default=g_default, help_text="gyromagnetic factor")
+    if B_default is not None:
+        _add_flag(parser, registry, "--B", kind=float, default=B_default, help_text="field strength along z")
+    if g_default is not None:
+        _add_flag(parser, registry, "--g", kind=float, default=g_default, help_text="gyromagnetic factor")
     _add_flag(
         parser,
         registry,
@@ -225,7 +228,7 @@ def _build_parser():
         "anomalous-moment formula, scanned over the anomaly g - 2",
     )
     registries["spectra amm-scan"] = {}
-    _numeric_flags(amm, registries["spectra amm-scan"], B_default=0.1, g_default=2.0, levels_default=64)
+    _numeric_flags(amm, registries["spectra amm-scan"], B_default=0.1, levels_default=64)
     _scan_flags(amm, registries["spectra amm-scan"], what="anomaly g - 2")
     _output_flags(amm, registries["spectra amm-scan"])
 
@@ -236,11 +239,7 @@ def _build_parser():
     )
     registries["spectra correction-scan"] = {}
     _numeric_flags(
-        correction,
-        registries["spectra correction-scan"],
-        B_default=0.1,
-        g_default=2.5,
-        levels_default=64,
+        correction, registries["spectra correction-scan"], g_default=2.5, levels_default=64
     )
     _scan_flags(correction, registries["spectra correction-scan"], what="field strength")
     _output_flags(correction, registries["spectra correction-scan"])

@@ -3,9 +3,9 @@
 This module checks the closed-form energy spectra and scaling claims
 numerically.  For each particle kind (spin 0, spin 1/2, spin 1) it builds a
 dense matrix for the chosen representation of the Hamiltonian on a truncated
-Landau basis, diagonalizes it, discards eigenpairs that touch the truncation
-edge, and compares the surviving "interior" eigenvalues against closed-form
-level formulas or against each other.
+Landau basis, diagonalizes each block of a conserved label, and compares
+the eigenvalues of the "interior" blocks, clear of the truncation edge,
+against closed-form level formulas or against each other.
 
 Representations
 ---------------
@@ -26,13 +26,15 @@ Representations
     Its defect against the exact six-component spectrum shrinks like the
     fourth power of the field.
 
-Basis layout
-------------
-Matrices act on (Landau level) x (internal) indices, Landau index leading,
-so an eigenvector reshaped to ``(N, -1)`` exposes the Landau weight profile
-used by the interior filter.  The transverse kinetic momenta are realized
-with truncated ladder operators; their squared sum has the Landau
-eigenstructure (2n + 1)|e| hbar B away from the truncation edge.
+Basis layout and blocks
+-----------------------
+Matrices act on (Landau level n) x (internal) indices, n leading, with
+truncated ladder operators for the transverse momenta.  At zero
+longitudinal momentum every form conserves the label n + sign(e) (s - m_s),
+Landau level plus spin lowering (Johnson & Lippmann, Phys. Rev. 76, 828
+(1949)); entries between labels are exactly zero.  A block is interior when
+none of its states lies in the top ``edge_levels`` Landau levels, so its
+entries are those of the untruncated operator: no tolerance is involved.
 """
 
 from __future__ import annotations
@@ -80,8 +82,8 @@ INTERNAL_DIM = {"spin0": 2, "spin12": 4, "spin1": 6}
 # Spin projections searched by the closed-form matcher.
 LAMBDA_VALUES = {"spin0": (0,), "spin12": (-1, 1), "spin1": (-1, 0, 1)}
 
-#: Eigenvector weight allowed on the top Landau levels of an interior state.
-INTERIOR_WEIGHT_TOL = 1e-8
+#: Spin lowering s - m_s of each internal component, in basis order.
+SPIN_LOWERING = {"spin0": (0, 0), "spin12": (0, 1, 0, 1), "spin1": (0, 0, 1, 1, 2, 2)}
 
 #: Residual above which an interior eigenvalue counts as unmatched.
 MATCH_TOL = 1e-6
@@ -106,7 +108,7 @@ class SquareRootDomainError(ValueError):
 
 
 class InsufficientInteriorError(RuntimeError):
-    """Raised when too few interior eigenvalues survive the edge filter."""
+    """Raised when the interior blocks hold too few eigenvalues."""
 
 
 @dataclass(frozen=True)
@@ -243,6 +245,11 @@ def _anomalous_moment(model: SpectralModel) -> float:
     return (model.g - 2.0) * model.e * model.hbar / (4.0 * model.m)
 
 
+def _spin1_amm(model: SpectralModel) -> float:
+    """Spin-1 anomalous-moment energy scale e hbar (g - 2) B / (2 m)."""
+    return model.e * model.hbar * (model.g - 2.0) * model.B / (2.0 * model.m)
+
+
 # -- model matrices ------------------------------------------------------------------
 
 
@@ -266,6 +273,28 @@ def _spin1_kernels(model: SpectralModel):
         "spin_momentum": spin_momentum,
         "eye": np.eye(3 * N, dtype=complex),
     }
+
+
+def _spin1_first_order(model: SpectralModel, kernels):
+    """Parts (beta_part, E, O) of the six-component Sakata-Taketani
+    Hamiltonian H = beta_part + E + O: the rho_3 mass term with its field
+    couplings, the even anomalous-moment term, and the odd part."""
+    _, rho_2, rho_3 = _rho_matrices()
+    m, hbar, e, B = model.m, model.hbar, model.e, model.B
+    amm = _spin1_amm(model)
+    beta_part = np.kron(
+        m * kernels["eye"]
+        + kernels["pi_sq_full"] / (2.0 * m)
+        - (e * hbar * B / m) * kernels["s_z_full"],
+        rho_3,
+    )
+    even = np.kron(-amm * kernels["s_z_full"], rho_3)
+    odd_core = (
+        kernels["pi_sq_full"] / (2.0 * m)
+        - kernels["spin_momentum"] @ kernels["spin_momentum"] / m
+        + amm * kernels["s_z_full"]
+    )
+    return beta_part, even, np.kron(1j * odd_core, rho_2)
 
 
 def _build_spin0(model: SpectralModel) -> np.ndarray:
@@ -300,28 +329,16 @@ def _build_spin12(model: SpectralModel) -> np.ndarray:
 
 def _build_spin1(model: SpectralModel) -> np.ndarray:
     kernels = _spin1_kernels(model)
-    rho_1, rho_2, rho_3 = _rho_matrices()
-    m, hbar, e, B, g = model.m, model.hbar, model.e, model.B, model.g
-    # Anomalous-moment energy scale shared by all spin-1 forms.
-    amm = e * hbar * (g - 2.0) * B / (2.0 * m)
-
     if model.representation == "original":
-        mass_block = (
-            m * kernels["eye"]
-            + kernels["pi_sq_full"] / (2.0 * m)
-            - (e * hbar * B / m) * kernels["s_z_full"]
-        )
-        even_block = -amm * kernels["s_z_full"]
-        odd_block = (
-            kernels["pi_sq_full"] / (2.0 * m)
-            - kernels["spin_momentum"] @ kernels["spin_momentum"] / m
-            + amm * kernels["s_z_full"]
-        )
-        return (
-            np.kron(mass_block + even_block, rho_3)
-            + 1j * np.kron(odd_block, rho_2)
-        )
+        hamiltonian, even, odd = _spin1_first_order(model, kernels)
+        # Summed in place: a new (6N)^2 sum would raise the peak memory.
+        hamiltonian += even
+        hamiltonian += odd
+        return hamiltonian
 
+    rho_3 = _rho_matrices()[2]
+    m, hbar, e, B, g = model.m, model.hbar, model.e, model.B, model.g
+    amm = _spin1_amm(model)
     radicand = (
         (m**2) * kernels["eye"]
         + kernels["pi_sq_full"]
@@ -363,26 +380,32 @@ def build_model_matrix(model: SpectralModel) -> np.ndarray:
     return _build_spin1(model)
 
 
-# -- diagonalization and interior filtering ------------------------------------------
+# -- conserved blocks and diagonalization --------------------------------------------
+
+
+def _blocks(model: SpectralModel):
+    """Conserved label n + sign(e) (s - m_s) of each basis state, and whether
+    the state's block is interior: no state with that label lies in the top
+    ``edge_levels`` Landau levels."""
+    landau = np.repeat(np.arange(model.N), model.internal_dim)
+    lowering = np.tile(SPIN_LOWERING[model.particle], model.N)
+    labels = landau + int(np.sign(model.e)) * lowering
+    edge_labels = labels[landau >= model.N - model.edge_levels]
+    return labels, ~np.isin(labels, edge_labels)
 
 
 def _eigensystem(model: SpectralModel):
-    """Eigenvalues (complex), sorted by real part, with interior flags."""
+    """Eigenvalues (complex), sorted by real part, with interior flags; one
+    solve per conserved block."""
     matrix = build_model_matrix(model)
-    if model.representation == "original":
-        values, vectors = np.linalg.eig(matrix)
-    else:
-        real_values, vectors = np.linalg.eigh(matrix)
-        values = real_values.astype(complex)
+    solve = np.linalg.eigvals if model.representation == "original" else np.linalg.eigvalsh
+    labels, interior = _blocks(model)
+    blocks = [np.flatnonzero(labels == label) for label in np.unique(labels)]
+    values = np.concatenate([solve(matrix[np.ix_(b, b)]) for b in blocks]).astype(complex)
+    # A block's states share its flag, one per eigenvalue.
+    interior = np.concatenate([interior[b] for b in blocks])
     order = np.lexsort((values.imag, values.real))
-    values = values[order]
-    vectors = vectors[:, order]
-    norms = np.linalg.norm(vectors, axis=0)
-    weights = np.abs(vectors) ** 2 / norms**2
-    landau_weights = weights.reshape(model.N, model.internal_dim, -1).sum(axis=1)
-    edge_weight = landau_weights[model.N - model.edge_levels :, :].sum(axis=0)
-    interior = edge_weight < INTERIOR_WEIGHT_TOL
-    return values, interior
+    return values[order], interior[order]
 
 
 def interior_spectrum(model: SpectralModel) -> np.ndarray:
@@ -423,7 +446,7 @@ def closed_form_energy(model: SpectralModel, n: int, lam: int) -> float | None:
         shift = -lam * _anomalous_moment(model) * model.B
     else:
         radicand = base - 2.0 * lam * signed
-        shift = -lam * model.e * model.hbar * (model.g - 2.0) * model.B / (2.0 * m)
+        shift = -lam * _spin1_amm(model)
     if radicand <= 0:
         return None
     return math.sqrt(radicand) + shift
@@ -449,7 +472,7 @@ def _match_value(value: float, table) -> tuple[int, int, float]:
     return n, lam, residual
 
 
-def compare_closed_form(model: SpectralModel, n_levels: int | None = None) -> dict:
+def compare_closed_form(model: SpectralModel) -> dict:
     """Match every interior eigenvalue to the nearest closed-form level.
 
     Returns a report dict with one entry per eigenvalue; interior entries
@@ -457,8 +480,6 @@ def compare_closed_form(model: SpectralModel, n_levels: int | None = None) -> di
     residual.  The spin-projection label is searched, not assumed, because
     the closed-form sign conventions are not pinned a priori.
     """
-    if n_levels is not None:
-        model = model.with_levels(n_levels)
     values, interior = _eigensystem(model)
     table = _closed_form_table(model, model.N)
     entries = []
@@ -537,10 +558,11 @@ def amm_linearity_scan(
     g_values = [float(g) for g in g_values]
     if any(g == 2.0 for g in g_values):
         raise InvalidModelError("g = 2 has zero anomaly; scan over g != 2")
+    base = SpectralModel("spin1", "original", m=m, hbar=hbar, e=e, B=B, N=N)
     x_values = []
     residuals = []
     for g in g_values:
-        model = SpectralModel("spin1", "original", m=m, hbar=hbar, e=e, B=B, g=g, N=N)
+        model = dataclasses.replace(base, g=g)
         lowest = _interior_positive(model, levels)
         table = [entry for entry in _closed_form_table(model, model.N) if entry[0] > 0]
         worst = 0.0
@@ -553,16 +575,7 @@ def amm_linearity_scan(
     window = (1.8, 2.2)
     status = "pass" if slope is not None and window[0] <= slope <= window[1] else "fail"
     return {
-        "model": {
-            "particle": "spin1",
-            "representation": "original",
-            "m": float(m),
-            "hbar": float(hbar),
-            "e": float(e),
-            "B": float(B),
-            "g": g_values,
-            "N": int(N),
-        },
+        "model": {**base.to_dict(), "g": g_values},
         "N": int(N),
         "eigenvalues": [],
         "scan": {
@@ -599,13 +612,12 @@ def correction_residual_scan(
             "form; scan at g != 2"
         )
     B_values = [float(B) for B in B_values]
+    base = SpectralModel("spin1", "fw_corrected", m=m, hbar=hbar, e=e, g=g, N=N)
     x_values = []
     residuals = []
     for B in B_values:
-        reference = SpectralModel("spin1", "original", m=m, hbar=hbar, e=e, B=B, g=g, N=N)
-        corrected = SpectralModel(
-            "spin1", "fw_corrected", m=m, hbar=hbar, e=e, B=B, g=g, N=N
-        )
+        corrected = dataclasses.replace(base, B=B)
+        reference = dataclasses.replace(corrected, representation="original")
         ref_levels = _interior_positive(reference, levels)
         corr_levels = _interior_positive(corrected, levels)
         worst = max(
@@ -617,16 +629,7 @@ def correction_residual_scan(
     threshold = 3.5
     status = "pass" if slope is not None and slope > threshold else "fail"
     return {
-        "model": {
-            "particle": "spin1",
-            "representation": "fw_corrected",
-            "m": float(m),
-            "hbar": float(hbar),
-            "e": float(e),
-            "B": B_values,
-            "g": float(g),
-            "N": int(N),
-        },
+        "model": {**base.to_dict(), "B": B_values},
         "N": int(N),
         "eigenvalues": [],
         "scan": {
@@ -669,22 +672,11 @@ def operator_relation_check(
     """
     model = SpectralModel("spin1", "original", m=m, hbar=hbar, e=e, B=B, g=g, N=N)
     kernels = _spin1_kernels(model)
-    rho_1, rho_2, rho_3 = _rho_matrices()
     eye_rho = np.eye(2, dtype=complex)
-    amm = e * hbar * (g - 2.0) * B / (2.0 * m)
+    _, even, odd = _spin1_first_order(model, kernels)
 
-    odd_core = (
-        kernels["pi_sq_full"] / (2.0 * m)
-        - kernels["spin_momentum"] @ kernels["spin_momentum"] / m
-        + amm * kernels["s_z_full"]
-    )
-    odd = 1j * np.kron(odd_core, rho_2)
-    even = -amm * np.kron(kernels["s_z_full"], rho_3)
-
-    # Interior projector: drop the top Landau levels that truncation pollutes.
-    keep = np.zeros(model.N)
-    keep[: model.N - model.edge_levels] = 1.0
-    projector = np.kron(np.kron(np.diag(keep).astype(complex), np.eye(3)), eye_rho)
+    # Projector onto the interior blocks, the states whose levels the spectra keep.
+    projector = np.diag(_blocks(model)[1].astype(complex))
 
     def clip(matrix):
         return projector @ matrix @ projector
@@ -700,7 +692,7 @@ def operator_relation_check(
 
     commutator_rhs = (
         (e**2) * (hbar**2) * (g - 1.0) * (g - 2.0) / (2.0 * m**2)
-    ) * np.kron(kernels["s_z_sq_full"] * (B**2), rho_1)
+    ) * np.kron(kernels["s_z_sq_full"] * (B**2), _rho_matrices()[0])
     quartic_scale = (
         (e**4) * (hbar**4) * ((g - 1.0) ** 2) * ((g - 2.0) ** 2) / (m**4)
     ) * (B**2)

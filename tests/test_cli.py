@@ -204,6 +204,14 @@ def test_spectra_rejects_non_finite_parameters(target, flag, value, capsys):
     assert f"{flag[2:]} must be finite, got {value}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target, flag", [("amm-scan", "--g"), ("correction-scan", "--B")])
+def test_spectra_scan_rejects_the_flag_it_scans(target, flag, capsys):
+    # amm-scan sets g from its scan grid and correction-scan sets B, so the
+    # flag would be echoed into the manifest and then ignored.
+    assert cli.main(["spectra", target, "--levels", "16", flag, "0.9"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_spectra_scan_through_one_point_fits_no_slope(capsys):
     code = cli.main(
         [

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from fwforge import spectra
 from fwforge.spectra import (
+    REPRESENTATIONS,
     InsufficientInteriorError,
     InvalidModelError,
     SpectralModel,
@@ -269,6 +271,67 @@ def test_truncation_edge_states_are_flagged():
         if not entry["interior"]:
             assert entry["matched_n"] is None
             assert entry["residual"] is None
+
+
+# -- conserved blocks -----------------------------------------------------------------------
+
+ALL_PAIRS = [(p, r) for p, reps in REPRESENTATIONS.items() for r in reps]
+
+
+@pytest.mark.parametrize("B", [0.0, 0.3])
+@pytest.mark.parametrize("charge", [1.0, -1.0])
+@pytest.mark.parametrize("particle, representation", ALL_PAIRS)
+def test_block_solve_matches_dense_solve(particle, representation, charge, B):
+    model = SpectralModel(particle, representation, e=charge, B=B, g=2.3, N=32)
+    matrix = build_model_matrix(model)
+    labels, interior = spectra._blocks(model)
+    assert np.all(matrix[labels[:, None] != labels[None, :]] == 0.0)
+    # Off-label entries are exactly zero, so the dense solve on the interior
+    # states has exactly the interior blocks' spectrum.
+    interior_matrix = matrix[np.ix_(interior, interior)]
+    if representation == "original":
+        dense = np.linalg.eigvals(interior_matrix)
+    else:
+        dense = np.linalg.eigvalsh(interior_matrix).astype(complex)
+    values, flags = spectra._eigensystem(model)
+    blockwise = values[flags]
+    assert len(blockwise) == len(dense) > 0
+    dense = dense[np.lexsort((dense.imag, dense.real))]
+    assert np.all(np.abs(blockwise - dense) <= 1e-12 * np.abs(dense))
+
+
+@pytest.mark.parametrize("charge", [1.0, -1.0])
+@pytest.mark.parametrize("particle, representation", ALL_PAIRS)
+def test_interior_blocks_do_not_see_the_truncation(particle, representation, charge):
+    small = SpectralModel(particle, representation, e=charge, B=0.3, g=2.3, N=32)
+    large = small.with_levels(40)
+    small_matrix, large_matrix = build_model_matrix(small), build_model_matrix(large)
+    small_labels, interior = spectra._blocks(small)
+    large_labels, _ = spectra._blocks(large)
+    for label in np.unique(small_labels):
+        here = np.flatnonzero(small_labels == label)
+        there = np.flatnonzero(large_labels == label)
+        if len(here) != len(there):
+            assert not interior[here].any()
+            continue
+        if interior[here[0]]:
+            gap = small_matrix[np.ix_(here, here)] - large_matrix[np.ix_(there, there)]
+            assert np.abs(gap).max() < 1e-12
+
+
+@pytest.mark.parametrize("B", [0.0, 0.3])
+@pytest.mark.parametrize("charge", [1.0, -1.0])
+@pytest.mark.parametrize("particle", ["spin12", "spin1"])
+def test_interior_count_is_the_same_for_every_representation(particle, charge, B):
+    counts = {
+        representation: len(
+            interior_spectrum(
+                SpectralModel(particle, representation, e=charge, B=B, g=2.3, N=32)
+            )
+        )
+        for representation in REPRESENTATIONS[particle]
+    }
+    assert len(set(counts.values())) == 1, counts
 
 
 # -- anomalous-moment linearity scan -----------------------------------------------------
