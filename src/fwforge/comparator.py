@@ -20,24 +20,34 @@ different bracket spellings of the same content are exactly what the
 agreement narrative trades in.  Building the basis does no elimination.
 
 Elimination.  One exact sparse kernel, `_Echelon`, does every
-elimination in this module.  Each class gets one echelon, built the
-first time a caller asks for that class: its elements are inserted from
-high nominal order to low, and each one already spanned by those before
-it is recorded with its exact relation, e.g. acomm(O, comm(comm(O, E),
-E)) = comm(comm(pow(O, 2), E), E) - 2 pow(comm(O, E), 2).
+elimination in this module, fraction-free (integer-preserving, after
+E. H. Bareiss, Math. Comp. 22, 1968).  Every element's word vector is
+integral, so rows are primitive integer vectors: reducing by a row
+multiplies by the row's pivot entry, subtracts, and divides by the gcd.
+The pivot is the least word left, so each row is a multiple of the row a
+rational elimination keeps and every choice is the same.  A rational
+target is scaled to integers once, and its remainder and weights are
+divided back exactly at the end.  Each class gets one echelon, built the
+first time a caller asks for that class, with its elements inserted from
+high nominal order to low.  It tracks no combinations: certification
+needs none.  `BracketBasis.dependencies` builds a tracked echelon when
+it is read, and records each element already spanned by those before it
+with its exact relation, e.g. acomm(O, comm(comm(O, E), E)) =
+comm(comm(pow(O, 2), E), E) - 2 pow(comm(O, E), 2).
 
 Projection.  A single-class operator is split into (beta, m) strata;
 each stratum is a rational vector over the class words.  Certification
-is one reduction per stratum against the class echelon: because its
-rows were inserted from high order to low, the weights over the
-independent elements are unique, and the lowest order among them is
-the certified minimum order.  Projection spells a stratum in as few
-elements as it can, preferring low order first, then the listing order.
-Whatever cannot be expressed is returned verbatim as a residual, and
-reconstruction (entries plus residual) is exact by construction.
-Because the columns are redundant, reports project at the certified
-minimum order, which keeps low-order spellings out of a difference that
-certifies higher.
+is one reduction per stratum against the class echelon.  Because its
+rows were inserted from high order to low, the label of the last row
+the reduction uses carries a nonzero weight and no later label carries
+any, so that label's order is the stratum's certificate, and the lowest
+over the strata is the certified minimum order.  Projection spells a
+stratum in as few elements as it can, preferring low order first, then
+the listing order.  Whatever cannot be expressed is returned verbatim
+as a residual, and reconstruction (entries plus residual) is exact by
+construction.  Because the columns are redundant, reports project at
+the certified minimum order, which keeps low-order spellings out of a
+difference that certifies higher.
 
 Beta and mass bookkeeping: basis expansions are pure words.  The beta
 and m content of the projected operator is uniform within a stratum, so
@@ -52,6 +62,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterator, Sequence
 
 from fwforge.lang import format_term, format_tree, term_strings
@@ -100,8 +111,15 @@ class BasisElement:
         return (self.e_count, self.o_count)
 
     @cached_property
-    def word_vector(self) -> dict[str, Fraction]:
-        return {word: coeff for (_, word, _), coeff in self.expansion.terms()}
+    def word_vector(self) -> dict[str, int]:
+        """The expansion's word coefficients, which are integers: brackets
+        and products of letters and powers of O carry no fractions."""
+        vector = {}
+        for (_, word, _), coeff in self.expansion.terms():
+            if coeff.denominator != 1:
+                raise ValueError(f"{self.text} has the non-integral coefficient {coeff}")
+            vector[word] = coeff.numerator
+        return vector
 
 
 @dataclass(frozen=True)
@@ -160,56 +178,120 @@ def _kind_rank(tree: BracketExpr) -> int:
     return 3
 
 
-_ZERO = Fraction(0)
+def _integral(vector: dict[str, Fraction]) -> tuple[dict[str, int], int]:
+    """(d * vector, d), with d the least common denominator of the coefficients."""
+    denominator = lcm(*(coeff.denominator for coeff in vector.values()))
+    scaled = {
+        word: coeff.numerator * (denominator // coeff.denominator)
+        for word, coeff in vector.items()
+    }
+    return scaled, denominator
 
 
-def _axpy(target: dict, scale: Fraction, source: dict) -> None:
-    """target += scale * source, dropping entries that cancel."""
+def _combine(p: int, target: dict, q: int, source: dict) -> dict:
+    """p * target + q * source, without the entries that cancel."""
+    out = dict(target) if p == 1 else {key: p * value for key, value in target.items()}
     for key, value in source.items():
-        updated = target.get(key, _ZERO) + scale * value
-        if updated:
-            target[key] = updated
+        total = out.get(key, 0) + q * value
+        if total:
+            out[key] = total
         else:
-            target.pop(key, None)
+            del out[key]
+    return out
+
+
+def _primitive(vector: dict, combo: dict | None) -> tuple[dict, dict | None]:
+    """Divide the vector (and its combo) by the gcd of all their entries."""
+    content = gcd(*vector.values(), *(combo.values() if combo else ()))
+    if content <= 1:
+        return vector, combo
+    vector = {key: value // content for key, value in vector.items()}
+    if combo:
+        combo = {key: value // content for key, value in combo.items()}
+    return vector, combo
+
+
+# Stands for the vector being reduced inside its own combo.
+_TARGET = object()
 
 
 class _Echelon:
-    """Exact sparse row echelon over word vectors, with row provenance.
+    """Fraction-free sparse row echelon over integer word vectors.
 
-    Rows are kept in insertion order as (pivot word, vector, combo), where
-    the pivot is the least word left after reduction and the combo is the
-    row's combination over the inserted labels:
-    vector == sum(combo[label] * inserted vector of label).  Each row is
-    reduced against every earlier one, so one pass in order clears all
-    pivots.
+    Rows are kept in insertion order as (pivot word, vector, label, combo),
+    where the pivot is the least word left after reduction and the vector
+    is primitive.  Reducing by a row is v <- p*v - a*row, with p the row's
+    pivot entry and a the vector's, both divided by their gcd; the result
+    is then divided by its content.  Each row is reduced against every
+    earlier one, so one pass in order clears all pivots.  Every row is a
+    nonzero multiple of the row a rational elimination keeps, so the
+    pivots and every independence decision are the same as over the
+    rationals.
+
+    A tracked echelon also keeps each row's combo, its integer
+    combination of the inserted labels: vector == sum(combo[label] *
+    inserted vector of label), and its gcd is taken with the vector's.  An
+    untracked echelon keeps none: certification only needs to know the
+    last row a reduction uses.
     """
 
-    def __init__(self):
-        self._rows: list[tuple[str, dict[str, Fraction], dict]] = []
+    def __init__(self, tracked: bool = False):
+        self._tracked = tracked
+        self._rows: list[tuple[str, dict[str, int], object, dict | None]] = []
 
-    def reduce(self, vector: dict[str, Fraction]) -> tuple[dict[str, Fraction], dict]:
-        """(remainder, weights) with vector == remainder + sum(weights[l] * vector of l)."""
-        remainder = dict(vector)
-        weights: dict = {}
-        for pivot, row_vector, row_combo in self._rows:
-            factor = remainder.get(pivot)
+    def _eliminate(self, vector: dict[str, int], combo: dict | None):
+        """(remainder, combo, label of the last row used) for an integer vector."""
+        vector, combo = _primitive(vector, combo)
+        last = None
+        for pivot, row, label, row_combo in self._rows:
+            factor = vector.get(pivot)
             if not factor:
                 continue
-            scale = factor / row_vector[pivot]
-            _axpy(remainder, -scale, row_vector)
-            _axpy(weights, scale, row_combo)
-        return remainder, weights
+            lead = row[pivot]
+            common = gcd(factor, lead)
+            lead, factor = lead // common, factor // common
+            vector = _combine(lead, vector, -factor, row)
+            if combo is not None:
+                combo = _combine(lead, combo, -factor, row_combo)
+            vector, combo = _primitive(vector, combo)
+            last = label
+            if not vector:
+                break
+        return vector, combo, last
 
-    def insert(self, label, vector: dict[str, Fraction]) -> dict | None:
+    def insert(self, label, vector: dict[str, int]) -> dict | None:
         """Add a labelled vector: None when it is independent of the rows so
-        far, else its exact weights over the earlier labels (no row added)."""
-        remainder, weights = self.reduce(vector)
-        if not remainder:
-            return weights
-        combo = {name: -value for name, value in weights.items()}
-        combo[label] = Fraction(1)
-        self._rows.append((min(remainder), remainder, combo))
-        return None
+        far, else its exact weights over the earlier labels (no row added);
+        an untracked echelon gives {} for those weights."""
+        combo = {label: 1} if self._tracked else None
+        remainder, combo, _ = self._eliminate(vector, combo)
+        if remainder:
+            self._rows.append((min(remainder), remainder, label, combo))
+            return None
+        if combo is None:
+            return {}
+        own = combo.pop(label)
+        return {name: Fraction(-value, own) for name, value in combo.items()}
+
+    def reduce(self, vector: dict[str, Fraction]) -> tuple[dict[str, Fraction], dict]:
+        """(remainder, weights) with vector == remainder + sum(weights[l] * vector of l).
+
+        Tracked echelons only.  The vector is scaled to integers once; its
+        scale rides in the combo, so the division back is exact.
+        """
+        scaled, denominator = _integral(vector)
+        remainder, combo, _ = self._eliminate(scaled, {_TARGET: denominator})
+        scale = combo.pop(_TARGET)
+        return (
+            {word: Fraction(value, scale) for word, value in remainder.items()},
+            {name: Fraction(-value, scale) for name, value in combo.items()},
+        )
+
+    def last_used(self, vector: dict[str, int]):
+        """The label of the last row that reducing the vector uses, or None
+        when a remainder is left."""
+        remainder, _, last = self._eliminate(vector, None)
+        return None if remainder else last
 
 
 class BracketBasis:
@@ -220,29 +302,39 @@ class BracketBasis:
         self.elements = tuple(elements)
         self._by_class: dict[tuple[int, int], list[BasisElement]] = {}
         self._by_text: dict[str, BasisElement] = {}
-        self._scans: dict[tuple[int, int], tuple[_Echelon, list[Dependency]]] = {}
+        self._echelons: dict[tuple[int, int], _Echelon] = {}
         for element in self.elements:
             self._by_class.setdefault(element.klass, []).append(element)
             self._by_text[element.text] = element
 
-    def _scan(self, klass: tuple[int, int]) -> tuple[_Echelon, list[Dependency]]:
-        """The class echelon and its dependencies, built on first use.
+    def _insertion_order(self, klass: tuple[int, int]) -> list[BasisElement]:
+        """High order to low, then commutators before powers before
+        anticommutators, then text."""
+        return sorted(
+            self.class_elements(*klass),
+            key=lambda el: (-el.order, _kind_rank(el.tree), el.text),
+        )
 
-        Elements go in from high order to low (commutators before powers
-        before anticommutators, then text); each one already spanned by
-        those before it becomes a Dependency with its exact relation.
-        """
-        scan = self._scans.get(klass)
-        if scan is None:
-            echelon = _Echelon()
-            dependencies: list[Dependency] = []
-            for element in sorted(
-                self.class_elements(*klass),
-                key=lambda el: (-el.order, _kind_rank(el.tree), el.text),
-            ):
+    def echelon(self, klass: tuple[int, int]) -> _Echelon:
+        """The class echelon (untracked), built on first use."""
+        echelon = self._echelons.get(klass)
+        if echelon is None:
+            echelon = self._echelons[klass] = _Echelon()
+            for element in self._insertion_order(klass):
+                echelon.insert(element.text, element.word_vector)
+        return echelon
+
+    @cached_property
+    def dependencies(self) -> tuple[Dependency, ...]:
+        """Every element spanned by the higher-order ones of its class, with
+        its exact relation, from a tracked echelon per class."""
+        found = []
+        for klass in self.classes():
+            echelon = _Echelon(tracked=True)
+            for element in self._insertion_order(klass):
                 members = echelon.insert(element.text, element.word_vector)
                 if members is not None:
-                    dependencies.append(
+                    found.append(
                         Dependency(
                             text=element.text,
                             tree=element.tree,
@@ -252,16 +344,6 @@ class BracketBasis:
                             members=tuple(sorted(members.items())),
                         )
                     )
-            scan = self._scans[klass] = (echelon, dependencies)
-        return scan
-
-    def echelon(self, klass: tuple[int, int]) -> _Echelon:
-        return self._scan(klass)[0]
-
-    @property
-    def dependencies(self) -> tuple[Dependency, ...]:
-        """Every element spanned by the higher-order ones of its class."""
-        found = [dep for klass in self.classes() for dep in self._scan(klass)[1]]
         found.sort(key=lambda dep: (dep.order, (dep.e_count, dep.o_count), dep.text))
         return tuple(found)
 
@@ -549,7 +631,7 @@ def _reduce_against(
     columns: Sequence[BasisElement],
 ) -> tuple[dict[str, Fraction], dict[int, Fraction]]:
     """Reduce `vector` against `columns` in order; return remainder, weights."""
-    echelon = _Echelon()
+    echelon = _Echelon(tracked=True)
     for index, element in enumerate(columns):
         echelon.insert(index, element.word_vector)
     return echelon.reduce(vector)
@@ -567,11 +649,18 @@ def _sparse_solve(
     Subsets are tried smallest first, in the lexicographic order induced
     by the column preference, so ties resolve toward lower order and
     earlier listing.  Linearly dependent subsets are skipped: their span
-    equals that of a smaller subset already tried.
+    equals that of a smaller subset already tried.  Each subset that
+    covers the target's words is screened by an untracked reduction of
+    the target, scaled to integers once; only the subset that passes is
+    solved for its exact weights.
     """
+    target, _ = _integral(vector)
+    # A column's mask holds the target words it has; a subset covers the
+    # target when the masks of its columns fill `full`.
+    bits = {word: 1 << index for index, word in enumerate(target)}
+    full = (1 << len(target)) - 1
     col_vectors = [element.word_vector for element in columns]
-    col_supports = [frozenset(vec) for vec in col_vectors]
-    target_support = frozenset(vector)
+    col_masks = [sum(bits.get(word, 0) for word in vec) for vec in col_vectors]
     budget = 300_000
     for size in range(1, _SPARSE_LIMIT + 1):
         if size > len(columns):
@@ -580,17 +669,18 @@ def _sparse_solve(
             budget -= 1
             if budget < 0:
                 return None
-            covered: set[str] = set()
+            covered = 0
             for index in subset:
-                covered |= col_supports[index]
-            if not target_support <= covered:
+                covered |= col_masks[index]
+            if covered != full:
                 continue
-            echelon = _Echelon()
-            if any(echelon.insert(index, col_vectors[index]) is not None for index in subset):
+            screen = _Echelon()
+            if any(screen.insert(index, col_vectors[index]) is not None for index in subset):
                 continue
-            remainder, weights = echelon.reduce(vector)
-            if not remainder:
-                return weights
+            if screen.last_used(target) is None:
+                continue
+            _, weights = _reduce_against(vector, [columns[index] for index in subset])
+            return {subset[position]: weight for position, weight in weights.items()}
     return None
 
 
@@ -666,11 +756,13 @@ def project(
 def min_hbar_order(piece: AbstractExpr, basis: BracketBasis) -> int | None:
     """Largest h with the whole piece inside span(elements of order >= h).
 
-    One reduction per stratum against the class echelon.  Its rows were
-    inserted from high order to low, so a stratum's weights over the
-    independent elements are unique, and the stratum lies in
-    span(order >= h) exactly when every weighted element has order >= h.
-    None when some stratum is not even in the full admitted span.
+    One untracked reduction per stratum against the class echelon.  Its
+    rows went in from high order to low, and each row is its label's
+    vector plus earlier labels only.  So the label of the last row the
+    reduction uses gets that row's nonzero factor as its weight, no later
+    label gets any, and no earlier label has a lower order: the stratum's
+    certificate is that label's order.  The weights themselves are never
+    formed.  None when some stratum is not even in the full admitted span.
     """
     if piece.is_zero():
         return None
@@ -681,10 +773,10 @@ def min_hbar_order(piece: AbstractExpr, basis: BracketBasis) -> int | None:
     echelon = basis.echelon(klass)
     orders: list[int] = []
     for vector in _strata(piece).values():
-        remainder, weights = echelon.reduce(vector)
-        if remainder:
+        last = echelon.last_used(_integral(vector)[0])
+        if last is None:
             return None
-        orders.extend(basis.element(text).order for text in weights)
+        orders.append(basis.element(last).order)
     return min(orders)
 
 

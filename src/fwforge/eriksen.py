@@ -32,6 +32,7 @@ from fwforge.ncalg import (
     Prod,
     Rat,
     Sum,
+    check_term_cap,
     expand,
 )
 
@@ -62,38 +63,55 @@ class PipelineState:
 def run_pipeline(
     budget: Budget, include_even: bool = True, include_odd: bool = True
 ) -> PipelineState:
-    """Build every intermediate of the one-step transformation."""
+    """Build every intermediate of the one-step transformation.
+
+    Each intermediate is held to budget.term_cap; an overflow raises
+    BudgetOverflowError with the stage as its path, e.g. "run_pipeline.U".
+    """
     if budget.max_word_len < 1:
         raise ValueError("pipeline needs room for at least one-letter words")
+
+    def capped(stage: str, expr: AbstractExpr) -> AbstractExpr:
+        return check_term_cap(expr, budget, f"run_pipeline.{stage}")
+
     hamiltonian = AbstractExpr.beta().shift_m(1)
     if include_even:
         hamiltonian = hamiltonian.add(AbstractExpr.generator("E"))
     if include_odd:
         hamiltonian = hamiltonian.add(AbstractExpr.generator("O"))
 
-    h_squared = hamiltonian.mul(hamiltonian, budget)
+    h_squared = capped("H2", hamiltonian.mul(hamiltonian, budget))
     # X = (H^2 - m^2)/m^2 has no constant part, so binomial series apply.
-    x_series = h_squared.sub(AbstractExpr.m_power(2)).shift_m(-2)
-    inv_sqrt = nc_binomial_power(x_series, Fraction(-1, 2), budget)
-    lam = hamiltonian.mul(inv_sqrt, budget).shift_m(-1)
+    x_series = capped("x_series", h_squared.sub(AbstractExpr.m_power(2)).shift_m(-2))
+    inv_sqrt = nc_binomial_power(
+        x_series, Fraction(-1, 2), budget, path="run_pipeline.inv_sqrt"
+    )
+    lam = capped("lam", hamiltonian.mul(inv_sqrt, budget).shift_m(-1))
 
     beta = AbstractExpr.beta()
-    beta_lam = beta.mul(lam, budget)
-    lam_beta = lam.mul(beta, budget)
+    beta_lam = capped("beta_lam", beta.mul(lam, budget))
+    lam_beta = capped("lam_beta", lam.mul(beta, budget))
     # U = (1 + beta lambda) / sqrt(2 + beta lambda + lambda beta); the
     # radicand is 2(1 + y) with y = (beta lambda + lambda beta - 2)/4
     # carrying no constant part.
-    y_series = beta_lam.add(lam_beta).sub(AbstractExpr.rational(2)).scale(
-        Fraction(1, 4)
+    y_series = capped(
+        "y_series",
+        beta_lam.add(lam_beta).sub(AbstractExpr.rational(2)).scale(Fraction(1, 4)),
     )
-    u_op = (
+    u_op = capped(
+        "U",
         AbstractExpr.rational(1)
         .add(beta_lam)
-        .mul(nc_binomial_power(y_series, Fraction(-1, 2), budget), budget)
-        .scale(Fraction(1, 2))
+        .mul(
+            nc_binomial_power(
+                y_series, Fraction(-1, 2), budget, path="run_pipeline.inv_radical"
+            ),
+            budget,
+        )
+        .scale(Fraction(1, 2)),
     )
     u_dag = u_op.adjoint()
-    h_fw = u_op.mul(hamiltonian, budget).mul(u_dag, budget)
+    h_fw = capped("H_FW", capped("UH", u_op.mul(hamiltonian, budget)).mul(u_dag, budget))
     return PipelineState(
         budget=budget,
         include_even=include_even,

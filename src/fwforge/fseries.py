@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from fwforge.ncalg import AbstractExpr
+from fwforge.ncalg import AbstractExpr, check_term_cap
 
 
 class SingularSeriesError(ZeroDivisionError):
@@ -248,11 +248,15 @@ def central_expand(name: str, order: int) -> CentralSeries:
 # -- noncommutative binomial series ------------------------------------------
 
 
-def nc_binomial_power(x_expr: AbstractExpr, q, budget) -> AbstractExpr:
+def nc_binomial_power(
+    x_expr: AbstractExpr, q, budget, path: str = "nc_binomial_power"
+) -> AbstractExpr:
     """(1 + X)^q = sum_k C(q,k) X^k truncated by the budget.
 
     X must have no constant part (every word nonempty), so X^k words only
-    grow and the sum terminates once X^k is empty under the budget.
+    grow and the sum terminates once X^k is empty under the budget.  Each
+    power X^k and each partial sum is held to budget.term_cap; an overflow
+    names `path`, with ".power[k]" for a power.
     """
     if budget is None:
         raise ValueError("nc_binomial_power requires a truncation budget")
@@ -267,8 +271,8 @@ def nc_binomial_power(x_expr: AbstractExpr, q, budget) -> AbstractExpr:
     k = 0
     while True:
         k += 1
-        power = power.mul(x_expr, budget)
+        power = check_term_cap(power.mul(x_expr, budget), budget, f"{path}.power[{k}]")
         if power.is_zero():
             break
-        acc = acc.add(power.scale(binomial_coefficient(q, k)))
+        acc = check_term_cap(acc.add(power.scale(binomial_coefficient(q, k))), budget, path)
     return acc

@@ -371,7 +371,9 @@ def expand(tree: BracketExpr, budget: Budget) -> AbstractExpr:
     return result
 
 
-def _check_cap(expr: AbstractExpr, budget: Budget, path: str) -> AbstractExpr:
+def check_term_cap(expr: AbstractExpr, budget: Budget, path: str) -> AbstractExpr:
+    """The expression itself, or BudgetOverflowError naming `path` when it
+    holds more than budget.term_cap terms."""
     if len(expr) > budget.term_cap:
         raise BudgetOverflowError(path, len(expr), budget.term_cap)
     return expr
@@ -391,26 +393,26 @@ def _expand_at(tree, budget: Budget, path: str) -> AbstractExpr:
         from fwforge.fseries import central_expand, to_abstract
 
         series = central_expand(tree.name, budget.central_order)
-        return _check_cap(to_abstract(series).filtered(budget), budget, path)
+        return check_term_cap(to_abstract(series).filtered(budget), budget, path)
     if isinstance(tree, Sum):
         acc = AbstractExpr.zero()
         for i, child in enumerate(tree.children):
             acc = acc.add(_expand_at(child, budget, f"{path}.Sum[{i}]"))
-        return _check_cap(acc, budget, path)
+        return check_term_cap(acc, budget, path)
     if isinstance(tree, Prod):
         acc = ONE
         for i, child in enumerate(tree.children):
             acc = acc.mul(_expand_at(child, budget, f"{path}.Prod[{i}]"), budget)
-            _check_cap(acc, budget, f"{path}.Prod[{i}]")
+            check_term_cap(acc, budget, f"{path}.Prod[{i}]")
         return acc
     if isinstance(tree, Comm):
         a = _expand_at(tree.left, budget, path + ".Comm.left")
         b = _expand_at(tree.right, budget, path + ".Comm.right")
-        return _check_cap(a.commutator(b, budget), budget, path)
+        return check_term_cap(a.commutator(b, budget), budget, path)
     if isinstance(tree, Acomm):
         a = _expand_at(tree.left, budget, path + ".Acomm.left")
         b = _expand_at(tree.right, budget, path + ".Acomm.right")
-        return _check_cap(a.anticommutator(b, budget), budget, path)
+        return check_term_cap(a.anticommutator(b, budget), budget, path)
     if isinstance(tree, PowN):
         if tree.n < 0:
             raise ValueError("PowN exponent must be non-negative")
@@ -418,7 +420,7 @@ def _expand_at(tree, budget: Budget, path: str) -> AbstractExpr:
         acc = ONE
         for _ in range(tree.n):
             acc = acc.mul(base, budget)
-            _check_cap(acc, budget, path + ".Pow")
+            check_term_cap(acc, budget, path + ".Pow")
         return acc
     raise TypeError(f"not a BracketExpr node: {tree!r}")
 

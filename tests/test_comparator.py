@@ -7,12 +7,14 @@ re-expansion) before being pinned here.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fwforge.comparator import (
+    _Echelon,
     build_basis,
     diff_report,
     min_hbar_order,
@@ -224,6 +226,137 @@ def test_projection_reconstructs_arbitrary_span_members(basis42, combo):
     certified = min_hbar_order(piece, basis42)
     assert certified is not None
     assert certified >= min(chosen_orders)
+
+
+# -- elimination kernel against a rational oracle ---------------------------------
+
+
+class _GaussJordan:
+    """Plain Fraction Gauss-Jordan with the kernel's pivot rule (least word).
+
+    Rows are fully reduced and scaled to 1 at their pivots, and each row
+    carries its combination over the inserted labels.
+    """
+
+    def __init__(self):
+        self.rows = []  # [pivot, vector, combo]
+        self.pivots = []  # in insertion order
+
+    def _reduce(self, vector, combo):
+        vector, combo = dict(vector), dict(combo)
+        for pivot, row, row_combo in self.rows:
+            factor = vector.get(pivot, 0)
+            if factor:
+                for target, source in ((vector, row), (combo, row_combo)):
+                    for key, value in source.items():
+                        target[key] = target.get(key, 0) - factor * value
+        return (
+            {k: v for k, v in vector.items() if v},
+            {k: v for k, v in combo.items() if v},
+        )
+
+    def insert(self, label, vector):
+        vector = {k: Fraction(v) for k, v in vector.items()}
+        rest, combo = self._reduce(vector, {label: Fraction(1)})
+        if not rest:
+            own = combo.pop(label)
+            return {k: -v / own for k, v in combo.items()}
+        pivot = min(rest)
+        lead = rest[pivot]
+        rest = {k: v / lead for k, v in rest.items()}
+        combo = {k: v / lead for k, v in combo.items()}
+        for row in self.rows:
+            factor = row[1].get(pivot, 0)
+            if factor:
+                for index, source in ((1, rest), (2, combo)):
+                    updated = dict(row[index])
+                    for key, value in source.items():
+                        updated[key] = updated.get(key, 0) - factor * value
+                    row[index] = {k: v for k, v in updated.items() if v}
+        self.rows.append([pivot, rest, combo])
+        self.pivots.append(pivot)
+        return None
+
+    def reduce(self, vector):
+        remainder, combo = self._reduce(vector, {None: Fraction(1)})
+        own = combo.pop(None)
+        return (
+            {k: v / own for k, v in remainder.items()},
+            {k: -v / own for k, v in combo.items()},
+        )
+
+
+_WORDS = ["EO", "OE", "OO", "EEO", "EOE", "OEE"]
+
+_int_vectors = st.dictionaries(
+    st.sampled_from(_WORDS), st.integers(-4, 4).filter(bool), min_size=1, max_size=4
+)
+_rational_vectors = st.dictionaries(
+    st.sampled_from(_WORDS),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12).filter(bool),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(
+    vectors=st.lists(_int_vectors, min_size=1, max_size=8),
+    picks=st.lists(st.tuples(st.integers(0, 7), st.fractions(-2, 2, max_denominator=6))),
+    extra=_rational_vectors,
+    spanned=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_echelon_matches_rational_gauss_jordan(vectors, picks, extra, spanned):
+    tracked, untracked, oracle = _Echelon(tracked=True), _Echelon(), _GaussJordan()
+    for label, vector in enumerate(vectors):
+        expected = oracle.insert(label, vector)
+        assert tracked.insert(label, vector) == expected
+        assert (untracked.insert(label, vector) is None) == (expected is None)
+    assert [row[0] for row in tracked._rows] == oracle.pivots
+    assert [row[0] for row in untracked._rows] == oracle.pivots
+
+    # A target in the span (a rational combination of the inputs) or,
+    # with `spanned` false, one with an arbitrary rational part added.
+    target = {} if spanned else dict(extra)
+    for index, weight in picks:
+        for word, value in vectors[index % len(vectors)].items():
+            target[word] = target.get(word, 0) + weight * value
+    target = {word: Fraction(value) for word, value in target.items() if value}
+    if not target:
+        return
+    remainder, weights = oracle.reduce(target)
+    assert tracked.reduce(target) == (remainder, weights)
+    if spanned:
+        assert not remainder
+    scale = 2 * lcm(*(value.denominator for value in target.values()))
+    scaled = {word: int(value * scale) for word, value in target.items()}
+    last = None if remainder else max(weights)
+    assert tracked.last_used(scaled) == last
+    assert untracked.last_used(scaled) == last
+
+
+def test_certificates_match_the_oracle_on_every_differing_class(
+    report83, eriksen83, static13_83, basis83
+):
+    """min_hbar_order equals the lowest order over the oracle's weights,
+    with the class inserted from high order to low."""
+    differing = [row for row in report83.classes if row.status == "differs"]
+    assert len(differing) == 7
+    for row in differing:
+        klass = (row.e_count, row.o_count)
+        delta = eriksen83.restrict_class(*klass).sub(static13_83.restrict_class(*klass))
+        oracle = _GaussJordan()
+        for element in sorted(basis83.class_elements(*klass), key=lambda el: -el.order):
+            oracle.insert(element.text, element.word_vector)
+        strata = {}
+        for (beta_exp, word, m_exp), coeff in delta.terms():
+            strata.setdefault((beta_exp, m_exp), {})[word] = coeff
+        orders = []
+        for vector in strata.values():
+            remainder, weights = oracle.reduce(vector)
+            assert not remainder, klass
+            orders.extend(basis83.element(text).order for text in weights)
+        assert min_hbar_order(delta, basis83) == min(orders) == row.hbar_order_min, klass
 
 
 # -- comparison report ------------------------------------------------------------

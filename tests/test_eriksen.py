@@ -26,6 +26,7 @@ from fwforge.ncalg import (
     Acomm,
     BetaF,
     Budget,
+    BudgetOverflowError,
     Comm,
     EpsFun,
     Gen,
@@ -155,6 +156,21 @@ def test_without_even_part_result_is_energy_series(budget83):
 def test_minimal_budget_rejected():
     with pytest.raises(ValueError):
         run_pipeline(Budget(0, 0))
+
+
+def test_pipeline_holds_every_stage_to_the_term_cap():
+    with pytest.raises(BudgetOverflowError) as small:
+        run_pipeline(Budget(8, 3, term_cap=10))
+    assert small.value.path == "run_pipeline.inv_sqrt.power[2]"
+
+    # The largest intermediate at (6,2) is lambda, 61 terms (U ties it): a
+    # cap one below stops there, and a cap equal to it lets the run finish.
+    state = run_pipeline(Budget(6, 2))
+    peak = len(state.lam)
+    with pytest.raises(BudgetOverflowError) as tight:
+        run_pipeline(Budget(6, 2, term_cap=peak - 1))
+    assert (tight.value.path, tight.value.count) == ("run_pipeline.lam", 61)
+    assert run_pipeline(Budget(6, 2, term_cap=peak)).H_FW == state.H_FW
 
 
 # -- closed-form reference -------------------------------------------------------

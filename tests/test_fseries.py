@@ -22,7 +22,7 @@ from fwforge.fseries import (
     nc_binomial_power,
     to_abstract,
 )
-from fwforge.ncalg import AbstractExpr, Budget
+from fwforge.ncalg import AbstractExpr, Budget, BudgetOverflowError
 
 _M, _X, _EPS = sp.symbols("m x epsilon", positive=True)
 
@@ -274,6 +274,13 @@ def test_binomial_rejects_constant_term():
     bad = AbstractExpr({(0, "", -2): Fraction(1), (0, "OO", -2): Fraction(1)})
     with pytest.raises(ValueError):
         nc_binomial_power(bad, Fraction(1, 2), Budget(4, 2))
+
+
+def test_binomial_holds_each_power_to_the_term_cap():
+    x_expr = AbstractExpr({(0, "OO", -2): Fraction(1), (0, "E", -1): Fraction(1)})
+    with pytest.raises(BudgetOverflowError) as info:
+        nc_binomial_power(x_expr, Fraction(1, 2), Budget(6, 3, term_cap=3), path="root")
+    assert info.value.path == "root.power[2]"
 
 
 def test_binomial_requires_budget():
