@@ -10,14 +10,24 @@ order >= 2 monomials is exactly the statement that the two transforms
 agree through first order.
 
 Construction.  Candidates are generated deterministically: brackets of
-atoms, brackets of brackets, deeper atom nestings, two-factor products,
-and one more bracket layer around the products.  Candidates that expand
-to zero are dropped; candidates whose expansions are parallel collapse
-onto one representative (the highest-order label wins, so the span per
-order cutoff is never understated).  Every surviving direction becomes
-a basis element: the collection is deliberately redundant, because
-different bracket spellings of the same content are exactly what the
-agreement narrative trades in.  Building the basis does no elimination.
+atoms, brackets of brackets, deeper atom nestings, two- and three-factor
+products, and one more bracket layer around the two-factor products.
+Each candidate carries its tree, text, nominal order and integer word
+vector.  It lies in a single class (e, o), and the class of a bracket or
+product is the sum of its operands' classes, so the class test decides
+the budget for every term pair at once: a pair that fits is multiplied
+whole, by concatenating words and multiplying integers.  Only the
+curated spellings go through `expand`, once each.  Candidates that
+vanish are dropped; parallel candidates collapse onto one direction,
+keyed by the word vector over its gcd with a positive lead, and one
+representative (the highest-order label wins, so the span per order
+cutoff is never understated).  Every surviving direction becomes a basis
+element: the collection is deliberately redundant, because different
+bracket spellings of the same content are exactly what the agreement
+narrative trades in.  Asked for some classes, `build_basis` skips every
+pair whose class lies outside their sub-class closure; since classes add
+and no direction crosses a class, each class it keeps gets exactly the
+elements of the full basis.  Building the basis does no elimination.
 
 Elimination.  One exact sparse kernel, `_Echelon`, does every
 elimination in this module, fraction-free (integer-preserving, after
@@ -63,7 +73,7 @@ from functools import cached_property
 from itertools import combinations
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from fwforge.lang import format_term, format_tree, term_strings
 from fwforge.ncalg import (
@@ -112,14 +122,19 @@ class BasisElement:
 
     @cached_property
     def word_vector(self) -> dict[str, int]:
-        """The expansion's word coefficients, which are integers: brackets
-        and products of letters and powers of O carry no fractions."""
-        vector = {}
-        for (_, word, _), coeff in self.expansion.terms():
-            if coeff.denominator != 1:
-                raise ValueError(f"{self.text} has the non-integral coefficient {coeff}")
-            vector[word] = coeff.numerator
-        return vector
+        """The expansion's word coefficients, which are integers."""
+        return _integer_words(self.expansion, self.text)
+
+
+def _integer_words(expansion: AbstractExpr, text: str) -> dict[str, int]:
+    """The word coefficients of a pure-word expansion, which are integers:
+    brackets and products of letters and powers of O carry no fractions."""
+    vector = {}
+    for (_, word, _), coeff in expansion.terms():
+        if coeff.denominator != 1:
+            raise ValueError(f"{text} has the non-integral coefficient {coeff}")
+        vector[word] = coeff.numerator
+    return vector
 
 
 @dataclass(frozen=True)
@@ -295,17 +310,35 @@ class _Echelon:
 
 
 class BracketBasis:
-    """Ordered admitted elements; per-class echelons are built on first use."""
+    """Ordered admitted elements; per-class echelons are built on first use.
 
-    def __init__(self, budget: Budget, elements: Sequence[BasisElement]):
+    `classes` are the classes the basis was built for (None: every class
+    in the budget).  Asking about a class outside their sub-class closure
+    raises ValueError instead of reporting an empty span.
+    """
+
+    def __init__(
+        self,
+        budget: Budget,
+        elements: Sequence[BasisElement],
+        classes: Iterable[tuple[int, int]] | None = None,
+    ):
         self.budget = budget
         self.elements = tuple(elements)
+        self._built_for = None if classes is None else tuple(sorted(set(classes)))
         self._by_class: dict[tuple[int, int], list[BasisElement]] = {}
         self._by_text: dict[str, BasisElement] = {}
         self._echelons: dict[tuple[int, int], _Echelon] = {}
         for element in self.elements:
             self._by_class.setdefault(element.klass, []).append(element)
             self._by_text[element.text] = element
+
+    def _require(self, klass: tuple[int, int]) -> None:
+        if not _in_closure(klass, self._built_for):
+            raise ValueError(
+                f"class {klass} lies outside the classes {list(self._built_for)} "
+                "this basis was built for"
+            )
 
     def _insertion_order(self, klass: tuple[int, int]) -> list[BasisElement]:
         """High order to low, then commutators before powers before
@@ -317,6 +350,7 @@ class BracketBasis:
 
     def echelon(self, klass: tuple[int, int]) -> _Echelon:
         """The class echelon (untracked), built on first use."""
+        self._require(klass)
         echelon = self._echelons.get(klass)
         if echelon is None:
             echelon = self._echelons[klass] = _Echelon()
@@ -348,6 +382,7 @@ class BracketBasis:
         return tuple(found)
 
     def class_elements(self, e_count: int, o_count: int) -> tuple[BasisElement, ...]:
+        self._require((e_count, o_count))
         return tuple(self._by_class.get((e_count, o_count), ()))
 
     def element(self, text: str) -> BasisElement:
@@ -403,106 +438,180 @@ def _curated_trees() -> frozenset[BracketExpr]:
 
 
 _CURATED = _curated_trees()
+_CURATED_TEXTS = frozenset(format_tree(tree) for tree in _CURATED)
 
 
-@dataclass
+def _is_curated(tree: BracketExpr, text: str) -> bool:
+    # The text test is cheap and turns away almost every tree, but never
+    # one the tree test would keep.
+    return text in _CURATED_TEXTS and tree in _CURATED
+
+
+def _word_product(left: dict[str, int], right: dict[str, int]) -> dict[str, int]:
+    """Product of two integer word vectors, without the words that cancel."""
+    out: dict[str, int] = {}
+    for w1, c1 in left.items():
+        for w2, c2 in right.items():
+            word = w1 + w2
+            out[word] = out.get(word, 0) + c1 * c2
+    return {word: coeff for word, coeff in out.items() if coeff}
+
+
+def _word_brackets(
+    left: dict[str, int], right: dict[str, int]
+) -> tuple[dict[str, int], dict[str, int]]:
+    """(commutator, anticommutator) of two integer word vectors."""
+    forward = _word_product(left, right)
+    backward = _word_product(right, left)
+    return _combine(1, forward, -1, backward), _combine(1, forward, 1, backward)
+
+
+@dataclass(slots=True)
 class _Candidate:
+    """A bracket tree with its text, grading order, class and integer
+    word vector; the vector is the tree's untruncated expansion."""
+
     tree: BracketExpr
+    text: str
     order: int
-    expansion: AbstractExpr
+    klass: tuple[int, int]
+    vector: dict[str, int]
 
-    @cached_property
-    def klass(self) -> tuple[int, int]:
-        """(E count, O count), shared by every word of the expansion."""
-        (_, word, _), _ = self.expansion.terms()[0]
-        return (word.count("E"), len(word) - word.count("E"))
+    def beats(self, held: "_Candidate") -> bool:
+        """Higher order wins, then a curated spelling, then shorter text,
+        then the text that sorts first."""
+        ours, theirs = self._rank(), held._rank()
+        return ours > theirs or (ours == theirs and self.text < held.text)
+
+    def _rank(self) -> tuple[int, bool, int]:
+        return (self.order, _is_curated(self.tree, self.text), -len(self.text))
 
 
-def _preference(candidate: _Candidate) -> tuple:
-    text = format_tree(candidate.tree)
-    return (
-        candidate.order,
-        candidate.tree in _CURATED,
-        -len(text),
-        tuple(-ord(ch) for ch in text),
-    )
+def _direction(vector: dict[str, int]) -> tuple:
+    """The word-ordered vector over its gcd, signed so the lead is positive:
+    parallel vectors, and only they, share it."""
+    words = sorted(vector)
+    content = gcd(*vector.values())
+    if vector[words[0]] < 0:
+        content = -content
+    return tuple((word, vector[word] // content) for word in words)
 
 
 class _DirectionTable:
     """Candidates grouped by expansion direction (parallel vectors).
 
-    Each direction keeps one (preference, best candidate) pair; a later
-    candidate replaces the best only when its preference is higher.
+    Each direction keeps its best candidate; a later candidate replaces it
+    only when it beats the one held.
     """
 
     def __init__(self):
-        self._best: dict[tuple, tuple[tuple, _Candidate]] = {}
+        self._best: dict[tuple, _Candidate] = {}
 
-    def offer(self, tree: BracketExpr, expansion: AbstractExpr) -> _Candidate | None:
-        """Record a candidate; return it when its direction is new, else None."""
-        if expansion.is_zero():
-            return None
-        parity, order = parity_and_order(tree)
-        if parity == "mixed" or order is None:
-            return None
-        terms = expansion.terms()
-        lead = terms[0][1]
-        key = tuple((word, coeff / lead) for (_, word, _), coeff in terms)
-        candidate = _Candidate(tree, order, expansion)
-        preference = _preference(candidate)
+    def offer(self, candidate: _Candidate) -> bool:
+        """Record a nonzero candidate; True when its direction is new."""
+        key = _direction(candidate.vector)
         held = self._best.get(key)
         if held is None:
-            self._best[key] = (preference, candidate)
-            return candidate
-        if preference > held[0]:
-            self._best[key] = (preference, candidate)
-        return None
+            self._best[key] = candidate
+            return True
+        if candidate.beats(held):
+            self._best[key] = candidate
+        return False
 
     def representatives(self) -> Iterator[_Candidate]:
-        for _, best in self._best.values():
-            yield best
+        return iter(self._best.values())
 
 
 def _bracket_candidates(
     table: _DirectionTable,
     lefts: Sequence[_Candidate],
     rights: Sequence[_Candidate],
-    budget: Budget,
+    allowed: frozenset[tuple[int, int]],
 ) -> list[_Candidate]:
-    """Offer comm/acomm of every admissible pair; return the new directions."""
+    """Offer comm/acomm of every pair whose class is allowed; return the
+    new directions."""
     fresh: list[_Candidate] = []
     seen_acomm: set[tuple[int, int]] = set()
     for i, left in enumerate(lefts):
         left_e, left_o = left.klass
         for j, right in enumerate(rights):
-            if left.tree == right.tree:
+            klass = (left_e + right.klass[0], left_o + right.klass[1])
+            if klass not in allowed or left.tree == right.tree:
                 continue
-            right_e, right_o = right.klass
-            if left_e + right_e > budget.max_e_count:
-                continue
-            if left_e + right_e + left_o + right_o > budget.max_word_len:
-                continue
-            comm_exp = left.expansion.commutator(right.expansion, budget)
-            new = table.offer(Comm(left.tree, right.tree), comm_exp)
-            if new is not None:
-                fresh.append(new)
+            comm, acomm = _word_brackets(left.vector, right.vector)
+            # A commutator of two odd operators costs no hbar.
+            both_odd = left_o % 2 and right.klass[1] % 2
+            order = left.order + right.order
+            if comm:
+                new = _Candidate(
+                    Comm(left.tree, right.tree),
+                    f"comm({left.text}, {right.text})",
+                    order if both_odd else order + 1,
+                    klass,
+                    comm,
+                )
+                if table.offer(new):
+                    fresh.append(new)
             pair = (min(i, j), max(i, j)) if lefts is rights else (i, j)
             if pair in seen_acomm:
                 continue
             seen_acomm.add(pair)
-            acomm_exp = left.expansion.anticommutator(right.expansion, budget)
-            new = table.offer(Acomm(left.tree, right.tree), acomm_exp)
-            if new is not None:
-                fresh.append(new)
+            if acomm:
+                new = _Candidate(
+                    Acomm(left.tree, right.tree),
+                    f"acomm({left.text}, {right.text})",
+                    order,
+                    klass,
+                    acomm,
+                )
+                if table.offer(new):
+                    fresh.append(new)
     return fresh
 
 
-def build_basis(budget: Budget | int, max_e_count: int | None = None) -> BracketBasis:
-    """Deterministic bracket basis for every class inside the budget."""
+def _product(left: _Candidate, right: _Candidate, klass: tuple[int, int]) -> _Candidate:
+    return _Candidate(
+        Prod((left.tree, right.tree)),
+        f"{left.text} * {right.text}",
+        left.order + right.order,
+        klass,
+        _word_product(left.vector, right.vector),
+    )
+
+
+def _in_closure(
+    klass: tuple[int, int], classes: Sequence[tuple[int, int]] | None
+) -> bool:
+    """True when some wanted class holds at least klass's E and O counts
+    (every class when classes is None)."""
+    e_count, o_count = klass
+    return classes is None or any(e_count <= e and o_count <= o for e, o in classes)
+
+
+def build_basis(
+    budget: Budget | int,
+    max_e_count: int | None = None,
+    *,
+    classes: Iterable[tuple[int, int]] | None = None,
+) -> BracketBasis:
+    """Deterministic bracket basis for the classes inside the budget.
+
+    With `classes`, only the sub-classes of those (every (e', o') with
+    e' <= e and o' <= o for some wanted (e, o)) are built; each of them
+    gets exactly the elements the full basis has.
+    """
     if isinstance(budget, int):
         if max_e_count is None:
             raise ValueError("pass a Budget or both word and E limits")
         budget = Budget(budget, max_e_count)
+    if classes is not None:
+        classes = tuple(sorted(set(classes)))
+    allowed = frozenset(
+        (e_count, o_count)
+        for e_count in range(budget.max_e_count + 1)
+        for o_count in range(budget.max_word_len - e_count + 1)
+        if _in_closure((e_count, o_count), classes)
+    )
 
     table = _DirectionTable()
     # Claim the narrative spellings first so they become the
@@ -510,34 +619,45 @@ def build_basis(budget: Budget | int, max_e_count: int | None = None) -> Bracket
     curated_candidates: list[_Candidate] = []
     for tree in sorted(_CURATED, key=format_tree):
         expansion = expand(tree, budget)
-        table.offer(tree, expansion)
-        if not expansion.is_zero():
-            _, order = parity_and_order(tree)
-            curated_candidates.append(_Candidate(tree, order, expansion))
-    atom_candidates: list[_Candidate] = []
-    for atom in _atoms():
-        expansion = _expand_atom(atom, budget)
         if expansion.is_zero():
             continue
-        table.offer(atom, expansion)
-        atom_candidates.append(_Candidate(atom, 0, expansion))
+        text = format_tree(tree)
+        vector = _integer_words(expansion, text)
+        word = next(iter(vector))
+        klass = (word.count("E"), word.count("O"))
+        if klass not in allowed:
+            continue
+        candidate = _Candidate(tree, text, parity_and_order(tree)[1], klass, vector)
+        table.offer(candidate)
+        curated_candidates.append(candidate)
+    atom_candidates: list[_Candidate] = []
+    for atom in _atoms():
+        word = atom.letter if isinstance(atom, Gen) else "O" * atom.n
+        klass = (word.count("E"), word.count("O"))
+        if klass not in allowed:
+            continue
+        candidate = _Candidate(atom, format_tree(atom), 0, klass, {word: 1})
+        table.offer(candidate)
+        atom_candidates.append(candidate)
 
     # Round 1: brackets of atoms.  Round 2: brackets over everything so
     # far.  Rounds 3..5: one more atom layer each (padding and nesting).
     # The curated spellings ride along: they claimed their directions
     # above, so the new-direction rounds would otherwise never feed the
     # narrative's own commutators back into deeper nestings or products.
-    round1 = _bracket_candidates(table, atom_candidates, atom_candidates, budget)
+    round1 = _bracket_candidates(table, atom_candidates, atom_candidates, allowed)
     pool = atom_candidates + round1 + curated_candidates
-    round2 = _bracket_candidates(table, pool, pool, budget)
+    round2 = _bracket_candidates(table, pool, pool, allowed)
     layer = round1 + round2 + curated_candidates
     for _ in range(3):
-        grown = _bracket_candidates(table, atom_candidates, layer, budget)
-        grown += _bracket_candidates(table, layer, atom_candidates, budget)
+        grown = _bracket_candidates(table, atom_candidates, layer, allowed)
+        grown += _bracket_candidates(table, layer, atom_candidates, allowed)
         layer = grown
 
     # Two-factor products of brackets (both factors carry order >= 1),
     # then one bracket layer around the products for padded squares.
+    # Products of nonzero vectors are nonzero: the free algebra has no
+    # zero divisors.
     bracket_pool = [
         c
         for c in (round1 + round2 + curated_candidates)
@@ -547,20 +667,23 @@ def build_basis(budget: Budget | int, max_e_count: int | None = None) -> Bracket
     for left in bracket_pool:
         left_e, left_o = left.klass
         for right in bracket_pool:
-            right_e, right_o = right.klass
-            if left_e + right_e > budget.max_e_count:
-                continue
-            if left_e + right_e + left_o + right_o > budget.max_word_len:
+            klass = (left_e + right.klass[0], left_o + right.klass[1])
+            if klass not in allowed:
                 continue
             if left.tree == right.tree:
-                tree: BracketExpr = PowN(left.tree, 2)
+                product = _Candidate(
+                    PowN(left.tree, 2),
+                    f"pow({left.text}, 2)",
+                    2 * left.order,
+                    klass,
+                    _word_product(left.vector, left.vector),
+                )
             else:
-                tree = Prod((left.tree, right.tree))
-            expansion = left.expansion.mul(right.expansion, budget)
-            table.offer(tree, expansion)
-            products.append(_Candidate(tree, 0, expansion))
-    _bracket_candidates(table, atom_candidates, products, budget)
-    _bracket_candidates(table, products, atom_candidates, budget)
+                product = _product(left, right, klass)
+            table.offer(product)
+            products.append(product)
+    _bracket_candidates(table, atom_candidates, products, allowed)
+    _bracket_candidates(table, products, atom_candidates, allowed)
 
     # Three-factor products: a two-factor product times one more small
     # bracket, on either side.  Needed so high-letter-count classes keep
@@ -569,54 +692,31 @@ def build_basis(budget: Budget | int, max_e_count: int | None = None) -> Bracket
     for middle in products:
         mid_e, mid_o = middle.klass
         for extra in small:
-            extra_e, extra_o = extra.klass
-            if mid_e + extra_e > budget.max_e_count:
+            klass = (mid_e + extra.klass[0], mid_o + extra.klass[1])
+            if klass not in allowed:
                 continue
-            if mid_e + extra_e + mid_o + extra_o > budget.max_word_len:
-                continue
-            for tree, expansion in (
-                (
-                    Prod((middle.tree, extra.tree)),
-                    middle.expansion.mul(extra.expansion, budget),
-                ),
-                (
-                    Prod((extra.tree, middle.tree)),
-                    extra.expansion.mul(middle.expansion, budget),
-                ),
-            ):
-                table.offer(tree, expansion)
+            table.offer(_product(middle, extra, klass))
+            table.offer(_product(extra, middle, klass))
 
     # Every representative becomes an element: the basis is deliberately
     # overcomplete (see the module docstring).
     elements = []
     for best in table.representatives():
-        e_count, o_count = best.klass
-        elements.append(
-            BasisElement(
-                text=format_tree(best.tree),
-                tree=best.tree,
-                order=best.order,
-                e_count=e_count,
-                o_count=o_count,
-                expansion=best.expansion,
-            )
+        element = BasisElement(
+            text=best.text,
+            tree=best.tree,
+            order=best.order,
+            e_count=best.klass[0],
+            o_count=best.klass[1],
+            expansion=AbstractExpr(
+                {(0, word, 0): coeff for word, coeff in best.vector.items()}
+            ),
         )
+        # Already known: spare the cached property its walk over the terms.
+        element.__dict__["word_vector"] = dict(sorted(best.vector.items()))
+        elements.append(element)
     elements.sort(key=lambda el: (el.order, el.klass, el.text))
-    return BracketBasis(budget, elements)
-
-
-def _expand_atom(atom: BracketExpr, budget: Budget) -> AbstractExpr:
-    if isinstance(atom, Gen):
-        word = atom.letter
-    else:
-        word = "O" * atom.n
-    if len(word) > budget.max_word_len:
-        return AbstractExpr.zero()
-    if word == "E" and budget.max_e_count < 1:
-        return AbstractExpr.zero()
-    if len(word) == 1:
-        return AbstractExpr.generator(word)
-    return AbstractExpr.from_terms([((0, word, 0), Fraction(1))])
+    return BracketBasis(budget, elements, classes=classes)
 
 
 def _strata(piece: AbstractExpr) -> dict[tuple[int, int], dict[str, Fraction]]:
@@ -722,7 +822,7 @@ def project(
         ),
         key=lambda el: (
             el.order,
-            el.tree not in _CURATED,
+            not _is_curated(el.tree, el.text),
             _kind_rank(el.tree),
             el.text,
         ),
@@ -872,21 +972,30 @@ class DiffReport:
         return "\n".join(lines)
 
 
+_ZERO = AbstractExpr.zero()
+
+
 def diff_report(
     h_first: AbstractExpr,
     h_second: AbstractExpr,
     budget: Budget,
     basis: BracketBasis | None = None,
 ) -> DiffReport:
-    """Per-class comparison of two even expansions (first minus second)."""
+    """Per-class comparison of two even expansions (first minus second).
+
+    Without a basis, one is built for the differing classes only.
+    """
+    first_parts = h_first.classify()
+    second_parts = h_second.classify()
+    deltas = {
+        klass: first_parts.get(klass, _ZERO).sub(second_parts.get(klass, _ZERO))
+        for klass in sorted(set(first_parts) | set(second_parts))
+    }
     if basis is None:
-        basis = build_basis(budget)
-    classes = sorted(set(h_first.classify()) | set(h_second.classify()))
+        differing = [klass for klass, delta in deltas.items() if not delta.is_zero()]
+        basis = build_basis(budget, classes=differing)
     rows = []
-    for e_count, o_count in classes:
-        first = h_first.restrict_class(e_count, o_count)
-        second = h_second.restrict_class(e_count, o_count)
-        delta = first.sub(second)
+    for (e_count, o_count), delta in deltas.items():
         if delta.is_zero():
             rows.append(
                 ClassDiff(

@@ -232,12 +232,22 @@ def _rho_matrices():
 
 
 def hermitian_sqrt(matrix: np.ndarray) -> np.ndarray:
-    """Square root of a Hermitian positive-definite matrix by eigendecomposition."""
-    values, vectors = np.linalg.eigh(matrix)
+    """Square root of a diagonal positive-definite matrix, entry by entry.
+
+    Every radicand the builders form is exactly diagonal on the Landau
+    basis (|n> x spin), so its eigenvalues are its diagonal entries.  An
+    off-diagonal entry or a complex diagonal entry raises ValueError.
+    """
+    diagonal = np.diagonal(matrix)
+    if np.count_nonzero(matrix) != np.count_nonzero(diagonal):
+        raise ValueError("square root of a matrix with off-diagonal entries")
+    if np.iscomplexobj(diagonal) and np.any(diagonal.imag):
+        raise ValueError("square root of a matrix with complex diagonal entries")
+    values = diagonal.real
     smallest = float(values.min())
     if smallest <= 0.0:
         raise SquareRootDomainError(smallest)
-    return (vectors * np.sqrt(values)) @ vectors.conj().T
+    return np.diag(np.sqrt(values).astype(matrix.dtype))
 
 
 def _anomalous_moment(model: SpectralModel) -> float:

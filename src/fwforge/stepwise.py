@@ -259,7 +259,7 @@ def derive_second_step(budget: Budget, basis=None) -> tuple[AbstractExpr, dict]:
     derived = expand(structured, budget)
     diff = derived.sub(expand_static(build_iterative(), budget))
     if basis is None:
-        basis = build_basis(budget)
+        basis = build_basis(budget, classes=diff.classify())
     status, classes = explain(diff, basis, min_order=3)
     return derived, {"status": status, "classes": classes}
 
@@ -272,7 +272,7 @@ def derive_display(budget: Budget) -> dict:
     diff = derived.sub(expand(reference_iterative(), budget))
     status, classes = "pass", []
     if not diff.is_zero():
-        status, classes = explain(diff, build_basis(budget), min_order=2)
+        status, classes = explain(diff, build_basis(budget, classes=diff.classify()), min_order=2)
     return {
         "budget": {"max_word_len": budget.max_word_len, "max_e_count": budget.max_e_count},
         "status": status,

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from fwforge.comparator import (
     _Echelon,
+    _word_brackets,
+    _word_product,
     build_basis,
     diff_report,
     min_hbar_order,
@@ -34,7 +36,9 @@ from fwforge.ncalg import (
     Rat,
     Sum,
     expand,
+    parity_and_order,
 )
+from fwforge.lang import format_tree
 from fwforge.stepwise import reference_iterative
 
 O = Gen("O")
@@ -115,6 +119,103 @@ def test_elements_store_exact_unmixed_expansions(basis42):
         assert words, element.text
         parities = {(len(w) - w.count("E")) % 2 for w in words}
         assert len(parities) == 1, element.text
+
+
+def test_elements_agree_with_their_trees():
+    """Texts, orders and vectors built alongside the trees are the ones the
+    trees themselves give (products and three-factor products included)."""
+    budget = Budget(6, 2)
+    for element in build_basis(budget).elements:
+        assert element.text == format_tree(element.tree)
+        assert element.order == parity_and_order(element.tree)[1], element.text
+        assert element.expansion == expand(element.tree, budget), element.text
+
+
+def _listing(elements):
+    return [
+        (el.text, el.order, el.klass, el.word_vector, el.expansion.terms())
+        for el in elements
+    ]
+
+
+def _closure(elements, classes):
+    return [
+        el for el in elements if any(el.e_count <= e and el.o_count <= o for e, o in classes)
+    ]
+
+
+def test_partial_basis_is_the_full_basis_on_each_closure_at_6_2():
+    budget = Budget(6, 2)
+    full = build_basis(budget)
+    for klass in [(e, o) for e in range(3) for o in range(7 - e)]:
+        partial = build_basis(budget, classes=[klass])
+        assert _listing(partial.elements) == _listing(_closure(full.elements, [klass])), klass
+
+
+DIFFERING_83 = [(1, 4), (1, 6), (2, 2), (2, 4), (2, 6), (3, 2), (3, 4)]
+
+
+def test_partial_basis_for_the_differing_classes_at_8_3(basis83, budget83):
+    partial = build_basis(budget83, classes=DIFFERING_83)
+    expected = _closure(basis83.elements, DIFFERING_83)
+    assert len(partial) == len(expected) == 3530
+    assert _listing(partial.elements) == _listing(expected)
+
+
+def test_partial_basis_refuses_classes_outside_its_closure():
+    budget = Budget(6, 2)
+    basis = build_basis(budget, classes=[(1, 2)])
+    assert basis.class_elements(1, 2)
+    assert all(el.klass == (0, 2) for el in basis.class_elements(0, 2))
+    piece = expand(Comm(O2, Comm(O2, E)), budget)
+    queries = {
+        "class_elements": lambda: basis.class_elements(1, 4),
+        "echelon": lambda: basis.echelon((1, 4)),
+        "min_hbar_order": lambda: min_hbar_order(piece, basis),
+        "project": lambda: project(piece, basis),
+        "project at an order": lambda: project(piece, basis, min_order=2),
+    }
+    for name, query in queries.items():
+        with pytest.raises(ValueError, match=r"class \(1, 4\)"):
+            query()
+    with pytest.raises(ValueError, match=r"class \(2, 1\)"):
+        basis.class_elements(2, 1)
+    # A full basis still answers every class, inside the budget or not.
+    assert build_basis(Budget(3, 1)).class_elements(2, 4) == ()
+
+
+@st.composite
+def _class_word_sums(draw):
+    """A nonzero integer sum of distinct words of one (E, O) class."""
+    e_count = draw(st.integers(0, 2))
+    o_count = draw(st.integers(0 if e_count else 1, 3))
+    letters = "E" * e_count + "O" * o_count
+    words = draw(
+        st.lists(st.permutations(letters).map("".join), min_size=1, max_size=4, unique=True)
+    )
+    coeffs = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=len(words), max_size=len(words)))
+    return dict(zip(words, coeffs))
+
+
+def _as_expr(vector):
+    return AbstractExpr({(0, word, 0): Fraction(coeff) for word, coeff in vector.items()})
+
+
+@given(left=_class_word_sums(), right=_class_word_sums())
+@settings(max_examples=200, deadline=None)
+def test_integer_word_helpers_match_the_algebra(left, right):
+    """Under the budget the pair's class just fits, the integer helpers
+    agree with AbstractExpr's product and brackets, and keep no zeros."""
+    word = next(iter(left)) + next(iter(right))
+    budget = Budget(len(word), word.count("E"))
+    a, b = _as_expr(left), _as_expr(right)
+    product = _word_product(left, right)
+    comm, acomm = _word_brackets(left, right)
+    for vector in (product, comm, acomm):
+        assert all(vector.values())
+    assert _as_expr(product) == a.mul(b, budget)
+    assert _as_expr(comm) == a.commutator(b, budget)
+    assert _as_expr(acomm) == a.anticommutator(b, budget)
 
 
 # -- projection -------------------------------------------------------------------

@@ -7,7 +7,8 @@ Each file under tests/golden/ is the output of
 with the JSON report in NAME.json and the text report renamed to
 NAME.txt.  The symbolic commands promise deterministic output, so any
 change to a report shows here first.  The (8,3) comparison reuses the
-session fixture instead of running the command again.
+session fixture instead of running the command again, and once more
+without a basis, as the command does.
 """
 
 from pathlib import Path
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from fwforge import cli
+from fwforge.comparator import diff_report
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -22,6 +24,14 @@ GOLDEN = Path(__file__).parent / "golden"
 def test_compare_83_matches_golden(report83):
     assert (report83.to_json() + "\n").encode() == (GOLDEN / "compare_8_3.json").read_bytes()
     assert (report83.to_text() + "\n").encode() == (GOLDEN / "compare_8_3.txt").read_bytes()
+
+
+def test_compare_83_without_a_basis_matches_golden(eriksen83, static13_83, budget83):
+    """As the CLI calls it: the report builds a basis for its differing
+    classes only."""
+    report = diff_report(eriksen83, static13_83, budget83)
+    assert (report.to_json() + "\n").encode() == (GOLDEN / "compare_8_3.json").read_bytes()
+    assert (report.to_text() + "\n").encode() == (GOLDEN / "compare_8_3.txt").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -34,6 +44,7 @@ def test_compare_83_matches_golden(report83):
         (["concretize", "electrostatic"], "concretize_electrostatic"),
         (["concretize", "uniform-field"], "concretize_uniform_field"),
         (["compare", "--max-len", "7", "--max-e", "3"], "compare_7_3"),
+        (["compare", "--max-len", "9", "--max-e", "3"], "compare_9_3"),
     ],
 )
 def test_report_matches_golden(argv, name, tmp_path):

@@ -112,10 +112,40 @@ def test_square_root_rejects_non_positive_operand():
 
 def test_hermitian_sqrt_squares_back():
     rng = np.random.default_rng(7)
-    raw = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-    positive = raw @ raw.conj().T + 12.0 * np.eye(12)
+    positive = np.diag(rng.uniform(0.5, 12.0, size=12)).astype(complex)
     root = hermitian_sqrt(positive)
     assert np.abs(root @ root - positive).max() < 1e-10
+
+
+def test_hermitian_sqrt_rejects_non_diagonal_input():
+    rng = np.random.default_rng(7)
+    raw = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    positive = raw @ raw.conj().T + 12.0 * np.eye(12)
+    with pytest.raises(ValueError, match="off-diagonal"):
+        hermitian_sqrt(positive)
+    with pytest.raises(ValueError, match="complex diagonal"):
+        hermitian_sqrt(np.diag([2.0, 1.0 + 1e-12j]))
+
+
+def _dense_sqrt(matrix):
+    values, vectors = np.linalg.eigh(matrix)
+    return (vectors * np.sqrt(values)) @ vectors.conj().T
+
+
+@pytest.mark.parametrize(
+    "particle, representation",
+    [("spin0", "fw"), ("spin12", "fw"), ("spin1", "fw"), ("spin1", "fw_corrected")],
+)
+@pytest.mark.parametrize("e", [1.0, -1.0])
+@pytest.mark.parametrize("field", [0.0, 0.3, 0.5])
+def test_diagonal_sqrt_matches_dense_eigh(particle, representation, e, field, monkeypatch):
+    """Every builder's radicand is diagonal, and its entry-by-entry root
+    builds the matrix a dense eigendecomposition builds."""
+    model = SpectralModel(particle, representation, e=e, B=field, g=2.3, N=64)
+    matrix = build_model_matrix(model)
+    monkeypatch.setattr(spectra, "hermitian_sqrt", _dense_sqrt)
+    dense = build_model_matrix(model)
+    assert np.abs(matrix - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 # -- closed-form spectra ----------------------------------------------------------------
