@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,6 +309,31 @@ def test_truncation_edge_states_are_flagged():
 ALL_PAIRS = [(p, r) for p, reps in REPRESENTATIONS.items() for r in reps]
 
 
+@pytest.mark.parametrize("N", [8, 9, 33])
+@pytest.mark.parametrize("B", [0.0, 0.3])
+@pytest.mark.parametrize("charge", [1.0, -1.0])
+@pytest.mark.parametrize("particle, representation", ALL_PAIRS)
+def test_window_blocks_match_dense_blocks(particle, representation, charge, B, N, monkeypatch):
+    """Every block, edge and partial ones included, cut from its window
+    equals the slice of the matrix on all N levels."""
+    # A small chunk puts block windows on both sides of chunk boundaries.
+    monkeypatch.setattr(spectra, "WINDOW_CHUNK", 3)
+    model = SpectralModel(particle, representation, e=charge, B=B, g=2.3, N=N)
+    dense = build_model_matrix(model)
+    labels, _ = spectra._blocks(model)
+    groups = spectra._block_groups(model, labels)
+    stacks = spectra._gather_blocks(
+        model, lambda levels: (build_model_matrix(model, levels=levels),), groups
+    )
+    covered = []
+    for (states, _), (blocks,) in zip(groups, stacks):
+        for block_states, block in zip(states, blocks):
+            want = dense[np.ix_(block_states, block_states)]
+            assert np.abs(block - want).max() <= 1e-12 * np.abs(want).max()
+            covered.extend(block_states)
+    assert sorted(covered) == list(range(dense.shape[0]))
+
+
 @pytest.mark.parametrize("B", [0.0, 0.3])
 @pytest.mark.parametrize("charge", [1.0, -1.0])
 @pytest.mark.parametrize("particle, representation", ALL_PAIRS)
@@ -362,6 +388,50 @@ def test_interior_count_is_the_same_for_every_representation(particle, charge, B
         for representation in REPRESENTATIONS[particle]
     }
     assert len(set(counts.values())) == 1, counts
+
+
+def _nearest_by_min(value, energies):
+    """The matcher the vectorized one replaced: a scan of the whole table."""
+    return min(range(len(energies)), key=lambda index: abs(value - energies[index]))
+
+
+@pytest.mark.parametrize(
+    "energies",
+    [
+        # spin 1/2 at g = 2: the lambda = -1 and +1 levels coincide.
+        spectra._closed_form_table(SpectralModel("spin12", "fw", B=0.3, g=2.0, N=32), 32)[:, 0],
+        spectra._closed_form_table(SpectralModel("spin1", "fw", B=0.3, g=2.0, N=16), 16)[:, 0],
+        # Repeated entries, and midpoints that are exact in binary.
+        np.array([2.0, 1.0, 3.0, 2.0, -1.0, 3.0, 1.0, 0.5]),
+    ],
+)
+def test_nearest_matches_the_table_scan(energies):
+    ranked = np.unique(energies)
+    values = np.concatenate(
+        [
+            energies,
+            (ranked[1:] + ranked[:-1]) / 2.0,
+            np.nextafter(energies, np.inf),
+            np.nextafter(energies, -np.inf),
+            [ranked[0] - 1.0, ranked[-1] + 1.0, 0.0],
+            np.random.default_rng(3).uniform(ranked[0] - 0.5, ranked[-1] + 0.5, size=200),
+        ]
+    )
+    want = [_nearest_by_min(value, energies) for value in values]
+    assert spectra._nearest(values, energies).tolist() == want
+
+
+def test_spin1_spectrum_memory_grows_linearly_with_levels():
+    """No (6N)^2 matrix is formed: at N = 2000 one takes 2.1 GiB."""
+    model = SpectralModel("spin1", "original", B=0.5, N=2000)
+    tracemalloc.start()
+    try:
+        report = compare_closed_form(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report["status"] == "pass"
+    assert peak < 64 * 2**20
 
 
 # -- anomalous-moment linearity scan -----------------------------------------------------
