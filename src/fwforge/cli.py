@@ -6,7 +6,8 @@ Landau-level checks; emits JSON and plain-text reports; and expands
 mini-language expressions into canonical word sums.
 
 Exit codes: 0 when every check in the requested report passes, 1 when any
-check fails (the failing items are in the report), 2 on usage errors.
+check fails (the failing items are in the report), 2 on usage errors and
+when the report or the manifest cannot be written.
 Every run writes a manifest file echoing the full effective configuration,
 and symbolic commands produce byte-identical output across runs.
 """
@@ -527,7 +528,11 @@ def main(argv=None) -> int:
     command = args.command
     if getattr(args, "target", None):
         command = f"{args.command} {args.target}"
-    _write_outputs(values, command, json_text, text_text)
+    try:
+        _write_outputs(values, command, json_text, text_text)
+    except OSError as exc:
+        print(f"{PROG}: error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
     return 0 if ok else 1
 
 

@@ -75,7 +75,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
-from fwforge.lang import format_term, format_tree, term_strings
+from fwforge.lang import format_term, format_tree, parse_expr, term_strings
 from fwforge.ncalg import (
     AbstractExpr,
     Acomm,
@@ -402,49 +402,33 @@ def _atoms() -> tuple[BracketExpr, ...]:
     return (PowN(o, 6), PowN(o, 4), PowN(o, 2), o, Gen("E"))
 
 
-def _curated_trees() -> frozenset[BracketExpr]:
-    """Preferred spellings for directions the narrative names explicitly."""
-    o, e = Gen("O"), Gen("E")
-    o2, o4 = PowN(o, 2), PowN(o, 4)
-    c_oe = Comm(o, e)
-    c_o2e = Comm(o2, e)
-    c_ooe = Comm(o, c_oe)
-    c_oee = Comm(c_oe, e)
-    c_o2ee = Comm(c_o2e, e)
-    return frozenset(
-        {
-            c_oe,
-            c_o2e,
-            c_ooe,
-            c_oee,
-            c_o2ee,
-            Comm(o2, c_oe),
-            Comm(o2, c_o2e),
-            PowN(c_oe, 2),
-            PowN(c_o2e, 2),
-            Acomm(o, c_oee),
-            Acomm(o2, c_ooe),
-            Acomm(o4, c_ooe),
-            Acomm(o2, c_o2ee),
-            Acomm(o2, PowN(c_oe, 2)),
-            Acomm(o2, Comm(o2, c_o2e)),
-            Comm(o2, Comm(o2, c_ooe)),
-            Comm(o, Comm(o, c_o2ee)),
-            Comm(Comm(o, Comm(o, c_o2e)), e),
-            Comm(o2, Comm(o, c_oee)),
-            Comm(o, Comm(c_oee, e)),
-        }
-    )
-
-
-_CURATED = _curated_trees()
-_CURATED_TEXTS = frozenset(format_tree(tree) for tree in _CURATED)
-
-
-def _is_curated(tree: BracketExpr, text: str) -> bool:
-    # The text test is cheap and turns away almost every tree, but never
-    # one the tree test would keep.
-    return text in _CURATED_TEXTS and tree in _CURATED
+# Preferred spellings for directions the narrative names explicitly.  A
+# candidate's text is format_tree of its tree, and no spelling here holds
+# a product, so the text alone decides whether a candidate is curated.
+_CURATED_TEXTS = frozenset(
+    {
+        "comm(O, E)",
+        "comm(pow(O, 2), E)",
+        "comm(O, comm(O, E))",
+        "comm(comm(O, E), E)",
+        "comm(comm(pow(O, 2), E), E)",
+        "comm(pow(O, 2), comm(O, E))",
+        "comm(pow(O, 2), comm(pow(O, 2), E))",
+        "pow(comm(O, E), 2)",
+        "pow(comm(pow(O, 2), E), 2)",
+        "acomm(O, comm(comm(O, E), E))",
+        "acomm(pow(O, 2), comm(O, comm(O, E)))",
+        "acomm(pow(O, 4), comm(O, comm(O, E)))",
+        "acomm(pow(O, 2), comm(comm(pow(O, 2), E), E))",
+        "acomm(pow(O, 2), pow(comm(O, E), 2))",
+        "acomm(pow(O, 2), comm(pow(O, 2), comm(pow(O, 2), E)))",
+        "comm(pow(O, 2), comm(pow(O, 2), comm(O, comm(O, E))))",
+        "comm(O, comm(O, comm(comm(pow(O, 2), E), E)))",
+        "comm(comm(O, comm(O, comm(pow(O, 2), E))), E)",
+        "comm(pow(O, 2), comm(O, comm(comm(O, E), E)))",
+        "comm(O, comm(comm(comm(O, E), E), E))",
+    }
+)
 
 
 def _word_product(left: dict[str, int], right: dict[str, int]) -> dict[str, int]:
@@ -484,7 +468,7 @@ class _Candidate:
         return ours > theirs or (ours == theirs and self.text < held.text)
 
     def _rank(self) -> tuple[int, bool, int]:
-        return (self.order, _is_curated(self.tree, self.text), -len(self.text))
+        return (self.order, self.text in _CURATED_TEXTS, -len(self.text))
 
 
 def _direction(vector: dict[str, int]) -> tuple:
@@ -589,10 +573,7 @@ def _in_closure(
 
 
 def build_basis(
-    budget: Budget | int,
-    max_e_count: int | None = None,
-    *,
-    classes: Iterable[tuple[int, int]] | None = None,
+    budget: Budget, *, classes: Iterable[tuple[int, int]] | None = None
 ) -> BracketBasis:
     """Deterministic bracket basis for the classes inside the budget.
 
@@ -600,10 +581,6 @@ def build_basis(
     e' <= e and o' <= o for some wanted (e, o)) are built; each of them
     gets exactly the elements the full basis has.
     """
-    if isinstance(budget, int):
-        if max_e_count is None:
-            raise ValueError("pass a Budget or both word and E limits")
-        budget = Budget(budget, max_e_count)
     if classes is not None:
         classes = tuple(sorted(set(classes)))
     allowed = frozenset(
@@ -617,11 +594,11 @@ def build_basis(
     # Claim the narrative spellings first so they become the
     # representatives of their directions.
     curated_candidates: list[_Candidate] = []
-    for tree in sorted(_CURATED, key=format_tree):
+    for text in sorted(_CURATED_TEXTS):
+        tree = parse_expr(text)
         expansion = expand(tree, budget)
         if expansion.is_zero():
             continue
-        text = format_tree(tree)
         vector = _integer_words(expansion, text)
         word = next(iter(vector))
         klass = (word.count("E"), word.count("O"))
@@ -822,7 +799,7 @@ def project(
         ),
         key=lambda el: (
             el.order,
-            not _is_curated(el.tree, el.text),
+            el.text not in _CURATED_TEXTS,
             _kind_rank(el.tree),
             el.text,
         ),
@@ -1024,19 +1001,22 @@ def diff_report(
 
 
 def explain(
-    diff: AbstractExpr, basis: BracketBasis, min_order: int
+    diff: AbstractExpr, budget: Budget, min_order: int
 ) -> tuple[str, list[dict]]:
     """Spell every class of a difference in brackets of order >= min_order.
 
-    Returns "pass" when every class is explained and "fail" otherwise,
-    with one row per class, smallest class first: its e and o counts, its
-    status ("explained" or "unexplained"), the weighted brackets as
+    The basis is built for the differing classes only.  Returns "pass"
+    when every class is explained and "fail" otherwise, with one row per
+    class, smallest class first: its e and o counts, its status
+    ("explained" or "unexplained"), the weighted brackets as
     `delta_brackets`, and, when the brackets leave a residual, its terms
     as `unexplained`.
     """
     status = "pass"
     rows = []
-    for (e_count, o_count), piece in sorted(diff.classify().items()):
+    pieces = diff.classify()
+    basis = build_basis(budget, classes=pieces)
+    for (e_count, o_count), piece in sorted(pieces.items()):
         projection = project(piece, basis, min_order=min_order)
         explained = projection.residual.is_zero()
         row = {

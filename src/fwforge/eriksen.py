@@ -17,24 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from fwforge.fseries import nc_binomial_power
-from fwforge.lang import term_strings
-from fwforge.ncalg import (
-    AbstractExpr,
-    Acomm,
-    BetaF,
-    BracketExpr,
-    Budget,
-    Comm,
-    EpsFun,
-    Gen,
-    MPow,
-    PowN,
-    Prod,
-    Rat,
-    Sum,
-    check_term_cap,
-    expand,
-)
+from fwforge.lang import parse_expr, term_strings
+from fwforge.ncalg import AbstractExpr, BracketExpr, Budget, check_term_cap, expand
 
 # Classes (eCount, oCount) the closed-form target is known to cover.
 SCOPE_MAX_WEIGHT = 8  # 2e + o
@@ -193,21 +177,32 @@ def verify_properties(budget: Budget) -> list[dict]:
 
 # -- closed-form reference series ----------------------------------------------
 
-
-def _gen_o() -> Gen:
-    return Gen("O")
-
-
-def _gen_e() -> Gen:
-    return Gen("E")
-
-
-def _o_squared() -> PowN:
-    return PowN(Gen("O"), 2)
-
-
-def _weighted_acomm(coeff: Fraction, m_exp: int, weight, bracket) -> Prod:
-    return Prod((Rat(Fraction(coeff)), MPow(m_exp), Acomm(weight, bracket)))
+# The closed-form even series through nominal order 2.  The last term is
+# the quartic-in-O block, beta/(256 m^5) times three brackets.
+CLOSED_FORM_ORDER2 = (
+    "beta * epsfun(eps) + E"
+    " - 1/128 m^-6 acomm(8 m^4 - 6 m^2 pow(O, 2) + 5 pow(O, 4), comm(O, comm(O, E)))"
+    " + 1/512 m^-6 acomm(2 m^2 - pow(O, 2), comm(pow(O, 2), comm(pow(O, 2), E)))"
+    " + 1/16 m^-3 beta acomm(O, comm(comm(O, E), E))"
+    " + 1/256 m^-5 beta * ("
+    "24 acomm(pow(O, 2), pow(comm(O, E), 2))"
+    " - 11 pow(comm(pow(O, 2), E), 2)"
+    " - 14 acomm(pow(O, 2), comm(comm(pow(O, 2), E), E)))"
+)
+# The five order-3 brackets: two on their own, three more in the quartic
+# block (written as a term of its own, since expansion is linear).
+CLOSED_FORM_ORDER3 = (
+    " - 1/32 m^-4 comm(O, comm(comm(comm(O, E), E), E))"
+    " + 11/1024 m^-6 comm(pow(O, 2), comm(pow(O, 2), comm(O, comm(O, E))))"
+    " + 1/256 m^-5 beta * ("
+    "-4 comm(O, comm(O, comm(comm(pow(O, 2), E), E)))"
+    " + 9/2 comm(comm(O, comm(O, comm(pow(O, 2), E))), E)"
+    " + 5/2 comm(pow(O, 2), comm(O, comm(comm(O, E), E))))"
+)
+REFERENCE_TEXTS = {
+    "full": CLOSED_FORM_ORDER2 + CLOSED_FORM_ORDER3,
+    "order2": CLOSED_FORM_ORDER2,
+}
 
 
 def reference_target(name: str) -> BracketExpr:
@@ -216,81 +211,9 @@ def reference_target(name: str) -> BracketExpr:
     "full": every bracket through nominal order 3.  "order2": the same
     with the five order-3 brackets removed.
     """
-    if name not in ("full", "order2"):
+    if name not in REFERENCE_TEXTS:
         raise ValueError(f"unknown reference target {name!r}")
-    o, e = _gen_o(), _gen_e()
-    o2 = _o_squared()
-    c_ooe = Comm(o, Comm(o, e))  # [O,[O,E]]
-    c_o2o2e = Comm(o2, Comm(o2, e))  # [O^2,[O^2,E]]
-    c_oee = Comm(Comm(o, e), e)  # [[O,E],E]
-    c_o2ee = Comm(Comm(o2, e), e)  # [[O^2,E],E]
-
-    poly_quartic = Sum(
-        (
-            Prod((Rat(Fraction(8)), MPow(4))),
-            Prod((Rat(Fraction(-6)), MPow(2), _o_squared())),
-            Prod((Rat(Fraction(5)), PowN(Gen("O"), 4))),
-        )
-    )
-    poly_quadratic = Sum(
-        (Prod((Rat(Fraction(2)), MPow(2))), Prod((Rat(Fraction(-1)), _o_squared())))
-    )
-
-    terms: list[BracketExpr] = [
-        Prod((BetaF(), EpsFun("eps"))),
-        e,
-        _weighted_acomm(Fraction(-1, 128), -6, poly_quartic, c_ooe),
-        _weighted_acomm(Fraction(1, 512), -6, poly_quadratic, c_o2o2e),
-        Prod(
-            (
-                Rat(Fraction(1, 16)),
-                MPow(-3),
-                BetaF(),
-                Acomm(o, c_oee),
-            )
-        ),
-    ]
-    order_three: list[BracketExpr] = [
-        Prod((Rat(Fraction(-1, 32)), MPow(-4), Comm(o, Comm(c_oee, e)))),
-        Prod(
-            (
-                Rat(Fraction(11, 1024)),
-                MPow(-6),
-                Comm(o2, Comm(o2, c_ooe)),
-            )
-        ),
-    ]
-    # The quartic-in-O block: beta/(256 m^5) times six brackets, the
-    # last three of nominal order 3.
-    quartic_order2 = Sum(
-        (
-            Prod((Rat(Fraction(24)), Acomm(o2, PowN(Comm(o, e), 2)))),
-            Prod((Rat(Fraction(-11)), PowN(Comm(o2, e), 2))),
-            Prod((Rat(Fraction(-14)), Acomm(o2, c_o2ee))),
-        )
-    )
-    quartic_order3 = Sum(
-        (
-            Prod((Rat(Fraction(-4)), Comm(o, Comm(o, c_o2ee)))),
-            Prod((Rat(Fraction(9, 2)), Comm(Comm(o, Comm(o, Comm(o2, e))), e))),
-            Prod((Rat(Fraction(5, 2)), Comm(o2, Comm(o, c_oee)))),
-        )
-    )
-    quartic_children = [quartic_order2]
-    if name == "full":
-        quartic_children.append(quartic_order3)
-        terms.extend(order_three)
-    terms.append(
-        Prod(
-            (
-                Rat(Fraction(1, 256)),
-                MPow(-5),
-                BetaF(),
-                Sum(tuple(quartic_children)),
-            )
-        )
-    )
-    return Sum(tuple(terms))
+    return parse_expr(REFERENCE_TEXTS[name])
 
 
 def compare_to_reference(budget: Budget | None = None) -> dict:

@@ -145,8 +145,12 @@ class _Parser:
     def parse_factor(self) -> BracketExpr:
         kind, value, offset = self.peek()
         if kind == "number":
+            try:
+                number = Fraction(value)
+            except ZeroDivisionError:
+                raise ExprSyntaxError("zero denominator", offset) from None
             self.advance()
-            return Rat(Fraction(value))
+            return Rat(number)
         if kind == "symbol" and value == "(":
             self.advance()
             node = self.parse_expr()

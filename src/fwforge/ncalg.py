@@ -421,6 +421,8 @@ def _expand_at(tree, budget: Budget, path: str) -> AbstractExpr:
         for _ in range(tree.n):
             acc = acc.mul(base, budget)
             check_term_cap(acc, budget, path + ".Pow")
+            if acc.is_zero():  # every further power vanishes too
+                break
         return acc
     raise TypeError(f"not a BracketExpr node: {tree!r}")
 

@@ -51,6 +51,13 @@ def test_expand_bad_syntax_is_usage_error(capsys):
     assert "parse" in err
 
 
+def test_expand_zero_denominator_is_usage_error(capsys):
+    assert cli.main(["expand", "1/0 * E"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fwforge: error:")
+    assert "zero denominator at offset 0" in err
+
+
 # -- compare -----------------------------------------------------------------------------
 
 
@@ -324,6 +331,14 @@ def test_manifest_echoes_every_effective_parameter(tmp_path, capsys):
     assert params["g"] == 2.0
     assert params["m"] == 1.0
     assert params["format"] == "json"
+
+
+@pytest.mark.parametrize("where", ["missing/rep.json", "."], ids=["missing-dir", "a-dir"])
+def test_unwritable_out_is_usage_error(where, tmp_path, capsys):
+    assert cli.main(["expand", "E", "--out", str(tmp_path / where)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fwforge: error: cannot write ")
+    assert "Traceback" not in err
 
 
 # -- determinism -------------------------------------------------------------------------

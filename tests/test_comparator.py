@@ -14,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fwforge.comparator import (
+    _CURATED_TEXTS,
     _Echelon,
     _word_brackets,
     _word_product,
     build_basis,
     diff_report,
+    explain,
     min_hbar_order,
     project,
 )
@@ -38,8 +40,8 @@ from fwforge.ncalg import (
     expand,
     parity_and_order,
 )
-from fwforge.lang import format_tree
-from fwforge.stepwise import reference_iterative
+from fwforge.lang import format_tree, parse_expr
+from fwforge.stepwise import DISPLAYED
 
 O = Gen("O")
 E = Gen("E")
@@ -60,10 +62,28 @@ def test_small_basis_contains_double_commutator():
     assert (element.e_count, element.o_count) == (1, 2)
 
 
-def test_budget_or_ints_accepted():
-    via_budget = build_basis(Budget(3, 1))
-    via_ints = build_basis(3, 1)
-    assert [el.text for el in via_budget.elements] == [el.text for el in via_ints.elements]
+def test_curated_texts_are_canonical():
+    for text in _CURATED_TEXTS:
+        assert format_tree(parse_expr(text)) == text
+
+
+def test_explain_builds_the_basis_for_the_differing_classes():
+    budget = Budget(3, 1)
+    diff = expand(sc(Fraction(1, 2), MPow(-2), Comm(O, Comm(O, E))), budget)
+    status, rows = explain(diff, budget, min_order=1)
+    assert status == "pass"
+    assert rows == [
+        {
+            "e": 1,
+            "o": 2,
+            "status": "explained",
+            "delta_brackets": [{"bracket": "comm(O, comm(O, E))", "weight": "1/2", "m_exp": -2}],
+        }
+    ]
+    status, rows = explain(diff, budget, min_order=2)
+    assert status == "fail"
+    assert rows[0]["status"] == "unexplained"
+    assert explain(AbstractExpr.zero(), budget, min_order=2) == ("pass", [])
 
 
 def test_order_two_pair(basis42):
@@ -249,7 +269,7 @@ def test_quartic_display_difference_projects_onto_three_brackets(basis83, budget
     """The two displayed quartic-class blocks differ by an exact
     three-bracket combination with zero residual."""
     mine = expand(reference_target("order2"), budget83).restrict_class(2, 4)
-    other = expand(reference_iterative(), budget83).restrict_class(2, 4)
+    other = expand(parse_expr(DISPLAYED), budget83).restrict_class(2, 4)
     result = project(mine.sub(other), basis83)
     assert [(e.element.text, e.weight, e.beta_exp, e.m_exp) for e in result.entries] == [
         ("pow(comm(pow(O, 2), E), 2)", Fraction(-19, 256), 1, -5),

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fwforge.lang import ExprSyntaxError, format_expr, format_term, parse_expr
+from fwforge import eriksen, stepwise
+from fwforge.lang import ExprSyntaxError, format_expr, format_term, format_tree, parse_expr
 from fwforge.ncalg import (
     AbstractExpr,
     BetaF,
@@ -96,6 +97,13 @@ def test_subtraction_of_scalars():
 def test_unary_minus_binds_the_term():
     got = expand(parse_expr("-1/2 m^-1 beta O"), BIG)
     assert got == AbstractExpr({(1, "O", -1): Fraction(-1, 2)})
+
+
+def test_zero_denominator_rejected_at_the_number():
+    with pytest.raises(ExprSyntaxError) as info:
+        parse_expr("E + 1/0 * O")
+    assert info.value.offset == 4
+    assert "zero denominator" in str(info.value)
 
 
 def test_pow_rejects_fractional_exponent():
@@ -194,3 +202,23 @@ def test_epsilon_function_round_trip():
     budget = Budget(6, 0)
     expr = expand(parse_expr("epsfun(eps)"), budget)
     assert expand(parse_expr(format_expr(expr)), budget) == expr
+
+
+# -- closed forms --------------------------------------------------------------
+
+CLOSED_FORMS = {
+    **{f"eriksen {name}": text for name, text in eriksen.REFERENCE_TEXTS.items()},
+    "leading": stepwise.LEADING,
+    "iterative": stepwise.ITERATIVE,
+    "classical": stepwise.CLASSICAL,
+    "displayed": stepwise.DISPLAYED,
+    "eprime": stepwise.EPRIME,
+    "oprime": stepwise.OPRIME,
+    "second step": stepwise.SECOND_STEP,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_closed_form_text_round_trips_through_format_tree(name, budget83):
+    tree = parse_expr(CLOSED_FORMS[name])
+    assert expand(parse_expr(format_tree(tree)), budget83) == expand(tree, budget83)

@@ -295,6 +295,20 @@ def test_expand_truncation_is_exact_filtering(tree):
     assert expand(tree, budget) == naive_expand(tree).filtered(budget)
 
 
+def test_pow_stops_once_the_power_vanishes(monkeypatch):
+    calls = []
+    mul = AbstractExpr.mul
+
+    def counted(self, other, budget=None):
+        calls.append(1)
+        assert len(calls) <= 10, "pow kept multiplying a vanished power"
+        return mul(self, other, budget)
+
+    monkeypatch.setattr(AbstractExpr, "mul", counted)
+    assert expand(PowN(Gen("E"), 10**20), Budget(2, 1)).is_zero()
+    assert len(calls) == 2
+
+
 def test_double_commutator_o_o_e():
     # [O,[O,E]] expands to EOO - 2 OEO + OOE.
     got = expand(Comm(Gen("O"), Comm(Gen("O"), Gen("E"))), BIG)

@@ -32,14 +32,15 @@ from fwforge.ncalg import (
     expand,
 )
 from fwforge.stepwise import (
+    CLASSICAL,
+    DISPLAYED,
+    EPRIME,
+    LEADING,
+    OPRIME,
     build_iterative,
-    build_leading,
-    classical_reference,
     derive_second_step,
     expand_static,
-    first_step_operators,
     inverse_mass_truncate,
-    reference_iterative,
 )
 from fwforge.comparator import min_hbar_order
 
@@ -60,7 +61,7 @@ def o_parity(word: str) -> int:
 
 
 def test_structured_terms_are_beta_even(budget83):
-    for child in build_iterative().structured.children:
+    for child in build_iterative().children:
         piece = expand(child, budget83)
         assert all(o_parity(word) == 0 for (_, word, _), _ in piece.terms())
 
@@ -107,7 +108,7 @@ def test_energy_line_matches_exact_transform(static13_83, eriksen83):
 
 
 def test_display_misses_exactly_the_known_quartic_term(static13_83, budget83):
-    display = expand(reference_iterative(), budget83)
+    display = expand(parse_expr(DISPLAYED), budget83)
     delta = static13_83.sub(display)
     assert sorted(delta.classify()) == [(2, 4), (2, 6)]
     extra = expand(
@@ -121,7 +122,7 @@ def test_display_misses_exactly_the_known_quartic_term(static13_83, budget83):
 
 
 def test_leading_form_is_the_exact_subset(static13_83, budget83):
-    lead = build_leading(budget83)
+    lead = expand(parse_expr(LEADING), budget83)
     rest = expand(
         Sum(
             (
@@ -136,13 +137,13 @@ def test_leading_form_is_the_exact_subset(static13_83, budget83):
 
 
 def test_leading_form_one_e_two_o_coefficient(budget83):
-    lead = build_leading(budget83)
+    lead = expand(parse_expr(LEADING), budget83)
     bracket = expand(sc(Fraction(-1, 8), MPow(-2), Comm(O, Comm(O, E))), budget83)
     assert lead.restrict_class(1, 2).sub(bracket).is_zero()
 
 
 def test_leading_form_without_odd_letters(budget83):
-    lead = build_leading(budget83)
+    lead = expand(parse_expr(LEADING), budget83)
     kept = AbstractExpr.from_terms(
         (key, coeff) for key, coeff in lead.terms() if "O" not in key[1]
     )
@@ -151,7 +152,7 @@ def test_leading_form_without_odd_letters(budget83):
 
 
 def test_difference_to_leading_lives_at_order_two(static13_83, budget83, basis83):
-    diff = static13_83.sub(build_leading(budget83))
+    diff = static13_83.sub(expand(parse_expr(LEADING), budget83))
     orders = {
         klass: min_hbar_order(piece, basis83)
         for klass, piece in diff.classify().items()
@@ -164,7 +165,7 @@ def test_difference_to_leading_lives_at_order_two(static13_83, budget83, basis83
 
 def test_truncation_reproduces_classical_form(static13_83, budget83):
     truncated = inverse_mass_truncate(static13_83, 3)
-    assert truncated.sub(expand(classical_reference(), budget83)).is_zero()
+    assert truncated.sub(expand(parse_expr(CLASSICAL), budget83)).is_zero()
 
 
 def test_truncated_methods_disagree_by_one_bracket(eriksen83, static13_83, budget83):
@@ -208,16 +209,15 @@ def test_truncation_filter_semantics(expr, k_max):
 
 
 def test_first_step_parities(budget83):
-    ops = first_step_operators()
-    even = expand(ops.eprime, budget83)
-    odd = expand(ops.oprime, budget83)
+    even = expand(parse_expr(EPRIME), budget83)
+    odd = expand(parse_expr(OPRIME), budget83)
     assert all(o_parity(word) == 0 for (_, word, _), _ in even.terms())
     assert all(o_parity(word) == 1 for (_, word, _), _ in odd.terms())
     assert even.adjoint().sub(even).is_zero()
 
 
 def test_first_step_even_part_is_linear_in_potential(budget83):
-    even = expand(first_step_operators().eprime, budget83)
+    even = expand(parse_expr(EPRIME), budget83)
     assert all(word.count("E") == 1 for (_, word, _), _ in even.terms())
 
 
@@ -229,8 +229,8 @@ def test_second_step_needs_two_potential_letters():
         derive_second_step(Budget(8, 1))
 
 
-def test_second_step_report(budget83, basis83, static13_83):
-    derived, report = derive_second_step(budget83, basis83)
+def test_second_step_report(budget83, static13_83):
+    derived, report = derive_second_step(budget83)
     assert report["status"] == "pass"
 
     rows = {(row["e"], row["o"]): row for row in report["classes"]}
@@ -278,7 +278,7 @@ def _second_step_difference(budget):
 
 def _display_difference(budget):
     return expand_static(build_iterative(), budget).sub(
-        expand(reference_iterative(), budget)
+        expand(parse_expr(DISPLAYED), budget)
     )
 
 
