@@ -29,20 +29,28 @@ pair whose class lies outside their sub-class closure; since classes add
 and no direction crosses a class, each class it keeps gets exactly the
 elements of the full basis.  Building the basis does no elimination.
 
-Elimination.  One exact sparse kernel, `_Echelon`, does every
-elimination in this module, fraction-free (integer-preserving, after
-E. H. Bareiss, Math. Comp. 22, 1968).  Every element's word vector is
-integral, so rows are primitive integer vectors: reducing by a row
-multiplies by the row's pivot entry, subtracts, and divides by the gcd.
-The pivot is the least word left, so each row is a multiple of the row a
-rational elimination keeps and every choice is the same.  A rational
-target is scaled to integers once, and its remainder and weights are
-divided back exactly at the end.  Each class gets one echelon, built the
-first time a caller asks for that class, with its elements inserted from
-high nominal order to low.  It tracks no combinations: certification
-needs none.  `BracketBasis.dependencies` builds a tracked echelon when
-it is read, and records each element already spanned by those before it
-with its exact relation, e.g. acomm(O, comm(comm(O, E), E)) =
+Elimination.  One exact kernel, `_eliminate`, does every elimination in
+this module, fraction-free (integer-preserving, after E. H. Bareiss,
+Math. Comp. 22, 1968), on numpy integer matrices whose rows are word
+vectors and whose columns are the class words in sorted order.  Rows are
+taken in order; a row still nonzero when its turn comes becomes an
+echelon row, its pivot is its least nonzero word, and it reduces every
+later row v with a nonzero entry a there by v <- p*v - a*row (p its pivot
+entry, p and a first divided by their gcd).  Every row is kept divided by
+its gcd, and rows that vanish drop out.  So each row is a multiple of the
+row a rational elimination keeps, and every choice is the same.  Entries
+are int64 until a step could reach 2**62; that step and all after it run
+on Python integers (dtype=object), so no entry overflows and no float
+enters.  A leading batch axis eliminates many small matrices in one call.
+A tracked elimination appends each row's combination as extra columns
+that are never pivots (the gcd spans both parts), and a rational target
+is scaled to integers once, its scale riding in those columns, so its
+remainder and weights divide back exactly.  Each class gets one echelon,
+built in one pass the first time a caller asks for that class, with its
+elements taken from high nominal order to low; it tracks no
+combinations: certification needs none.  `BracketBasis.dependencies`
+solves every element the class echelon skips over the ones it kept, and
+records the exact relation, e.g. acomm(O, comm(comm(O, E), E)) =
 comm(comm(pow(O, 2), E), E) - 2 pow(comm(O, E), 2).
 
 Projection.  A single-class operator is split into (beta, m) strata;
@@ -53,9 +61,14 @@ the reduction uses carries a nonzero weight and no later label carries
 any, so that label's order is the stratum's certificate, and the lowest
 over the strata is the certified minimum order.  Projection spells a
 stratum in as few elements as it can, preferring low order first, then
-the listing order.  Whatever cannot be expressed is returned verbatim
-as a residual, and reconstruction (entries plus residual) is exact by
-construction.  Because the columns are redundant, reports project at
+the listing order: the subsets of up to three columns are enumerated
+in bounded numpy blocks, filtered by bit masks of the words they cover,
+and the covering ones of a block screened by batched eliminations.
+When no small subset spans a stratum, one untracked pass over the
+preference-ordered columns picks the greedy-independent ones, and one
+tracked elimination over those alone gives the weights.  Whatever cannot
+be expressed is returned verbatim as a residual, and reconstruction
+(entries plus residual) is exact by construction.  Because the columns are redundant, reports project at
 the certified minimum order, which keeps low-order spellings out of a
 difference that certifies higher.
 
@@ -72,8 +85,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from fwforge.lang import format_term, format_tree, parse_expr, term_strings
 from fwforge.ncalg import (
@@ -215,98 +230,169 @@ def _combine(p: int, target: dict, q: int, source: dict) -> dict:
     return out
 
 
-def _primitive(vector: dict, combo: dict | None) -> tuple[dict, dict | None]:
-    """Divide the vector (and its combo) by the gcd of all their entries."""
-    content = gcd(*vector.values(), *(combo.values() if combo else ()))
-    if content <= 1:
-        return vector, combo
-    vector = {key: value // content for key, value in vector.items()}
-    if combo:
-        combo = {key: value // content for key, value in combo.items()}
-    return vector, combo
+# Entries stay below this in int64; a step that could reach it runs on
+# Python integers (dtype=object) from then on.
+_INT64_BOUND = 1 << 62
 
 
-# Stands for the vector being reduced inside its own combo.
-_TARGET = object()
+def _word_matrix(vectors: Sequence[dict[str, int]], index: dict[str, int]) -> np.ndarray:
+    """Integer word vectors as the rows of a matrix with columns `index`."""
+    rows, cols, values = [], [], []
+    for row, vector in enumerate(vectors):
+        for word, value in vector.items():
+            rows.append(row)
+            cols.append(index[word])
+            values.append(value)
+    big = bool(values) and max(map(abs, values)) >= _INT64_BOUND
+    matrix = np.zeros((len(vectors), len(index)), dtype=object if big else np.int64)
+    matrix[rows, cols] = values
+    return matrix
 
 
-class _Echelon:
-    """Fraction-free sparse row echelon over integer word vectors.
+def _primitive_rows(block: np.ndarray) -> np.ndarray:
+    """Each row (last axis) divided by the gcd of its entries, in place."""
+    content = np.gcd.reduce(block, axis=-1)
+    divisible = content > 1
+    if divisible.any():
+        block[divisible] //= content[divisible][..., None]
+    return block
 
-    Rows are kept in insertion order as (pivot word, vector, label, combo),
-    where the pivot is the least word left after reduction and the vector
-    is primitive.  Reducing by a row is v <- p*v - a*row, with p the row's
-    pivot entry and a the vector's, both divided by their gcd; the result
-    is then divided by its content.  Each row is reduced against every
-    earlier one, so one pass in order clears all pivots.  Every row is a
-    nonzero multiple of the row a rational elimination keeps, so the
-    pivots and every independence decision are the same as over the
-    rationals.
 
-    A tracked echelon also keeps each row's combo, its integer
-    combination of the inserted labels: vector == sum(combo[label] *
-    inserted vector of label), and its gcd is taken with the vector's.  An
-    untracked echelon keeps none: certification only needs to know the
-    last row a reduction uses.
+def _magnitude(array: np.ndarray) -> int:
+    """The largest absolute entry."""
+    return max(int(array.max()), -int(array.min()))
+
+
+def _eliminate(
+    matrix: np.ndarray, pivot_rows: int | None = None, pivot_cols: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fraction-free row echelon of an integer matrix, or of a batch of them.
+
+    `matrix` is (n, c), or (b, n, c) for b independent matrices, of int64
+    or Python-int (object) entries; it is not modified.  Rows become
+    echelon rows in order: a row of the first `pivot_rows` that is still
+    nonzero on the first `pivot_cols` columns when its turn comes is the
+    next echelon row, and its pivot is its first nonzero column there.  It
+    reduces every later row with a nonzero entry a at its pivot by
+    v <- p*v - a*row, with p its pivot entry and p, a first divided by
+    their gcd; every row is kept divided by the gcd of all its entries.
+    Rows that vanish on the pivot columns drop out.  The other rows and
+    columns are only reduced: targets, and tracked combinations.
+
+    Returns the reduced matrix (object dtype once a step could reach
+    _INT64_BOUND), each row's pivot column (-1 for a row that did not
+    become an echelon row) and the index of the last echelon row that
+    reduced it (-1 for none).
+    """
+    block = _primitive_rows((matrix[None] if matrix.ndim == 2 else matrix).copy())
+    count, n, width = block.shape
+    pivot_rows = n if pivot_rows is None else pivot_rows
+    pivot_cols = width if pivot_cols is None else pivot_cols
+    live = (block[:, :, :pivot_cols] != 0).any(axis=2)
+    pivots = np.full((count, n), -1)
+    last = np.full((count, n), -1)
+    everything = np.arange(n)
+    while True:
+        eligible = live[:, :pivot_rows]
+        batch = np.flatnonzero(eligible.any(axis=1))
+        if not batch.size:
+            break
+        at = eligible[batch].argmax(axis=1)
+        live[batch, at] = False
+        rows = block[batch, at]
+        cols = (rows[:, :pivot_cols] != 0).argmax(axis=1)
+        pivots[batch, at] = cols
+        leads = rows[np.arange(batch.size), cols]
+        factors = block[batch[:, None], everything, cols[:, None]]
+        hit, targets = np.nonzero(live[batch] & (factors != 0))
+        if not hit.size:
+            continue
+        a = factors[hit, targets]
+        p = leads[hit]
+        common = np.gcd(a, p)
+        a, p = a // common, p // common
+        where = (batch[hit], targets)
+        new = block[where]
+        by = rows if batch.size == 1 else rows[hit]
+        if block.dtype != object and (
+            _magnitude(p) * _magnitude(new) + _magnitude(a) * _magnitude(by) >= _INT64_BOUND
+        ):
+            block, new, by, a, p = (x.astype(object) for x in (block, new, by, a, p))
+        new *= p[:, None]
+        new -= a[:, None] * by
+        block[where] = _primitive_rows(new)
+        last[where] = at[hit]
+        gone = ~(new[:, :pivot_cols] != 0).any(axis=1)
+        live[batch[hit][gone], targets[gone]] = False
+    if matrix.ndim == 2:
+        return block[0], pivots[0], last[0]
+    return block, pivots, last
+
+
+def _solve(
+    rows: np.ndarray, targets: np.ndarray, scales: Sequence[int]
+) -> list[tuple[dict[int, Fraction], list[Fraction]]]:
+    """Per target t, (remainder, weights) with targets[t] / scales[t] ==
+    remainder + sum(weights[i] * rows[i]), remainder keyed by column.
+
+    The rows must be independent.  One tracked elimination: each row
+    carries a unit vector and each target its scale, in extra columns that
+    are never pivots, so a reduced target's extra columns hold its weights.
+    """
+    count, width = rows.shape
+    big = rows.dtype == object or targets.dtype == object or max(scales) >= _INT64_BOUND
+    tracked = np.zeros((count + len(targets), width + count + 1), dtype=object if big else np.int64)
+    tracked[:count, :width] = rows
+    tracked[count:, :width] = targets
+    tracked[np.arange(count), width + np.arange(count)] = 1
+    tracked[count:, -1] = scales
+    reduced, _, _ = _eliminate(tracked, pivot_rows=count, pivot_cols=width)
+    solutions = []
+    for final in reduced[count:]:
+        scale = int(final[-1])
+        remainder = {
+            int(col): Fraction(int(final[col]), scale) for col in np.flatnonzero(final[:width] != 0)
+        }
+        solutions.append((remainder, [Fraction(-int(value), scale) for value in final[width:-1]]))
+    return solutions
+
+
+@dataclass(frozen=True)
+class _ClassEchelon:
+    """A class's echelon, rows in insertion order.
+
+    Row i is a primitive integer vector over the columns of `index`; its
+    least nonzero word is in column pivots[i], and it reduces the vector
+    of the element labels[i] against the rows before it.
     """
 
-    def __init__(self, tracked: bool = False):
-        self._tracked = tracked
-        self._rows: list[tuple[str, dict[str, int], object, dict | None]] = []
+    index: dict[str, int]
+    rows: np.ndarray
+    pivots: np.ndarray
+    labels: tuple[str, ...]
 
-    def _eliminate(self, vector: dict[str, int], combo: dict | None):
-        """(remainder, combo, label of the last row used) for an integer vector."""
-        vector, combo = _primitive(vector, combo)
-        last = None
-        for pivot, row, label, row_combo in self._rows:
-            factor = vector.get(pivot)
-            if not factor:
-                continue
-            lead = row[pivot]
-            common = gcd(factor, lead)
-            lead, factor = lead // common, factor // common
-            vector = _combine(lead, vector, -factor, row)
-            if combo is not None:
-                combo = _combine(lead, combo, -factor, row_combo)
-            vector, combo = _primitive(vector, combo)
-            last = label
-            if not vector:
-                break
-        return vector, combo, last
+    def last_used(self, vectors: Sequence[dict[str, int]]) -> list[str | None]:
+        """Per integer vector, the label of the last row its reduction
+        uses, or None when a remainder is left."""
+        count = len(self.rows)
+        stacked = np.concatenate([self.rows, _word_matrix(vectors, self.index)])
+        reduced, _, last = _eliminate(stacked, pivot_rows=count)
+        return [
+            None if (reduced[count + i] != 0).any() else self.labels[last[count + i]]
+            for i in range(len(vectors))
+        ]
 
-    def insert(self, label, vector: dict[str, int]) -> dict | None:
-        """Add a labelled vector: None when it is independent of the rows so
-        far, else its exact weights over the earlier labels (no row added);
-        an untracked echelon gives {} for those weights."""
-        combo = {label: 1} if self._tracked else None
-        remainder, combo, _ = self._eliminate(vector, combo)
-        if remainder:
-            self._rows.append((min(remainder), remainder, label, combo))
-            return None
-        if combo is None:
-            return {}
-        own = combo.pop(label)
-        return {name: Fraction(-value, own) for name, value in combo.items()}
 
-    def reduce(self, vector: dict[str, Fraction]) -> tuple[dict[str, Fraction], dict]:
-        """(remainder, weights) with vector == remainder + sum(weights[l] * vector of l).
-
-        Tracked echelons only.  The vector is scaled to integers once; its
-        scale rides in the combo, so the division back is exact.
-        """
-        scaled, denominator = _integral(vector)
-        remainder, combo, _ = self._eliminate(scaled, {_TARGET: denominator})
-        scale = combo.pop(_TARGET)
-        return (
-            {word: Fraction(value, scale) for word, value in remainder.items()},
-            {name: Fraction(-value, scale) for name, value in combo.items()},
+def _class_words(klass: tuple[int, int]) -> tuple[str, ...]:
+    """Every word of the class, sorted."""
+    e_count, o_count = klass
+    length = e_count + o_count
+    return tuple(
+        sorted(
+            "".join("E" if i in places else "O" for i in range(length))
+            for places in combinations(range(length), e_count)
         )
-
-    def last_used(self, vector: dict[str, int]):
-        """The label of the last row that reducing the vector uses, or None
-        when a remainder is left."""
-        remainder, _, last = self._eliminate(vector, None)
-        return None if remainder else last
+    )
 
 
 class BracketBasis:
@@ -328,7 +414,8 @@ class BracketBasis:
         self._built_for = None if classes is None else tuple(sorted(set(classes)))
         self._by_class: dict[tuple[int, int], list[BasisElement]] = {}
         self._by_text: dict[str, BasisElement] = {}
-        self._echelons: dict[tuple[int, int], _Echelon] = {}
+        self._echelons: dict[tuple[int, int], _ClassEchelon] = {}
+        self._matrices: dict[tuple[int, int], tuple] = {}
         for element in self.elements:
             self._by_class.setdefault(element.klass, []).append(element)
             self._by_text[element.text] = element
@@ -348,36 +435,70 @@ class BracketBasis:
             key=lambda el: (-el.order, _kind_rank(el.tree), el.text),
         )
 
-    def echelon(self, klass: tuple[int, int]) -> _Echelon:
-        """The class echelon (untracked), built on first use."""
+    def _word_rows(
+        self, klass: tuple[int, int], elements: Sequence[BasisElement]
+    ) -> tuple[dict[str, int], np.ndarray]:
+        """The class's word columns, and the word vectors of `elements` (of
+        that class) as matrix rows over them."""
+        table = self._matrices.get(klass)
+        if table is None:
+            members = self._by_class.get(klass, [])
+            index = {word: col for col, word in enumerate(_class_words(klass))}
+            table = self._matrices[klass] = (
+                index,
+                {element.text: row for row, element in enumerate(members)},
+                _word_matrix([element.word_vector for element in members], index),
+            )
+        index, position, matrix = table
+        return index, matrix[[position[element.text] for element in elements]]
+
+    def echelon(self, klass: tuple[int, int]) -> _ClassEchelon:
+        """The class echelon (untracked), built on first use in one pass."""
         self._require(klass)
         echelon = self._echelons.get(klass)
         if echelon is None:
-            echelon = self._echelons[klass] = _Echelon()
-            for element in self._insertion_order(klass):
-                echelon.insert(element.text, element.word_vector)
+            order = self._insertion_order(klass)
+            index, matrix = self._word_rows(klass, order)
+            reduced, pivots, _ = _eliminate(matrix)
+            kept = np.flatnonzero(pivots >= 0)
+            echelon = self._echelons[klass] = _ClassEchelon(
+                index, reduced[kept], pivots[kept], tuple(order[i].text for i in kept)
+            )
         return echelon
 
     @cached_property
     def dependencies(self) -> tuple[Dependency, ...]:
         """Every element spanned by the higher-order ones of its class, with
-        its exact relation, from a tracked echelon per class."""
+        its exact relation: each is solved over the class echelon's elements
+        (those before it carry all its weight)."""
         found = []
         for klass in self.classes():
-            echelon = _Echelon(tracked=True)
-            for element in self._insertion_order(klass):
-                members = echelon.insert(element.text, element.word_vector)
-                if members is not None:
-                    found.append(
-                        Dependency(
-                            text=element.text,
-                            tree=element.tree,
-                            order=element.order,
-                            e_count=element.e_count,
-                            o_count=element.o_count,
-                            members=tuple(sorted(members.items())),
-                        )
+            independent = set(self.echelon(klass).labels)
+            order = self._insertion_order(klass)
+            kept = [element for element in order if element.text in independent]
+            spanned = [element for element in order if element.text not in independent]
+            if not spanned:
+                continue
+            _, rows = self._word_rows(klass, kept)
+            _, targets = self._word_rows(klass, spanned)
+            solutions = _solve(rows, targets, [1] * len(spanned))
+            for element, (_, weights) in zip(spanned, solutions):
+                found.append(
+                    Dependency(
+                        text=element.text,
+                        tree=element.tree,
+                        order=element.order,
+                        e_count=element.e_count,
+                        o_count=element.o_count,
+                        members=tuple(
+                            sorted(
+                                (member.text, weight)
+                                for member, weight in zip(kept, weights)
+                                if weight
+                            )
+                        ),
                     )
+                )
         found.sort(key=lambda dep: (dep.order, (dep.e_count, dep.o_count), dep.text))
         return tuple(found)
 
@@ -703,62 +824,106 @@ def _strata(piece: AbstractExpr) -> dict[tuple[int, int], dict[str, Fraction]]:
     return strata
 
 
-def _reduce_against(
-    vector: dict[str, Fraction],
-    columns: Sequence[BasisElement],
-) -> tuple[dict[str, Fraction], dict[int, Fraction]]:
-    """Reduce `vector` against `columns` in order; return remainder, weights."""
-    echelon = _Echelon(tracked=True)
-    for index, element in enumerate(columns):
-        echelon.insert(index, element.word_vector)
-    return echelon.reduce(vector)
-
-
 _SPARSE_LIMIT = 3
+_SUBSET_BUDGET = 300_000
+_SUBSET_BLOCK = 1 << 13
+# Bytes of one batched screen; the covering subsets of a block that need
+# more are screened in several calls.
+_SCREEN_BYTES = 1 << 20
 
 
-def _sparse_solve(
-    vector: dict[str, Fraction],
-    columns: Sequence[BasisElement],
-) -> dict[int, Fraction] | None:
-    """Smallest-support exact solution, if one uses <= _SPARSE_LIMIT columns.
+def _binomial(n, k: int):
+    """n choose k, elementwise for an integer array n >= 0."""
+    out = 1
+    for i in range(k):
+        out = out * (n - i) // (i + 1)
+    return out
 
-    Subsets are tried smallest first, in the lexicographic order induced
-    by the column preference, so ties resolve toward lower order and
-    earlier listing.  Linearly dependent subsets are skipped: their span
-    equals that of a smaller subset already tried.  Each subset that
-    covers the target's words is screened by an untracked reduction of
-    the target, scaled to integers once; only the subset that passes is
-    solved for its exact weights.
+
+def _unrank(ranks: np.ndarray, n: int, size: int) -> np.ndarray:
+    """The size-subsets of range(n) at the given ranks of `combinations` order."""
+    members = []
+    low = np.zeros_like(ranks)
+    for left in range(size, 0, -1):
+        # before[j]: the left-subsets of range(n) whose least member is below j.
+        before = _binomial(n, left) - _binomial(n - np.arange(n + 1), left)
+        ranks = ranks + before[low]
+        least = np.searchsorted(before, ranks, side="right") - 1
+        members.append(least)
+        ranks = ranks - before[least]
+        low = least + 1
+    return np.column_stack(members)
+
+
+def _bit_masks(flags: np.ndarray) -> np.ndarray:
+    """Rows of booleans packed into 64-bit words."""
+    packed = np.packbits(flags, axis=1)
+    words = np.zeros((len(flags), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    return words.view(np.uint64)
+
+
+def _sparse_solve(target: np.ndarray, columns: np.ndarray) -> tuple[int, ...] | None:
+    """The first subset of at most _SPARSE_LIMIT columns (matrix rows) that
+    covers the target's words, is independent and spans the target.
+
+    Subsets are tried smallest first, in `combinations` order, so ties
+    resolve toward the column preference; the search gives up (None) after
+    _SUBSET_BUDGET subsets.  Linearly dependent subsets are skipped: their
+    span equals that of a smaller subset already tried.  Subsets come in
+    blocks; a subset covers the target when the OR of its columns' word
+    masks fills the target's, and the covering subsets of a block are
+    screened by one batched elimination of their columns with the target
+    below them.
     """
-    target, _ = _integral(vector)
-    # A column's mask holds the target words it has; a subset covers the
-    # target when the masks of its columns fill `full`.
-    bits = {word: 1 << index for index, word in enumerate(target)}
-    full = (1 << len(target)) - 1
-    col_vectors = [element.word_vector for element in columns]
-    col_masks = [sum(bits.get(word, 0) for word in vec) for vec in col_vectors]
-    budget = 300_000
-    for size in range(1, _SPARSE_LIMIT + 1):
-        if size > len(columns):
-            break
-        for subset in combinations(range(len(columns)), size):
-            budget -= 1
-            if budget < 0:
-                return None
-            covered = 0
-            for index in subset:
-                covered |= col_masks[index]
-            if covered != full:
-                continue
-            screen = _Echelon()
-            if any(screen.insert(index, col_vectors[index]) is not None for index in subset):
-                continue
-            if screen.last_used(target) is None:
-                continue
-            _, weights = _reduce_against(vector, [columns[index] for index in subset])
-            return {subset[position]: weight for position, weight in weights.items()}
+    used = np.flatnonzero((columns != 0).any(axis=0) | (target != 0))
+    columns, target = columns[:, used], target[used]
+    wanted = target != 0
+    masks = _bit_masks(columns[:, wanted] != 0)
+    full = _bit_masks(wanted[None, wanted])[0]
+    left = _SUBSET_BUDGET
+    for size in range(1, min(_SPARSE_LIMIT, len(columns)) + 1):
+        total = min(comb(len(columns), size), left)
+        for start in range(0, total, _SUBSET_BLOCK):
+            ranks = np.arange(start, min(start + _SUBSET_BLOCK, total))
+            subsets = _unrank(ranks, len(columns), size)
+            covered = masks[subsets[:, 0]]
+            for member in range(1, size):
+                covered = covered | masks[subsets[:, member]]
+            found = _screen(subsets[(covered == full).all(axis=1)], columns, target)
+            if found is not None:
+                return found
+        left -= total
+        if not left:
+            return None
     return None
+
+
+def _screen(subsets: np.ndarray, columns: np.ndarray, target: np.ndarray) -> tuple[int, ...] | None:
+    """The first subset whose columns are independent and span the target."""
+    size = subsets.shape[1]
+    chunk = max(1, _SCREEN_BYTES // ((size + 1) * columns.shape[1] * 8))
+    for start in range(0, len(subsets), chunk):
+        part = subsets[start : start + chunk]
+        stacked = np.concatenate(
+            [columns[part], np.broadcast_to(target, (len(part), 1, len(target)))], axis=1
+        )
+        reduced, pivots, _ = _eliminate(stacked, pivot_rows=size)
+        passed = (pivots[:, :size] >= 0).all(axis=1) & ~(reduced[:, size] != 0).any(axis=1)
+        if passed.any():
+            return tuple(int(column) for column in part[passed.argmax()])
+    return None
+
+
+def _preferred_columns(
+    basis: BracketBasis, klass: tuple[int, int], min_order: int
+) -> list[BasisElement]:
+    """The class elements of order >= min_order: lower order first, then
+    the narrative's display vocabulary, then the kind rank and the text."""
+    return sorted(
+        (element for element in basis.class_elements(*klass) if element.order >= min_order),
+        key=lambda el: (el.order, el.text not in _CURATED_TEXTS, _kind_rank(el.tree), el.text),
+    )
 
 
 def project(
@@ -791,39 +956,36 @@ def project(
     if min_order is None:
         certified = min_hbar_order(piece, basis)
         min_order = 0 if certified is None else certified
-    columns = sorted(
-        (
-            element
-            for element in basis.class_elements(*klass)
-            if element.order >= min_order
-        ),
-        key=lambda el: (
-            el.order,
-            el.text not in _CURATED_TEXTS,
-            _kind_rank(el.tree),
-            el.text,
-        ),
-    )
+    columns = _preferred_columns(basis, klass, min_order)
+    index, matrix = basis._word_rows(klass, columns)
+    words = tuple(index)
+    independent = None
 
     entries: list[ProjectionEntry] = []
     residual_terms: dict[tuple[int, str, int], Fraction] = {}
     for (beta_exp, m_exp), vector in sorted(_strata(piece).items()):
-        weights = _sparse_solve(vector, columns)
-        if weights is not None:
-            remainder: dict[str, Fraction] = {}
-        else:
-            remainder, weights = _reduce_against(vector, columns)
-        for index in sorted(weights):
-            entries.append(
-                ProjectionEntry(
-                    element=columns[index],
-                    weight=weights[index],
-                    beta_exp=beta_exp,
-                    m_exp=m_exp,
+        scaled, scale = _integral(vector)
+        target = _word_matrix([scaled], index)
+        support = _sparse_solve(target[0], matrix)
+        if support is None:
+            # The greedy fallback: the columns each independent of the
+            # preferred ones before it.
+            if independent is None:
+                independent = tuple(np.flatnonzero(_eliminate(matrix)[1] >= 0))
+            support = independent
+        ((remainder, weights),) = _solve(matrix[list(support)], target, [scale])
+        for column, weight in zip(support, weights):
+            if weight:
+                entries.append(
+                    ProjectionEntry(
+                        element=columns[column],
+                        weight=weight,
+                        beta_exp=beta_exp,
+                        m_exp=m_exp,
+                    )
                 )
-            )
-        for word, coeff in remainder.items():
-            residual_terms[(beta_exp, word, m_exp)] = coeff
+        for col, coeff in remainder.items():
+            residual_terms[(beta_exp, words[col], m_exp)] = coeff
     return Projection(
         entries=tuple(entries),
         residual=AbstractExpr.from_terms(residual_terms.items()),
@@ -847,14 +1009,12 @@ def min_hbar_order(piece: AbstractExpr, basis: BracketBasis) -> int | None:
     if len(classes) != 1:
         raise ValueError(f"certification wants a single class, got {sorted(classes)}")
     (klass,) = classes
-    echelon = basis.echelon(klass)
-    orders: list[int] = []
-    for vector in _strata(piece).values():
-        last = echelon.last_used(_integral(vector)[0])
-        if last is None:
-            return None
-        orders.append(basis.element(last).order)
-    return min(orders)
+    labels = basis.echelon(klass).last_used(
+        [_integral(vector)[0] for vector in _strata(piece).values()]
+    )
+    if None in labels:
+        return None
+    return min(basis.element(label).order for label in labels)
 
 
 @dataclass(frozen=True)

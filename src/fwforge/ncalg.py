@@ -418,6 +418,17 @@ def _expand_at(tree, budget: Budget, path: str) -> AbstractExpr:
             raise ValueError("PowN exponent must be non-negative")
         base = _expand_at(tree.base, budget, path + ".Pow.base")
         acc = ONE
+        if all(not word for (_, word, _), _ in base.terms()):
+            # Terms without letters (beta, m^k, rationals) commute, so the
+            # power squares: n = 10**20 takes 67 products, not 10**20.
+            n = tree.n
+            while n:
+                if n & 1:
+                    acc = check_term_cap(acc.mul(base, budget), budget, path + ".Pow")
+                n >>= 1
+                if n:
+                    base = check_term_cap(base.mul(base, budget), budget, path + ".Pow")
+            return acc
         for _ in range(tree.n):
             acc = acc.mul(base, budget)
             check_term_cap(acc, budget, path + ".Pow")

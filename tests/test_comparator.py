@@ -6,17 +6,31 @@ free-word oracle (and, for the dependency records, by brute-force
 re-expansion) before being pinned here.
 """
 
+import json
 from fractions import Fraction
-from math import lcm
+from itertools import combinations
+from math import gcd, lcm
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fwforge import comparator
 from fwforge.comparator import (
     _CURATED_TEXTS,
-    _Echelon,
+    _SPARSE_LIMIT,
+    _SUBSET_BUDGET,
+    _combine,
+    _eliminate,
+    _integral,
+    _preferred_columns,
+    _solve,
+    _sparse_solve,
+    _strata,
     _word_brackets,
+    _word_matrix,
     _word_product,
     build_basis,
     diff_report,
@@ -349,7 +363,91 @@ def test_projection_reconstructs_arbitrary_span_members(basis42, combo):
     assert certified >= min(chosen_orders)
 
 
-# -- elimination kernel against a rational oracle ---------------------------------
+# -- elimination kernel against the dict echelon and a rational oracle ------------
+
+
+def _primitive(vector, combo):
+    """Divide the vector (and its combo) by the gcd of all their entries."""
+    content = gcd(*vector.values(), *(combo.values() if combo else ()))
+    if content <= 1:
+        return vector, combo
+    vector = {key: value // content for key, value in vector.items()}
+    if combo:
+        combo = {key: value // content for key, value in combo.items()}
+    return vector, combo
+
+
+# Stands for the vector being reduced inside its own combo.
+_TARGET = object()
+
+
+class _Echelon:
+    """Fraction-free sparse row echelon over integer word vectors, one
+    (vector, row) pair at a time in dicts: the comparator's elimination
+    before its numpy kernel, kept as the kernel's oracle.
+
+    Rows are kept in insertion order as (pivot word, vector, label, combo),
+    where the pivot is the least word left after reduction and the vector
+    is primitive.  Reducing by a row is v <- p*v - a*row, with p the row's
+    pivot entry and a the vector's, both divided by their gcd; the result
+    is then divided by its content.  A tracked echelon also keeps each
+    row's combo, its integer combination of the inserted labels, and its
+    gcd is taken with the vector's.
+    """
+
+    def __init__(self, tracked=False):
+        self._tracked = tracked
+        self._rows = []
+
+    def _eliminate(self, vector, combo):
+        """(remainder, combo, label of the last row used) for an integer vector."""
+        vector, combo = _primitive(vector, combo)
+        last = None
+        for pivot, row, label, row_combo in self._rows:
+            factor = vector.get(pivot)
+            if not factor:
+                continue
+            lead = row[pivot]
+            common = gcd(factor, lead)
+            lead, factor = lead // common, factor // common
+            vector = _combine(lead, vector, -factor, row)
+            if combo is not None:
+                combo = _combine(lead, combo, -factor, row_combo)
+            vector, combo = _primitive(vector, combo)
+            last = label
+            if not vector:
+                break
+        return vector, combo, last
+
+    def insert(self, label, vector):
+        """None when the vector is independent of the rows so far (it adds a
+        row), else its weights over the earlier labels ({} untracked)."""
+        combo = {label: 1} if self._tracked else None
+        remainder, combo, _ = self._eliminate(vector, combo)
+        if remainder:
+            self._rows.append((min(remainder), remainder, label, combo))
+            return None
+        if combo is None:
+            return {}
+        own = combo.pop(label)
+        return {name: Fraction(-value, own) for name, value in combo.items()}
+
+    def reduce(self, vector):
+        """(remainder, weights) with vector == remainder + sum(weights[l] *
+        vector of l); tracked echelons only."""
+        scaled, denominator = _integral(vector)
+        remainder, combo, _ = self._eliminate(scaled, {_TARGET: denominator})
+        scale = combo.pop(_TARGET)
+        return (
+            {word: Fraction(value, scale) for word, value in remainder.items()},
+            {name: Fraction(-value, scale) for name, value in combo.items()},
+        )
+
+    def last_used(self, vector):
+        """The label of the last row reducing the vector uses, or None when
+        a remainder is left."""
+        remainder, _, last = self._eliminate(vector, None)
+        return None if remainder else last
 
 
 class _GaussJordan:
@@ -454,6 +552,198 @@ def test_echelon_matches_rational_gauss_jordan(vectors, picks, extra, spanned):
     last = None if remainder else max(weights)
     assert tracked.last_used(scaled) == last
     assert untracked.last_used(scaled) == last
+
+    # The numpy kernel takes the same steps as the dict echelon.
+    index = {word: col for col, word in enumerate(sorted(_WORDS))}
+    matrix = _word_matrix(vectors, index)
+    reduced, pivots, _ = _eliminate(matrix)
+    kept = np.flatnonzero(pivots >= 0)
+    echelon = comparator._ClassEchelon(index, reduced[kept], pivots[kept], tuple(kept))
+    assert _kernel_rows(echelon) == _dict_rows(untracked)
+    assert echelon.last_used([scaled]) == [last]
+    integral, denominator = _integral(target)
+    ((kernel_remainder, kernel_weights),) = _solve(
+        matrix[kept], _word_matrix([integral], index), [denominator]
+    )
+    words = list(index)
+    assert {words[col]: value for col, value in kernel_remainder.items()} == remainder
+    assert {int(label): w for label, w in zip(kept, kernel_weights) if w} == weights
+
+
+def _kernel_rows(echelon):
+    """(pivot word, row, label) of each row of a kernel echelon."""
+    words = list(echelon.index)
+    return [
+        (words[pivot], {words[col]: int(row[col]) for col in np.flatnonzero(row != 0)}, label)
+        for row, pivot, label in zip(echelon.rows, echelon.pivots, echelon.labels)
+    ]
+
+
+def _dict_rows(echelon):
+    return [(pivot, row, label) for pivot, row, label, _ in echelon._rows]
+
+
+def _oracle_echelon(basis, klass):
+    oracle = _Echelon()
+    for element in basis._insertion_order(klass):
+        oracle.insert(element.text, element.word_vector)
+    return oracle
+
+
+def test_class_echelons_match_the_dict_echelon_at_8_3(basis83):
+    for klass in DIFFERING_83:
+        assert _kernel_rows(basis83.echelon(klass)) == _dict_rows(_oracle_echelon(basis83, klass)), klass
+
+
+DIFFERING_93 = [(1, 4), (1, 6), (1, 8), (2, 2), (2, 4), (2, 6), (3, 2), (3, 4), (3, 6)]
+
+
+def test_class_echelons_match_the_dict_echelon_at_9_3():
+    basis = build_basis(Budget(9, 3), classes=DIFFERING_93)
+    for klass in DIFFERING_93:
+        assert _kernel_rows(basis.echelon(klass)) == _dict_rows(_oracle_echelon(basis, klass)), klass
+
+
+def _differing_83(report83, eriksen83, static13_83):
+    """(class, certified order, difference) of each differing class at (8,3)."""
+    for row in report83.classes:
+        if row.status == "differs":
+            klass = (row.e_count, row.o_count)
+            delta = eriksen83.restrict_class(*klass).sub(static13_83.restrict_class(*klass))
+            yield klass, row, delta
+
+
+def test_object_path_keeps_the_echelon_and_the_projection(
+    monkeypatch, report83, eriksen83, static13_83, budget83
+):
+    """With the switch to Python ints forced low, the steps past it run on
+    dtype=object; rows, pivots, labels and the projection (greedy fallback
+    included) stay the same."""
+    monkeypatch.setattr(comparator, "_INT64_BOUND", 1 << 7)
+    differing = {klass: (row, delta) for klass, row, delta in _differing_83(report83, eriksen83, static13_83)}
+    for klass in [(2, 4), (3, 4)]:
+        basis = build_basis(budget83, classes=[klass])
+        echelon = basis.echelon(klass)
+        assert echelon.rows.dtype == object
+        assert _kernel_rows(echelon) == _dict_rows(_oracle_echelon(basis, klass)), klass
+        row, delta = differing[klass]
+        projection = project(delta, basis, min_order=row.hbar_order_min)
+        assert [(e.element.text, e.weight, e.beta_exp, e.m_exp) for e in projection.entries] == [
+            (e.element.text, e.weight, e.beta_exp, e.m_exp) for e in row.projection.entries
+        ], klass
+        assert projection.residual.is_zero()
+
+
+def _subset_scan(vector, col_vectors):
+    """The subset search before the numpy kernel, one subset at a time with
+    dict echelons: (weights by column, or None; subsets visited)."""
+    target, _ = _integral(vector)
+    bits = {word: 1 << index for index, word in enumerate(target)}
+    full = (1 << len(target)) - 1
+    col_masks = [sum(bits.get(word, 0) for word in vec) for vec in col_vectors]
+    visited = 0
+    for size in range(1, _SPARSE_LIMIT + 1):
+        if size > len(col_vectors):
+            break
+        for subset in combinations(range(len(col_vectors)), size):
+            if visited == _SUBSET_BUDGET:
+                return None, visited
+            visited += 1
+            covered = 0
+            for index in subset:
+                covered |= col_masks[index]
+            if covered != full:
+                continue
+            screen = _Echelon()
+            if any(screen.insert(index, col_vectors[index]) is not None for index in subset):
+                continue
+            if screen.last_used(target) is None:
+                continue
+            solver = _Echelon(tracked=True)
+            for position, index in enumerate(subset):
+                solver.insert(position, col_vectors[index])
+            _, weights = solver.reduce(vector)
+            return {subset[position]: weight for position, weight in weights.items()}, visited
+    return None, visited
+
+
+def _kernel_solve(vector, index, matrix):
+    """_sparse_solve's subset with its weights, or None."""
+    integral, scale = _integral(vector)
+    target = _word_matrix([integral], index)
+    subset = _sparse_solve(target[0], matrix)
+    if subset is None:
+        return None
+    ((remainder, weights),) = _solve(matrix[list(subset)], target, [scale])
+    assert not remainder
+    return dict(zip(subset, weights))
+
+
+def test_sparse_solve_matches_the_subset_scan_on_every_stratum_at_8_3(
+    report83, eriksen83, static13_83, basis83
+):
+    exhausted = []
+    for klass, row, delta in _differing_83(report83, eriksen83, static13_83):
+        columns = _preferred_columns(basis83, klass, row.hbar_order_min)
+        index, matrix = basis83._word_rows(klass, columns)
+        for stratum, vector in _strata(delta).items():
+            expected, visited = _subset_scan(vector, [el.word_vector for el in columns])
+            assert _kernel_solve(vector, index, matrix) == expected, (klass, stratum)
+            if expected is None:
+                exhausted.append((klass, visited))
+    # (2, 6) runs out of its budget; (3, 4) tries every subset of its 76
+    # columns, 76 + 2850 + 70300 of them.
+    assert exhausted == [((2, 6), _SUBSET_BUDGET), ((3, 4), 73226)]
+
+
+def test_sparse_solve_gives_up_after_exactly_the_budget(
+    monkeypatch, report83, eriksen83, static13_83, basis83
+):
+    """A subset found at visit k is found with a budget of k subsets, in
+    blocks of any size, and not with k - 1."""
+    klass, row, delta = next(
+        entry for entry in _differing_83(report83, eriksen83, static13_83) if entry[0] == (2, 4)
+    )
+    columns = _preferred_columns(basis83, klass, row.hbar_order_min)
+    index, matrix = basis83._word_rows(klass, columns)
+    (vector,) = _strata(delta).values()
+    expected, visited = _subset_scan(vector, [el.word_vector for el in columns])
+    assert expected is not None and visited > 1000
+    for budget, block in [(visited, 1 << 13), (visited, 7), (visited - 1, 1 << 13), (visited - 1, 7)]:
+        monkeypatch.setattr(comparator, "_SUBSET_BUDGET", budget)
+        monkeypatch.setattr(comparator, "_SUBSET_BLOCK", block)
+        found = _kernel_solve(vector, index, matrix)
+        assert found == (expected if budget == visited else None), (budget, block)
+
+
+def test_unrank_follows_combinations_order():
+    for n in range(9):
+        for size in range(1, 4):
+            expected = list(combinations(range(n), size))
+            if expected:
+                ranks = np.arange(len(expected))
+                assert [tuple(row) for row in comparator._unrank(ranks, n, size).tolist()] == expected
+
+
+def test_sparse_solve_covers_targets_of_more_than_64_words():
+    """Coverage masks span several 64-bit words."""
+    words = [f"w{i:03d}" for i in range(150)]
+    index = {word: col for col, word in enumerate(words)}
+    ones = lambda cols: {words[col]: 1 for col in cols}
+    col_vectors = [
+        ones(range(0, 100)),
+        ones(range(0, 149)),
+        ones(range(70, 150)),
+        ones(range(0, 70)),
+        {**ones(range(70, 150)), words[3]: 2},
+    ]
+    vector = {word: Fraction(value) for word, value in ones(range(150)).items()}
+    vector[words[149]] = Fraction(3, 2)
+    matrix = _word_matrix(col_vectors, index)
+    expected, _ = _subset_scan(vector, col_vectors)
+    # No pair spans it; (1, 2, 3) is the first triple that does.
+    assert expected == {1: Fraction(-1, 2), 2: Fraction(3, 2), 3: Fraction(3, 2)}
+    assert _kernel_solve(vector, index, matrix) == expected
 
 
 def test_certificates_match_the_oracle_on_every_differing_class(

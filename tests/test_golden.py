@@ -45,6 +45,7 @@ def test_compare_83_without_a_basis_matches_golden(eriksen83, static13_83, budge
         (["concretize", "uniform-field"], "concretize_uniform_field"),
         (["compare", "--max-len", "7", "--max-e", "3"], "compare_7_3"),
         (["compare", "--max-len", "9", "--max-e", "3"], "compare_9_3"),
+        (["compare", "--max-len", "10", "--max-e", "4"], "compare_10_4"),
     ],
 )
 def test_report_matches_golden(argv, name, tmp_path):

@@ -309,6 +309,28 @@ def test_pow_stops_once_the_power_vanishes(monkeypatch):
     assert len(calls) == 2
 
 
+def test_pow_of_letterless_terms_squares(monkeypatch):
+    """beta, m^k and rationals commute, so their powers square: about two
+    products per bit of the exponent, not one per unit."""
+    calls = []
+    mul = AbstractExpr.mul
+
+    def counted(self, other, budget=None):
+        calls.append(1)
+        assert len(calls) <= 200, "pow multiplied once per unit of the exponent"
+        return mul(self, other, budget)
+
+    monkeypatch.setattr(AbstractExpr, "mul", counted)
+    assert expand(PowN(BetaF(), 10**20), BIG) == AbstractExpr.rational(Fraction(1))
+    assert expand(PowN(BetaF(), 10**20 + 1), BIG) == expand(BetaF(), BIG)
+    monkeypatch.setattr(AbstractExpr, "mul", mul)
+    base = Sum((Prod((BetaF(), MPow(1))), Rat(Fraction(1, 3)), MPow(-2)))
+    stepwise = AbstractExpr.rational(Fraction(1))
+    for n in range(12):
+        assert expand(PowN(base, n), BIG) == stepwise, n
+        stepwise = stepwise.mul(expand(base, BIG), BIG)
+
+
 def test_double_commutator_o_o_e():
     # [O,[O,E]] expands to EOO - 2 OEO + OOE.
     got = expand(Comm(Gen("O"), Comm(Gen("O"), Gen("E"))), BIG)
