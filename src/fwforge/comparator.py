@@ -81,7 +81,7 @@ folded into the basis.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from fractions import Fraction
@@ -129,16 +129,17 @@ class BasisElement:
     order: int
     e_count: int
     o_count: int
-    expansion: AbstractExpr
+    word_vector: dict[str, int] = field(hash=False)
 
     @property
     def klass(self) -> tuple[int, int]:
         return (self.e_count, self.o_count)
 
     @cached_property
-    def word_vector(self) -> dict[str, int]:
-        """The expansion's word coefficients, which are integers."""
-        return _integer_words(self.expansion, self.text)
+    def expansion(self) -> AbstractExpr:
+        """The word vector as an expression, built when first asked for: a
+        basis keeps only the integer vectors, which hold a few times less."""
+        return AbstractExpr({(0, word, 0): coeff for word, coeff in self.word_vector.items()})
 
 
 def _integer_words(expansion: AbstractExpr, text: str) -> dict[str, int]:
@@ -237,15 +238,10 @@ _INT64_BOUND = 1 << 62
 
 def _word_matrix(vectors: Sequence[dict[str, int]], index: dict[str, int]) -> np.ndarray:
     """Integer word vectors as the rows of a matrix with columns `index`."""
-    rows, cols, values = [], [], []
-    for row, vector in enumerate(vectors):
-        for word, value in vector.items():
-            rows.append(row)
-            cols.append(index[word])
-            values.append(value)
-    big = bool(values) and max(map(abs, values)) >= _INT64_BOUND
+    big = any(abs(value) >= _INT64_BOUND for vector in vectors for value in vector.values())
     matrix = np.zeros((len(vectors), len(index)), dtype=object if big else np.int64)
-    matrix[rows, cols] = values
+    for row, vector in zip(matrix, vectors):
+        row[[index[word] for word in vector]] = list(vector.values())
     return matrix
 
 
@@ -383,16 +379,19 @@ class _ClassEchelon:
         ]
 
 
-def _class_words(klass: tuple[int, int]) -> tuple[str, ...]:
-    """Every word of the class, sorted."""
+def _word_rows(
+    klass: tuple[int, int], elements: Sequence[BasisElement]
+) -> tuple[dict[str, int], np.ndarray]:
+    """The class words, sorted, as column indices, and the word vectors of
+    `elements` (of that class) as matrix rows over them."""
     e_count, o_count = klass
     length = e_count + o_count
-    return tuple(
-        sorted(
-            "".join("E" if i in places else "O" for i in range(length))
-            for places in combinations(range(length), e_count)
-        )
+    words = sorted(
+        "".join("E" if i in places else "O" for i in range(length))
+        for places in combinations(range(length), e_count)
     )
+    index = {word: col for col, word in enumerate(words)}
+    return index, _word_matrix([element.word_vector for element in elements], index)
 
 
 class BracketBasis:
@@ -415,7 +414,6 @@ class BracketBasis:
         self._by_class: dict[tuple[int, int], list[BasisElement]] = {}
         self._by_text: dict[str, BasisElement] = {}
         self._echelons: dict[tuple[int, int], _ClassEchelon] = {}
-        self._matrices: dict[tuple[int, int], tuple] = {}
         for element in self.elements:
             self._by_class.setdefault(element.klass, []).append(element)
             self._by_text[element.text] = element
@@ -435,30 +433,13 @@ class BracketBasis:
             key=lambda el: (-el.order, _kind_rank(el.tree), el.text),
         )
 
-    def _word_rows(
-        self, klass: tuple[int, int], elements: Sequence[BasisElement]
-    ) -> tuple[dict[str, int], np.ndarray]:
-        """The class's word columns, and the word vectors of `elements` (of
-        that class) as matrix rows over them."""
-        table = self._matrices.get(klass)
-        if table is None:
-            members = self._by_class.get(klass, [])
-            index = {word: col for col, word in enumerate(_class_words(klass))}
-            table = self._matrices[klass] = (
-                index,
-                {element.text: row for row, element in enumerate(members)},
-                _word_matrix([element.word_vector for element in members], index),
-            )
-        index, position, matrix = table
-        return index, matrix[[position[element.text] for element in elements]]
-
     def echelon(self, klass: tuple[int, int]) -> _ClassEchelon:
         """The class echelon (untracked), built on first use in one pass."""
         self._require(klass)
         echelon = self._echelons.get(klass)
         if echelon is None:
             order = self._insertion_order(klass)
-            index, matrix = self._word_rows(klass, order)
+            index, matrix = _word_rows(klass, order)
             reduced, pivots, _ = _eliminate(matrix)
             kept = np.flatnonzero(pivots >= 0)
             echelon = self._echelons[klass] = _ClassEchelon(
@@ -479,8 +460,8 @@ class BracketBasis:
             spanned = [element for element in order if element.text not in independent]
             if not spanned:
                 continue
-            _, rows = self._word_rows(klass, kept)
-            _, targets = self._word_rows(klass, spanned)
+            _, rows = _word_rows(klass, kept)
+            _, targets = _word_rows(klass, spanned)
             solutions = _solve(rows, targets, [1] * len(spanned))
             for element, (_, weights) in zip(spanned, solutions):
                 found.append(
@@ -806,12 +787,8 @@ def build_basis(
             order=best.order,
             e_count=best.klass[0],
             o_count=best.klass[1],
-            expansion=AbstractExpr(
-                {(0, word, 0): coeff for word, coeff in best.vector.items()}
-            ),
+            word_vector=dict(sorted(best.vector.items())),
         )
-        # Already known: spare the cached property its walk over the terms.
-        element.__dict__["word_vector"] = dict(sorted(best.vector.items()))
         elements.append(element)
     elements.sort(key=lambda el: (el.order, el.klass, el.text))
     return BracketBasis(budget, elements, classes=classes)
@@ -957,7 +934,7 @@ def project(
         certified = min_hbar_order(piece, basis)
         min_order = 0 if certified is None else certified
     columns = _preferred_columns(basis, klass, min_order)
-    index, matrix = basis._word_rows(klass, columns)
+    index, matrix = _word_rows(klass, columns)
     words = tuple(index)
     independent = None
 

@@ -685,7 +685,7 @@ def test_sparse_solve_matches_the_subset_scan_on_every_stratum_at_8_3(
     exhausted = []
     for klass, row, delta in _differing_83(report83, eriksen83, static13_83):
         columns = _preferred_columns(basis83, klass, row.hbar_order_min)
-        index, matrix = basis83._word_rows(klass, columns)
+        index, matrix = comparator._word_rows(klass, columns)
         for stratum, vector in _strata(delta).items():
             expected, visited = _subset_scan(vector, [el.word_vector for el in columns])
             assert _kernel_solve(vector, index, matrix) == expected, (klass, stratum)
@@ -705,7 +705,7 @@ def test_sparse_solve_gives_up_after_exactly_the_budget(
         entry for entry in _differing_83(report83, eriksen83, static13_83) if entry[0] == (2, 4)
     )
     columns = _preferred_columns(basis83, klass, row.hbar_order_min)
-    index, matrix = basis83._word_rows(klass, columns)
+    index, matrix = comparator._word_rows(klass, columns)
     (vector,) = _strata(delta).values()
     expected, visited = _subset_scan(vector, [el.word_vector for el in columns])
     assert expected is not None and visited > 1000
