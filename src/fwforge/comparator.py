@@ -122,7 +122,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BasisElement:
-    """One admitted bracket monomial."""
+    """One admitted bracket monomial, with the integer coefficients of the
+    words of its expansion."""
 
     text: str
     tree: BracketExpr
@@ -137,8 +138,8 @@ class BasisElement:
 
     @cached_property
     def expansion(self) -> AbstractExpr:
-        """The word vector as an expression, built when first asked for: a
-        basis keeps only the integer vectors, which hold a few times less."""
+        """The word vector as an expression, built on first use: a basis
+        keeps only the integer vectors, which take a few times less memory."""
         return AbstractExpr({(0, word, 0): coeff for word, coeff in self.word_vector.items()})
 
 
@@ -804,8 +805,7 @@ def _strata(piece: AbstractExpr) -> dict[tuple[int, int], dict[str, Fraction]]:
 _SPARSE_LIMIT = 3
 _SUBSET_BUDGET = 300_000
 _SUBSET_BLOCK = 1 << 13
-# Bytes of one batched screen; the covering subsets of a block that need
-# more are screened in several calls.
+# Subset blocks and screens stay about 1 MiB at most.
 _SCREEN_BYTES = 1 << 20
 
 
@@ -848,10 +848,10 @@ def _sparse_solve(target: np.ndarray, columns: np.ndarray) -> tuple[int, ...] | 
     resolve toward the column preference; the search gives up (None) after
     _SUBSET_BUDGET subsets.  Linearly dependent subsets are skipped: their
     span equals that of a smaller subset already tried.  Subsets come in
-    blocks; a subset covers the target when the OR of its columns' word
-    masks fills the target's, and the covering subsets of a block are
-    screened by one batched elimination of their columns with the target
-    below them.
+    blocks of _SUBSET_BLOCK; a subset covers the target when the OR of its
+    columns' word masks fills the target's, and the covering subsets of a
+    block are screened by batched eliminations of their columns with the
+    target below them, _SCREEN_BYTES at most each.
     """
     used = np.flatnonzero((columns != 0).any(axis=0) | (target != 0))
     columns, target = columns[:, used], target[used]

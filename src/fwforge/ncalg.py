@@ -420,7 +420,7 @@ def _expand_at(tree, budget: Budget, path: str) -> AbstractExpr:
         acc = ONE
         if all(not word for (_, word, _), _ in base.terms()):
             # Terms without letters (beta, m^k, rationals) commute, so the
-            # power squares: n = 10**20 takes 67 products, not 10**20.
+            # power squares: about two products per bit of n, not n.
             n = tree.n
             while n:
                 if n & 1:

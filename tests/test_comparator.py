@@ -6,11 +6,9 @@ free-word oracle (and, for the dependency records, by brute-force
 re-expansion) before being pinned here.
 """
 
-import json
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -590,6 +588,19 @@ def _oracle_echelon(basis, klass):
     return oracle
 
 
+def test_dependencies_match_the_tracked_dict_echelon():
+    basis = build_basis(Budget(6, 2))
+    expected = {}
+    for klass in basis.classes():
+        oracle = _Echelon(tracked=True)
+        for element in basis._insertion_order(klass):
+            members = oracle.insert(element.text, element.word_vector)
+            if members is not None:
+                expected[element.text] = tuple(sorted(members.items()))
+    assert expected
+    assert {dep.text: dep.members for dep in basis.dependencies} == expected
+
+
 def test_class_echelons_match_the_dict_echelon_at_8_3(basis83):
     for klass in DIFFERING_83:
         assert _kernel_rows(basis83.echelon(klass)) == _dict_rows(_oracle_echelon(basis83, klass)), klass
@@ -709,7 +720,7 @@ def test_sparse_solve_gives_up_after_exactly_the_budget(
     (vector,) = _strata(delta).values()
     expected, visited = _subset_scan(vector, [el.word_vector for el in columns])
     assert expected is not None and visited > 1000
-    for budget, block in [(visited, 1 << 13), (visited, 7), (visited - 1, 1 << 13), (visited - 1, 7)]:
+    for budget, block in [(visited, 1 << 13), (visited, 100), (visited - 1, 1 << 13), (visited - 1, 100)]:
         monkeypatch.setattr(comparator, "_SUBSET_BUDGET", budget)
         monkeypatch.setattr(comparator, "_SUBSET_BLOCK", block)
         found = _kernel_solve(vector, index, matrix)
