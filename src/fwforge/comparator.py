@@ -68,9 +68,9 @@ When no small subset spans a stratum, one untracked pass over the
 preference-ordered columns picks the greedy-independent ones, and one
 tracked elimination over those alone gives the weights.  Whatever cannot
 be expressed is returned verbatim as a residual, and reconstruction
-(entries plus residual) is exact by construction.  Because the columns are redundant, reports project at
-the certified minimum order, which keeps low-order spellings out of a
-difference that certifies higher.
+(entries plus residual) is exact by construction.  Because the columns
+are redundant, reports project at the certified minimum order, which
+keeps low-order spellings out of a difference that certifies higher.
 
 Beta and mass bookkeeping: basis expansions are pure words.  The beta
 and m content of the projected operator is uniform within a stratum, so
