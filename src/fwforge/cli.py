@@ -525,6 +525,11 @@ def main(argv=None) -> int:
     except (ValueError, BudgetOverflowError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy refuses an array past the address space at once, with a
+        # message that names its size.
+        print(f"{PROG}: error: {exc or 'out of memory'}", file=sys.stderr)
+        return 2
     command = args.command
     if getattr(args, "target", None):
         command = f"{args.command} {args.target}"

@@ -12,22 +12,24 @@ agree through first order.
 Construction.  Candidates are generated deterministically: brackets of
 atoms, brackets of brackets, deeper atom nestings, two- and three-factor
 products, and one more bracket layer around the two-factor products.
-Each candidate carries its tree, text, nominal order and integer word
-vector.  It lies in a single class (e, o), and the class of a bracket or
-product is the sum of its operands' classes, so the class test decides
-the budget for every term pair at once: a pair that fits is multiplied
-whole, by concatenating words and multiplying integers.  Only the
-curated spellings go through `expand`, once each.  Candidates that
-vanish are dropped; parallel candidates collapse onto one direction,
-keyed by the word vector over its gcd with a positive lead, and one
-representative (the highest-order label wins, so the span per order
-cutoff is never understated).  Every surviving direction becomes a basis
-element: the collection is deliberately redundant, because different
-bracket spellings of the same content are exactly what the agreement
-narrative trades in.  Asked for some classes, `build_basis` skips every
-pair whose class lies outside their sub-class closure; since classes add
-and no direction crosses a class, each class it keeps gets exactly the
-elements of the full basis.  Building the basis does no elimination.
+Each candidate is its text, its kind (commutator, power or product,
+anticommutator, letter), its nominal order and its integer word vector;
+no bracket tree is built.  It lies in a single class (e, o), and the
+class of a bracket or product is the sum of its operands' classes, so
+the class test decides the budget for every term pair at once: a pair
+that fits is multiplied whole, by concatenating words and multiplying
+integers.  Only the curated spellings are parsed and go through
+`expand`, once each.  Candidates that vanish are dropped; parallel
+candidates collapse onto one direction, keyed by the word vector over
+its gcd with a positive lead, and one representative (the highest-order
+label wins, so the span per order cutoff is never understated).  Every
+surviving direction becomes a basis element: the collection is
+deliberately redundant, because different bracket spellings of the same
+content are exactly what the agreement narrative trades in.  Asked for
+some classes, `build_basis` skips every pair whose class lies outside
+their sub-class closure; since classes add and no direction crosses a
+class, each class it keeps gets exactly the elements of the full basis.
+Building the basis does no elimination.
 
 Elimination.  One exact kernel, `_eliminate`, does every elimination in
 this module, fraction-free (integer-preserving, after E. H. Bareiss,
@@ -86,23 +88,12 @@ from functools import cached_property
 from itertools import combinations
 from fractions import Fraction
 from math import comb, gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from fwforge.lang import format_term, format_tree, parse_expr, term_strings
-from fwforge.ncalg import (
-    AbstractExpr,
-    Acomm,
-    BracketExpr,
-    Budget,
-    Comm,
-    Gen,
-    PowN,
-    Prod,
-    expand,
-    parity_and_order,
-)
+from fwforge.lang import format_term, parse_expr, term_strings
+from fwforge.ncalg import AbstractExpr, Budget, expand, parity_and_order
 
 __all__ = [
     "BasisElement",
@@ -122,11 +113,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BasisElement:
-    """One admitted bracket monomial, with the integer coefficients of the
-    words of its expansion."""
+    """One admitted bracket monomial, with its kind rank and the integer
+    coefficients of the words of its expansion."""
 
     text: str
-    tree: BracketExpr
+    kind: int
     order: int
     e_count: int
     o_count: int
@@ -159,7 +150,6 @@ class Dependency:
     """A rejected candidate with its exact expression in admitted elements."""
 
     text: str
-    tree: BracketExpr
     order: int
     e_count: int
     o_count: int
@@ -197,17 +187,10 @@ class Projection:
         return total
 
 
-# Candidate scan rank: commutators first, then powers and products,
-# then anticommutators, mirroring how the narrative prefers to name
-# a class (bracket form before padded form).
-def _kind_rank(tree: BracketExpr) -> int:
-    if isinstance(tree, Comm):
-        return 0
-    if isinstance(tree, (PowN, Prod)):
-        return 1
-    if isinstance(tree, Acomm):
-        return 2
-    return 3
+# Kind ranks: commutators first, then powers and products, then
+# anticommutators, mirroring how the narrative prefers to name a class
+# (bracket form before padded form); the letters O and E come last.
+_COMM, _PRODUCT, _ACOMM, _LETTER = range(4)
 
 
 def _integral(vector: dict[str, Fraction]) -> tuple[dict[str, int], int]:
@@ -431,7 +414,7 @@ class BracketBasis:
         anticommutators, then text."""
         return sorted(
             self.class_elements(*klass),
-            key=lambda el: (-el.order, _kind_rank(el.tree), el.text),
+            key=lambda el: (-el.order, el.kind, el.text),
         )
 
     def echelon(self, klass: tuple[int, int]) -> _ClassEchelon:
@@ -468,7 +451,6 @@ class BracketBasis:
                 found.append(
                     Dependency(
                         text=element.text,
-                        tree=element.tree,
                         order=element.order,
                         e_count=element.e_count,
                         o_count=element.o_count,
@@ -498,16 +480,23 @@ class BracketBasis:
         return len(self.elements)
 
 
-# Heavy letters first so the first-offered orientation of a fresh
-# direction reads like the narrative ([O, E], not [E, O]).
-def _atoms() -> tuple[BracketExpr, ...]:
-    o = Gen("O")
-    return (PowN(o, 6), PowN(o, 4), PowN(o, 2), o, Gen("E"))
+# (text, word, kind) of each atom.  Heavy letters first so the
+# first-offered orientation of a fresh direction reads like the narrative
+# ([O, E], not [E, O]).
+_ATOMS = (
+    ("pow(O, 6)", "OOOOOO", _PRODUCT),
+    ("pow(O, 4)", "OOOO", _PRODUCT),
+    ("pow(O, 2)", "OO", _PRODUCT),
+    ("O", "O", _LETTER),
+    ("E", "E", _LETTER),
+)
 
 
-# Preferred spellings for directions the narrative names explicitly.  A
-# candidate's text is format_tree of its tree, and no spelling here holds
-# a product, so the text alone decides whether a candidate is curated.
+# Preferred spellings for directions the narrative names explicitly, each
+# in the canonical text lang.format_tree gives.  Every candidate's text is
+# canonical too, and no spelling here holds a product, so the text alone
+# decides whether a candidate is curated.  Each starts with comm(, acomm(
+# or pow(, which gives its kind.
 _CURATED_TEXTS = frozenset(
     {
         "comm(O, E)",
@@ -555,11 +544,11 @@ def _word_brackets(
 
 @dataclass(slots=True)
 class _Candidate:
-    """A bracket tree with its text, grading order, class and integer
-    word vector; the vector is the tree's untruncated expansion."""
+    """A bracket spelling with its kind rank, grading order, class and
+    integer word vector; the vector is its untruncated expansion."""
 
-    tree: BracketExpr
     text: str
+    kind: int
     order: int
     klass: tuple[int, int]
     vector: dict[str, int]
@@ -584,33 +573,21 @@ def _direction(vector: dict[str, int]) -> tuple:
     return tuple((word, vector[word] // content) for word in words)
 
 
-class _DirectionTable:
-    """Candidates grouped by expansion direction (parallel vectors).
-
-    Each direction keeps its best candidate; a later candidate replaces it
-    only when it beats the one held.
-    """
-
-    def __init__(self):
-        self._best: dict[tuple, _Candidate] = {}
-
-    def offer(self, candidate: _Candidate) -> bool:
-        """Record a nonzero candidate; True when its direction is new."""
-        key = _direction(candidate.vector)
-        held = self._best.get(key)
-        if held is None:
-            self._best[key] = candidate
-            return True
-        if candidate.beats(held):
-            self._best[key] = candidate
-        return False
-
-    def representatives(self) -> Iterator[_Candidate]:
-        return iter(self._best.values())
+def _offer(best: dict[tuple, _Candidate], candidate: _Candidate) -> bool:
+    """Record a nonzero candidate under its direction, replacing the one
+    held only when it beats it; True when the direction is new."""
+    key = _direction(candidate.vector)
+    held = best.get(key)
+    if held is None:
+        best[key] = candidate
+        return True
+    if candidate.beats(held):
+        best[key] = candidate
+    return False
 
 
 def _bracket_candidates(
-    table: _DirectionTable,
+    best: dict[tuple, _Candidate],
     lefts: Sequence[_Candidate],
     rights: Sequence[_Candidate],
     allowed: frozenset[tuple[int, int]],
@@ -623,7 +600,7 @@ def _bracket_candidates(
         left_e, left_o = left.klass
         for j, right in enumerate(rights):
             klass = (left_e + right.klass[0], left_o + right.klass[1])
-            if klass not in allowed or left.tree == right.tree:
+            if klass not in allowed or left.text == right.text:
                 continue
             comm, acomm = _word_brackets(left.vector, right.vector)
             # A commutator of two odd operators costs no hbar.
@@ -631,13 +608,13 @@ def _bracket_candidates(
             order = left.order + right.order
             if comm:
                 new = _Candidate(
-                    Comm(left.tree, right.tree),
                     f"comm({left.text}, {right.text})",
+                    _COMM,
                     order if both_odd else order + 1,
                     klass,
                     comm,
                 )
-                if table.offer(new):
+                if _offer(best, new):
                     fresh.append(new)
             pair = (min(i, j), max(i, j)) if lefts is rights else (i, j)
             if pair in seen_acomm:
@@ -645,21 +622,21 @@ def _bracket_candidates(
             seen_acomm.add(pair)
             if acomm:
                 new = _Candidate(
-                    Acomm(left.tree, right.tree),
                     f"acomm({left.text}, {right.text})",
+                    _ACOMM,
                     order,
                     klass,
                     acomm,
                 )
-                if table.offer(new):
+                if _offer(best, new):
                     fresh.append(new)
     return fresh
 
 
 def _product(left: _Candidate, right: _Candidate, klass: tuple[int, int]) -> _Candidate:
     return _Candidate(
-        Prod((left.tree, right.tree)),
         f"{left.text} * {right.text}",
+        _PRODUCT,
         left.order + right.order,
         klass,
         _word_product(left.vector, right.vector),
@@ -693,7 +670,7 @@ def build_basis(
         if _in_closure((e_count, o_count), classes)
     )
 
-    table = _DirectionTable()
+    best: dict[tuple, _Candidate] = {}
     # Claim the narrative spellings first so they become the
     # representatives of their directions.
     curated_candidates: list[_Candidate] = []
@@ -707,17 +684,17 @@ def build_basis(
         klass = (word.count("E"), word.count("O"))
         if klass not in allowed:
             continue
-        candidate = _Candidate(tree, text, parity_and_order(tree)[1], klass, vector)
-        table.offer(candidate)
+        kind = {"comm": _COMM, "pow": _PRODUCT, "acomm": _ACOMM}[text[: text.index("(")]]
+        candidate = _Candidate(text, kind, parity_and_order(tree)[1], klass, vector)
+        _offer(best, candidate)
         curated_candidates.append(candidate)
     atom_candidates: list[_Candidate] = []
-    for atom in _atoms():
-        word = atom.letter if isinstance(atom, Gen) else "O" * atom.n
+    for text, word, kind in _ATOMS:
         klass = (word.count("E"), word.count("O"))
         if klass not in allowed:
             continue
-        candidate = _Candidate(atom, format_tree(atom), 0, klass, {word: 1})
-        table.offer(candidate)
+        candidate = _Candidate(text, kind, 0, klass, {word: 1})
+        _offer(best, candidate)
         atom_candidates.append(candidate)
 
     # Round 1: brackets of atoms.  Round 2: brackets over everything so
@@ -725,24 +702,21 @@ def build_basis(
     # The curated spellings ride along: they claimed their directions
     # above, so the new-direction rounds would otherwise never feed the
     # narrative's own commutators back into deeper nestings or products.
-    round1 = _bracket_candidates(table, atom_candidates, atom_candidates, allowed)
+    round1 = _bracket_candidates(best, atom_candidates, atom_candidates, allowed)
     pool = atom_candidates + round1 + curated_candidates
-    round2 = _bracket_candidates(table, pool, pool, allowed)
+    round2 = _bracket_candidates(best, pool, pool, allowed)
     layer = round1 + round2 + curated_candidates
     for _ in range(3):
-        grown = _bracket_candidates(table, atom_candidates, layer, allowed)
-        grown += _bracket_candidates(table, layer, atom_candidates, allowed)
+        grown = _bracket_candidates(best, atom_candidates, layer, allowed)
+        grown += _bracket_candidates(best, layer, atom_candidates, allowed)
         layer = grown
 
     # Two-factor products of brackets (both factors carry order >= 1),
     # then one bracket layer around the products for padded squares.
     # Products of nonzero vectors are nonzero: the free algebra has no
-    # zero divisors.
-    bracket_pool = [
-        c
-        for c in (round1 + round2 + curated_candidates)
-        if not isinstance(c.tree, PowN)
-    ]
+    # zero divisors.  The only powers among the rounds and the curated
+    # spellings are curated pow(...) squares, and they stay out.
+    bracket_pool = [c for c in round1 + round2 + curated_candidates if c.kind != _PRODUCT]
     products: list[_Candidate] = []
     for left in bracket_pool:
         left_e, left_o = left.klass
@@ -750,20 +724,20 @@ def build_basis(
             klass = (left_e + right.klass[0], left_o + right.klass[1])
             if klass not in allowed:
                 continue
-            if left.tree == right.tree:
+            if left.text == right.text:
                 product = _Candidate(
-                    PowN(left.tree, 2),
                     f"pow({left.text}, 2)",
+                    _PRODUCT,
                     2 * left.order,
                     klass,
                     _word_product(left.vector, left.vector),
                 )
             else:
                 product = _product(left, right, klass)
-            table.offer(product)
+            _offer(best, product)
             products.append(product)
-    _bracket_candidates(table, atom_candidates, products, allowed)
-    _bracket_candidates(table, products, atom_candidates, allowed)
+    _bracket_candidates(best, atom_candidates, products, allowed)
+    _bracket_candidates(best, products, atom_candidates, allowed)
 
     # Three-factor products: a two-factor product times one more small
     # bracket, on either side.  Needed so high-letter-count classes keep
@@ -775,20 +749,20 @@ def build_basis(
             klass = (mid_e + extra.klass[0], mid_o + extra.klass[1])
             if klass not in allowed:
                 continue
-            table.offer(_product(middle, extra, klass))
-            table.offer(_product(extra, middle, klass))
+            _offer(best, _product(middle, extra, klass))
+            _offer(best, _product(extra, middle, klass))
 
     # Every representative becomes an element: the basis is deliberately
     # overcomplete (see the module docstring).
     elements = []
-    for best in table.representatives():
+    for held in best.values():
         element = BasisElement(
-            text=best.text,
-            tree=best.tree,
-            order=best.order,
-            e_count=best.klass[0],
-            o_count=best.klass[1],
-            word_vector=dict(sorted(best.vector.items())),
+            text=held.text,
+            kind=held.kind,
+            order=held.order,
+            e_count=held.klass[0],
+            o_count=held.klass[1],
+            word_vector=dict(sorted(held.vector.items())),
         )
         elements.append(element)
     elements.sort(key=lambda el: (el.order, el.klass, el.text))
@@ -899,7 +873,7 @@ def _preferred_columns(
     the narrative's display vocabulary, then the kind rank and the text."""
     return sorted(
         (element for element in basis.class_elements(*klass) if element.order >= min_order),
-        key=lambda el: (el.order, el.text not in _CURATED_TEXTS, _kind_rank(el.tree), el.text),
+        key=lambda el: (el.order, el.text not in _CURATED_TEXTS, el.kind, el.text),
     )
 
 

@@ -111,13 +111,6 @@ def run_pipeline(
     )
 
 
-def eriksen_hamiltonian(
-    budget: Budget, include_even: bool = True, include_odd: bool = True
-) -> AbstractExpr:
-    """Transformed Hamiltonian U H U^+ expanded under the budget."""
-    return run_pipeline(budget, include_even, include_odd).H_FW
-
-
 # -- defining-property verification -------------------------------------------
 
 
@@ -225,7 +218,7 @@ def compare_to_reference(budget: Budget | None = None) -> dict:
     """
     if budget is None:
         budget = Budget(8, 3)
-    derived = eriksen_hamiltonian(budget)
+    derived = run_pipeline(budget).H_FW
     target = expand(reference_target("full"), budget)
     classes = residual_classes(derived.sub(target))
     in_scope = [row for row in classes if in_reference_scope(row["e"], row["o"])]

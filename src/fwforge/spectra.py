@@ -177,9 +177,6 @@ class SpectralModel:
     def internal_dim(self) -> int:
         return INTERNAL_DIM[self.particle]
 
-    def with_levels(self, N: int) -> "SpectralModel":
-        return dataclasses.replace(self, N=N)
-
     def to_dict(self) -> dict:
         return {
             "particle": self.particle,

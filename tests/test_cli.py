@@ -241,6 +241,19 @@ def test_spectra_scan_through_one_point_fits_no_slope(capsys):
     assert report["status"] == "fail"
 
 
+@pytest.mark.parametrize(
+    "target, flag",
+    [("run", "--levels"), ("relations", "--levels"), ("correction-scan", "--scan-points")],
+)
+def test_spectra_size_past_the_address_space_is_usage_error(target, flag, capsys):
+    # 10**15 levels or points ask numpy for about 7 PiB, which it refuses
+    # at once; never test a size the machine could try to allocate.
+    assert cli.main(["spectra", target, flag, "1000000000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fwforge: error: Unable to allocate")
+    assert err.count("\n") == 1
+
+
 def test_spectra_relations_pass(capsys):
     assert cli.main(["spectra", "relations", "--levels", "16"]) == 0
     report = _json_out(capsys)

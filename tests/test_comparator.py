@@ -64,6 +64,18 @@ def sc(q, *factors):
     return Prod((Rat(Fraction(q)),) + tuple(factors))
 
 
+def _kind_rank(tree):
+    """The kind rank a bracket tree's outermost node gives: commutators,
+    then powers and products, then anticommutators, then letters."""
+    if isinstance(tree, Comm):
+        return 0
+    if isinstance(tree, (PowN, Prod)):
+        return 1
+    if isinstance(tree, Acomm):
+        return 2
+    return 3
+
+
 # -- basis construction -----------------------------------------------------------
 
 
@@ -118,7 +130,7 @@ def test_all_small_basis_dependencies_reexpand_exactly(basis42):
         total = AbstractExpr.zero()
         for text, weight in dep.members:
             total = total.add(basis42.element(text).expansion.scale(weight))
-        assert expand(dep.tree, budget).sub(total).is_zero(), dep.text
+        assert expand(parse_expr(dep.text), budget).sub(total).is_zero(), dep.text
 
 
 def test_sampled_full_basis_dependencies_reexpand_exactly(basis83, budget83):
@@ -128,7 +140,7 @@ def test_sampled_full_basis_dependencies_reexpand_exactly(basis83, budget83):
         total = AbstractExpr.zero()
         for text, weight in dep.members:
             total = total.add(basis83.element(text).expansion.scale(weight))
-        assert expand(dep.tree, budget83).sub(total).is_zero(), dep.text
+        assert expand(parse_expr(dep.text), budget83).sub(total).is_zero(), dep.text
 
 
 def test_full_basis_shape_is_frozen(basis83):
@@ -154,13 +166,16 @@ def test_elements_store_exact_unmixed_expansions(basis42):
 
 
 def test_elements_agree_with_their_trees():
-    """Texts, orders and vectors built alongside the trees are the ones the
-    trees themselves give (products and three-factor products included)."""
+    """Each element's text parses to a tree that formats back to it, and
+    the order, vector and kind built alongside the text are the ones that
+    tree gives (products and three-factor products included)."""
     budget = Budget(6, 2)
     for element in build_basis(budget).elements:
-        assert element.text == format_tree(element.tree)
-        assert element.order == parity_and_order(element.tree)[1], element.text
-        assert element.expansion == expand(element.tree, budget), element.text
+        tree = parse_expr(element.text)
+        assert format_tree(tree) == element.text
+        assert element.order == parity_and_order(tree)[1], element.text
+        assert element.expansion == expand(tree, budget), element.text
+        assert element.kind == _kind_rank(tree), element.text
 
 
 def _listing(elements):

@@ -14,7 +14,6 @@ import pytest
 
 from fwforge.eriksen import (
     compare_to_reference,
-    eriksen_hamiltonian,
     in_reference_scope,
     reference_target,
     report_from_state,
@@ -136,7 +135,7 @@ def test_without_odd_part_transform_is_identity(budget83):
 
 
 def test_without_even_part_result_is_energy_series(budget83):
-    h = eriksen_hamiltonian(budget83, include_even=False)
+    h = run_pipeline(budget83, include_even=False).H_FW
     series = expand(Prod((BetaF(), EpsFun("eps"))), budget83)
     assert h.sub(series).is_zero()
     # spot-check the displayed coefficients through eight letters

@@ -7,11 +7,14 @@ implementation uses.  Derived expectations below were computed with it
 and frozen.
 """
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fwforge
 from fwforge.ncalg import (
     Acomm,
     AbstractExpr,
@@ -467,3 +470,18 @@ def test_parity_agrees_with_expansion(tree):
         return
     observed = {(w.count("O")) % 2 for (_, w, _), _ in expr.terms()}
     assert observed == {1 if parity == "odd" else 0}
+
+
+def test_only_ncalg_and_lang_bind_tree_node_classes():
+    """Bracket trees live between lang.parse_expr and ncalg.expand: no other
+    fwforge module binds a tree node class among its globals."""
+    nodes = {Gen, BetaF, MPow, Rat, Sum, Prod, Comm, Acomm, PowN, EpsFun}
+    names = ["fwforge"] + [
+        f"fwforge.{info.name}"
+        for info in pkgutil.iter_modules(fwforge.__path__)
+        if info.name not in ("ncalg", "lang")
+    ]
+    for name in names:
+        module = vars(importlib.import_module(name))
+        bound = [key for key, value in module.items() if isinstance(value, type) and value in nodes]
+        assert not bound, (name, bound)

@@ -1,5 +1,6 @@
 """Landau-level spectra: model building, interior filtering, closed forms, scans."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -288,7 +289,7 @@ def test_first_order_spectra_come_in_plus_minus_pairs(particle):
 )
 def test_doubling_basis_size_leaves_interior_levels_fixed(particle, representation):
     base = SpectralModel(particle, representation, B=0.3, g=2.2, N=64)
-    doubled = base.with_levels(128)
+    doubled = dataclasses.replace(base, N=128)
     for a, b in zip(_lowest_positive(base, 10), _lowest_positive(doubled, 10)):
         assert abs(a - b) / abs(b) < 1e-10
 
@@ -360,7 +361,7 @@ def test_block_solve_matches_dense_solve(particle, representation, charge, B):
 @pytest.mark.parametrize("particle, representation", ALL_PAIRS)
 def test_interior_blocks_do_not_see_the_truncation(particle, representation, charge):
     small = SpectralModel(particle, representation, e=charge, B=0.3, g=2.3, N=32)
-    large = small.with_levels(40)
+    large = dataclasses.replace(small, N=40)
     small_matrix, large_matrix = build_model_matrix(small), build_model_matrix(large)
     small_labels, interior = spectra._blocks(small)
     large_labels, _ = spectra._blocks(large)
