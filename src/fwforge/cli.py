@@ -19,13 +19,16 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import comparator, concretizer, eriksen, spectra, stepwise
+# Each command imports the layers it runs inside its handler, so that
+# `concretize`, `expand` and `derive eriksen` load neither numpy nor the
+# comparator.  ncalg and lang load with the package itself.
 from .lang import ExprSyntaxError, format_expr, parse_expr
 from .ncalg import Budget, BudgetOverflowError, expand
 
 PROG = "fwforge"
+
+# spectra.PARTICLES, written out so that building the parser imports no numpy.
+_PARTICLES = ("spin0", "spin12", "spin1")
 
 
 class UsageError(Exception):
@@ -208,7 +211,7 @@ def _build_parser():
         "--particle",
         kind=str,
         default="spin12",
-        choices=tuple(spectra.PARTICLES),
+        choices=_PARTICLES,
         help_text="particle kind",
     )
     _add_flag(
@@ -390,16 +393,23 @@ def _write_outputs(values: dict, command: str, json_text: str, text_text: str) -
 def _cmd_derive(args, values) -> tuple[str, str, bool]:
     budget = Budget(values["max_len"], values["max_e"])
     if args.target == "eriksen":
+        from . import eriksen
+
         report = eriksen.compare_to_reference(budget)
-    elif args.target == "stepwise":
-        report = stepwise.derive_display(budget)
     else:
-        _, report = stepwise.derive_second_step(budget)
+        from . import stepwise
+
+        if args.target == "stepwise":
+            report = stepwise.derive_display(budget)
+        else:
+            _, report = stepwise.derive_second_step(budget)
     ok = report["status"] == "pass"
     return json.dumps(report, indent=2), _generic_text(report), ok
 
 
 def _cmd_compare(args, values) -> tuple[str, str, bool]:
+    from . import comparator, eriksen, stepwise
+
     budget = Budget(values["max_len"], values["max_e"])
     direct = eriksen.run_pipeline(budget).H_FW
     iterative = stepwise.expand_static(stepwise.build_iterative(), budget)
@@ -408,6 +418,8 @@ def _cmd_compare(args, values) -> tuple[str, str, bool]:
 
 
 def _cmd_concretize(args, values) -> tuple[str, str, bool]:
+    from . import concretizer
+
     if args.target == "electrostatic":
         report = concretizer.derive_electrostatic()
     else:
@@ -416,20 +428,25 @@ def _cmd_concretize(args, values) -> tuple[str, str, bool]:
     return concretizer.report_json(report), _generic_text(report), ok
 
 
-def _scan_grid(values) -> np.ndarray:
-    """The logarithmic scan points; rejects non-positive ends and fewer than two points."""
+def _scan_grid(values):
+    """The logarithmic scan points, a numpy array; rejects non-positive ends and
+    fewer than two points."""
     for dest in ("scan_from", "scan_to"):
         if not 0 < values[dest] < float("inf"):
             flag = "--" + dest.replace("_", "-")
             raise UsageError(f"{flag} must be positive and finite, got {values[dest]}")
     if values["scan_points"] < 2:
         raise UsageError(f"--scan-points must be at least 2, got {values['scan_points']}")
+    import numpy as np
+
     return np.logspace(
         np.log10(values["scan_from"]), np.log10(values["scan_to"]), values["scan_points"]
     )
 
 
 def _cmd_spectra(args, values) -> tuple[str, str, bool]:
+    from . import spectra
+
     try:
         if args.target == "run":
             model = spectra.SpectralModel(

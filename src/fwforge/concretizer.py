@@ -14,14 +14,22 @@ and re-derives two concrete results:
   particle with an anomalous magnetic moment, which must close on exactly
   three matrix channels (:func:`verify_uniform_commutator`).
 
-Coefficients are Gaussian rationals (exact rational real and imaginary
-parts).  Matrix factors are labels of a fixed 16-element basis of the
-4x4 matrix algebra.  The basis is closed under products up to a phase in
-{1, -1, i, -i}, so a product of two labels is one label and one phase,
-read from a structure-constant table that decomposes each explicit
-matrix product once, on first use.  Operator words are normal ordered with
-every momentum-past-function swap emitting one explicit power of hbar,
-which is what makes the hbar-grading of each derived term exact.
+Coefficients are Gaussian rationals (:class:`QQi`, exact rational real
+and imaginary parts).  Matrix factors are labels of a fixed 16-element
+basis of the 4x4 matrix algebra, whose explicit matrices
+(:data:`MATRIX_BASIS`) keep ``QQi`` entries.  Every basis matrix is
+monomial: each row holds one entry, a power of i.  So the basis is closed
+under products up to a phase in {1, -1, i, -i}, and a product of two
+labels is one label and one phase, read from each matrix's columns and
+powers of i in integer arithmetic (:func:`_basis_product`).  The
+representation identities are checked on the same matrices converted
+exactly to Gaussian integers, pairs of ints
+(:func:`matrix_identity_report`).  The ``QQi`` matrix helpers
+(:func:`mat_mul`, :func:`decompose_matrix`, :func:`recompose_matrix`)
+run on no command path; they are the public exact reference the tests
+compare against.  Operator words are normal ordered with every
+momentum-past-function swap emitting one explicit power of hbar, which
+is what makes the hbar-grading of each derived term exact.
 
 Closed-form functions of the kinetic energy (``sqrt(m^2 + p^2)`` and
 friends) are never expanded here: they enter as opaque central prefactor
@@ -35,6 +43,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterator, Mapping
 
 from fwforge.fseries import REGISTRY as _EPS_REGISTRY
@@ -219,23 +228,111 @@ def decompose_matrix(matrix: Matrix) -> dict[str, QQi]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _basis_product(left: str, right: str) -> tuple[str, QQi]:
-    """``(label, phase)`` with left @ right == phase * label, phase in {1, -1, i, -i}.
-
-    Unpacking exactly one coordinate asserts the closure on the explicit matrices.
-    """
-    ((label, phase),) = decompose_matrix(
-        mat_mul(MATRIX_BASIS[left], MATRIX_BASIS[right])
-    ).items()
-    return label, phase
-
-
 def recompose_matrix(coords: Mapping[str, QQi]) -> Matrix:
     total = mat_scale(MATRIX_BASIS["1"], _ZERO)
     for label, coeff in coords.items():
         total = mat_add(total, mat_scale(MATRIX_BASIS[label], coeff))
     return total
+
+
+# -- the basis in integer arithmetic ------------------------------------------------
+#
+# A Gaussian integer is an (re, im) pair of ints; a GaussMatrix is a 4-tuple
+# of 4-tuples of them.  A monomial form is (columns, powers): row r holds
+# i**powers[r] in column columns[r] and zeros elsewhere.
+
+GaussMatrix = tuple
+Monomial = tuple
+
+_PHASES = (_ONE, _I, -_ONE, -_I)  # i**0 .. i**3
+_UNIT_POWERS = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
+
+
+def _gauss_matrix(matrix: Matrix) -> GaussMatrix:
+    """The exact Gaussian-integer copy of a matrix with integral entries."""
+    out = []
+    for row in matrix:
+        for cell in row:
+            if cell.re.denominator != 1 or cell.im.denominator != 1:
+                raise ValueError(f"matrix entry {cell} is not a Gaussian integer")
+        out.append(tuple((cell.re.numerator, cell.im.numerator) for cell in row))
+    return tuple(out)
+
+
+def _monomial(matrix: Matrix) -> Monomial:
+    """``(columns, powers)`` of a matrix with one entry, a power of i, per row."""
+    columns, powers = [], []
+    for row in _gauss_matrix(matrix):
+        entries = [(column, cell) for column, cell in enumerate(row) if cell != (0, 0)]
+        if len(entries) != 1:
+            raise ValueError(f"matrix row holds {len(entries)} nonzero entries, not one")
+        column, cell = entries[0]
+        if cell not in _UNIT_POWERS:
+            raise ValueError(f"matrix entry {cell[0]}{cell[1]:+}i is not a power of i")
+        columns.append(column)
+        powers.append(_UNIT_POWERS[cell])
+    return tuple(columns), tuple(powers)
+
+
+_MONOMIALS: dict[str, Monomial] = {
+    label: _monomial(matrix) for label, matrix in MATRIX_BASIS.items()
+}
+
+
+@lru_cache(maxsize=None)
+def _basis_product(left: str, right: str) -> tuple[str, QQi]:
+    """``(label, phase)`` with left @ right == phase * label, phase in {1, -1, i, -i}.
+
+    Row r of the product takes the left factor's entry in column c and the
+    right factor's row c: columns compose and powers of i add.  Unpacking
+    exactly one basis element equal to the product up to a phase asserts
+    the closure.
+    """
+    left_columns, left_powers = _MONOMIALS[left]
+    right_columns, right_powers = _MONOMIALS[right]
+    columns = tuple(right_columns[c] for c in left_columns)
+    powers = [(p + right_powers[c]) % 4 for p, c in zip(left_powers, left_columns)]
+    matches = []
+    for label, (base_columns, base_powers) in _MONOMIALS.items():
+        shifts = {(p - q) % 4 for p, q in zip(powers, base_powers)}
+        if base_columns == columns and len(shifts) == 1:
+            matches.append((label, _PHASES[shifts.pop()]))
+    ((label, phase),) = matches
+    return label, phase
+
+
+def _g_add(x: GaussMatrix, y: GaussMatrix) -> GaussMatrix:
+    return tuple(
+        tuple((a + c, b + d) for (a, b), (c, d) in zip(row_x, row_y))
+        for row_x, row_y in zip(x, y)
+    )
+
+
+def _g_scale(x: GaussMatrix, re: int, im: int = 0) -> GaussMatrix:
+    return tuple(tuple((a * re - b * im, a * im + b * re) for a, b in row) for row in x)
+
+
+def _g_mul(x: GaussMatrix, y: GaussMatrix) -> GaussMatrix:
+    columns = tuple(zip(*y))
+    return tuple(
+        tuple(
+            (
+                sum(a * c - b * d for (a, b), (c, d) in zip(row, column)),
+                sum(a * d + b * c for (a, b), (c, d) in zip(row, column)),
+            )
+            for column in columns
+        )
+        for row in x
+    )
+
+
+def _g_trace_inner(x: GaussMatrix, y: GaussMatrix) -> tuple[int, int]:
+    """tr(x^dagger y), four times the coordinate :func:`decompose_matrix` reads."""
+    pairs = [(a, b) for row_x, row_y in zip(x, y) for a, b in zip(row_x, row_y)]
+    return (
+        sum(a * c + b * d for (a, b), (c, d) in pairs),
+        sum(a * d - b * c for (a, b), (c, d) in pairs),
+    )
 
 
 # -- scalar and operator monomials ---------------------------------------------------
@@ -646,8 +743,9 @@ def term_strings(expr: ConcreteExpr) -> list[str]:
 
 
 def _identity_cases() -> list[tuple[str, Callable[[], bool]]]:
-    basis = MATRIX_BASIS
+    basis = {label: _gauss_matrix(matrix) for label, matrix in MATRIX_BASIS.items()}
     identity = basis["1"]
+    zero = _g_scale(identity, 0)
     beta = basis["beta"]
     gamma5 = basis["gamma5"]
     sigma = [basis[f"Sigma_{axis}"] for axis in _AXES]
@@ -658,83 +756,70 @@ def _identity_cases() -> list[tuple[str, Callable[[], bool]]]:
     def pair_product_reduces(mats) -> bool:
         for i in range(3):
             for j in range(3):
-                expected = mat_scale(identity, _ONE if i == j else _ZERO)
+                expected = identity if i == j else zero
                 for (a, b, k), sign in _EPSILON.items():
                     if (a, b) == (i, j):
-                        expected = mat_add(
-                            expected, mat_scale(sigma[k], QQi.of(0, sign))
-                        )
-                if mat_mul(mats[i], mats[j]) != expected:
+                        expected = _g_add(expected, _g_scale(sigma[k], 0, sign))
+                if _g_mul(mats[i], mats[j]) != expected:
                     return False
         return True
 
     def anticommutes(x, y) -> bool:
-        return mat_add(mat_mul(x, y), mat_mul(y, x)) == mat_scale(identity, _ZERO)
+        return _g_add(_g_mul(x, y), _g_mul(y, x)) == zero
 
     def commutes(x, y) -> bool:
-        return mat_mul(x, y) == mat_mul(y, x)
+        return _g_mul(x, y) == _g_mul(y, x)
 
-    def alpha_pi_channel() -> bool:
-        target = mat_scale(basis["beta_gamma5"], QQi.of(2))
+    def spin_channel(mats, target) -> bool:
         for i in range(3):
             for j in range(3):
-                bracket = mat_add(
-                    mat_mul(alpha[i], pi_mat[j]),
-                    mat_scale(mat_mul(pi_mat[j], alpha[i]), QQi.of(-1)),
+                bracket = _g_add(
+                    _g_mul(mats[i], pi_mat[j]),
+                    _g_scale(_g_mul(pi_mat[j], mats[i]), -1),
                 )
-                expected = target if i == j else mat_scale(identity, _ZERO)
-                if bracket != expected:
-                    return False
-        return True
-
-    def gamma_pi_channel() -> bool:
-        target = mat_scale(gamma5, QQi.of(2))
-        for i in range(3):
-            for j in range(3):
-                bracket = mat_add(
-                    mat_mul(gamma[i], pi_mat[j]),
-                    mat_scale(mat_mul(pi_mat[j], gamma[i]), QQi.of(-1)),
-                )
-                expected = target if i == j else mat_scale(identity, _ZERO)
-                if bracket != expected:
+                if bracket != (target if i == j else zero):
                     return False
         return True
 
     def basis_orthonormal() -> bool:
         for a in basis:
             for b in basis:
-                if _inner(basis[a], basis[b]) != (_ONE if a == b else _ZERO):
+                if _g_trace_inner(basis[a], basis[b]) != ((4, 0) if a == b else (0, 0)):
                     return False
         return True
 
     def decomposition_involutive() -> bool:
+        # sum_b tr(b^dagger M) b == 4 M, on M scaled by its common denominator
         import random
 
         rng = random.Random(20240817)
         for _ in range(25):
-            matrix = tuple(
-                tuple(
-                    QQi.of(
-                        Fraction(rng.randint(-40, 40), rng.randint(1, 9)),
-                        Fraction(rng.randint(-40, 40), rng.randint(1, 9)),
-                    )
-                    for _ in range(4)
+            cells = [
+                (
+                    Fraction(rng.randint(-40, 40), rng.randint(1, 9)),
+                    Fraction(rng.randint(-40, 40), rng.randint(1, 9)),
                 )
-                for _ in range(4)
-            )
-            if recompose_matrix(decompose_matrix(matrix)) != matrix:
+                for _ in range(16)
+            ]
+            scale = lcm(*(part.denominator for cell in cells for part in cell))
+            flat = [(int(re * scale), int(im * scale)) for re, im in cells]
+            matrix = tuple(tuple(flat[4 * row : 4 * row + 4]) for row in range(4))
+            total = zero
+            for base in basis.values():
+                total = _g_add(total, _g_scale(base, *_g_trace_inner(base, matrix)))
+            if total != _g_scale(matrix, 4):
                 return False
         return True
 
     return [
-        ("beta_squares_to_one", lambda: mat_mul(beta, beta) == identity),
+        ("beta_squares_to_one", lambda: _g_mul(beta, beta) == identity),
         (
             "beta_anticommutes_with_alpha",
             lambda: all(anticommutes(beta, alpha[i]) for i in range(3)),
         ),
         ("alpha_products_reduce_to_sigma", lambda: pair_product_reduces(alpha)),
         ("sigma_products_reduce_to_sigma", lambda: pair_product_reduces(sigma)),
-        ("gamma5_squares_to_one", lambda: mat_mul(gamma5, gamma5) == identity),
+        ("gamma5_squares_to_one", lambda: _g_mul(gamma5, gamma5) == identity),
         ("gamma5_anticommutes_with_beta", lambda: anticommutes(gamma5, beta)),
         (
             "gamma5_commutes_with_sigma",
@@ -743,21 +828,20 @@ def _identity_cases() -> list[tuple[str, Callable[[], bool]]]:
         (
             "gamma5_times_sigma_is_minus_alpha",
             lambda: all(
-                mat_mul(gamma5, sigma[i]) == mat_scale(alpha[i], QQi.of(-1))
-                for i in range(3)
+                _g_mul(gamma5, sigma[i]) == _g_scale(alpha[i], -1) for i in range(3)
             ),
         ),
         (
             "gamma_is_beta_alpha",
-            lambda: all(gamma[i] == mat_mul(beta, alpha[i]) for i in range(3)),
+            lambda: all(gamma[i] == _g_mul(beta, alpha[i]) for i in range(3)),
         ),
         (
             "spin_channel_of_alpha_commutator",
-            alpha_pi_channel,
+            lambda: spin_channel(alpha, _g_scale(basis["beta_gamma5"], 2)),
         ),
         (
             "spin_channel_of_gamma_commutator",
-            gamma_pi_channel,
+            lambda: spin_channel(gamma, _g_scale(gamma5, 2)),
         ),
         ("basis_orthonormal_under_trace", basis_orthonormal),
         ("decomposition_involutive_on_random_matrices", decomposition_involutive),
@@ -765,7 +849,7 @@ def _identity_cases() -> list[tuple[str, Callable[[], bool]]]:
 
 
 def matrix_identity_report() -> list[dict]:
-    """Verify the fixed representation on explicit matrices."""
+    """Verify the fixed representation on its explicit matrices, in Gaussian integers."""
     return [
         {"identity": name, "status": "pass" if check() else "fail"}
         for name, check in _identity_cases()

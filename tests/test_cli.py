@@ -386,21 +386,53 @@ def test_no_arguments_is_usage_error(capsys):
     assert cli.main([]) == 2
 
 
-def test_module_runs_as_script(tmp_path):
+def _child_env():
     # The child starts in tmp_path, where a relative PYTHONPATH entry such as
     # "src" no longer points at the package; put the imported copy's absolute
     # source directory first so the child runs the package under test.
     env = dict(os.environ)
     src_dir = str(Path(fwforge.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src_dir, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_module_runs_as_script(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "fwforge.cli", "expand", "comm(O, E)", "--max-len", "4", "--max-e", "2"],
         capture_output=True,
         text=True,
         cwd=tmp_path,
-        env=env,
+        env=_child_env(),
     )
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)
     assert report["canonical"] == format_expr(expand(parse_expr("comm(O, E)"), Budget(4, 2)))
     assert (tmp_path / "fwforge-manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["concretize", "electrostatic"],
+        ["expand", "comm(O, E)", "--max-len", "4", "--max-e", "2"],
+        ["derive", "eriksen", "--max-len", "4", "--max-e", "2"],
+    ],
+)
+def test_symbolic_commands_do_not_import_numpy(argv, tmp_path):
+    script = (
+        "import sys\n"
+        "from fwforge import cli\n"
+        f"code = cli.main({argv!r} + ['--out', 'report.json'])\n"
+        "print(code, 'numpy' in sys.modules, 'fwforge.comparator' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, env=_child_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", "False", "False"]
+
+
+def test_particle_choices_are_the_spectra_particles():
+    from fwforge import spectra
+
+    assert cli._PARTICLES == spectra.PARTICLES

@@ -6,6 +6,7 @@ expressions (spin-orbit, Darwin, directional-curvature, squared
 power-transfer, and the three uniform-field channels) before freezing.
 """
 
+import random
 from fractions import Fraction
 from functools import reduce
 
@@ -18,12 +19,20 @@ from fwforge.concretizer import (
     MATRIX_BASIS,
     UNIFORM,
     ConcreteExpr,
+    MatrixIdentityError,
     QQi,
+    _basis_product,
+    _EPSILON,
+    _inner,
+    _monomial,
+    _require_matrices,
     decompose_matrix,
     derive_electrostatic,
     eps_factor,
     field_factor,
+    mat_add,
     mat_mul,
+    mat_scale,
     matrix_factor,
     matrix_identity_report,
     momentum,
@@ -45,10 +54,196 @@ def momentum_squared(mode):
 # -- matrix representation -----------------------------------------------------------
 
 
+def fraction_identity_report() -> list[dict]:
+    """The 13 representation checks on the exact ``QQi`` matrices: the
+    reference that the integer checks of ``matrix_identity_report`` must
+    agree with, on the real basis and on corrupted ones."""
+    basis = MATRIX_BASIS
+    identity = basis["1"]
+    zero = mat_scale(identity, QQi.of(0))
+    beta = basis["beta"]
+    gamma5 = basis["gamma5"]
+    sigma = [basis[f"Sigma_{axis}"] for axis in "xyz"]
+    alpha = [basis[f"alpha_{axis}"] for axis in "xyz"]
+    gamma = [basis[f"gamma_{axis}"] for axis in "xyz"]
+    pi_mat = [basis[f"Pi_{axis}"] for axis in "xyz"]
+
+    def pair_product_reduces(mats) -> bool:
+        for i in range(3):
+            for j in range(3):
+                expected = identity if i == j else zero
+                for (a, b, k), sign in _EPSILON.items():
+                    if (a, b) == (i, j):
+                        expected = mat_add(expected, mat_scale(sigma[k], QQi.of(0, sign)))
+                if mat_mul(mats[i], mats[j]) != expected:
+                    return False
+        return True
+
+    def anticommutes(x, y) -> bool:
+        return mat_add(mat_mul(x, y), mat_mul(y, x)) == zero
+
+    def commutes(x, y) -> bool:
+        return mat_mul(x, y) == mat_mul(y, x)
+
+    def spin_channel(mats, target) -> bool:
+        for i in range(3):
+            for j in range(3):
+                bracket = mat_add(
+                    mat_mul(mats[i], pi_mat[j]),
+                    mat_scale(mat_mul(pi_mat[j], mats[i]), QQi.of(-1)),
+                )
+                if bracket != (target if i == j else zero):
+                    return False
+        return True
+
+    def basis_orthonormal() -> bool:
+        return all(
+            _inner(basis[a], basis[b]) == QQi.of(1 if a == b else 0)
+            for a in basis
+            for b in basis
+        )
+
+    def decomposition_involutive() -> bool:
+        rng = random.Random(20240817)
+        for _ in range(25):
+            matrix = tuple(
+                tuple(
+                    QQi.of(
+                        Fraction(rng.randint(-40, 40), rng.randint(1, 9)),
+                        Fraction(rng.randint(-40, 40), rng.randint(1, 9)),
+                    )
+                    for _ in range(4)
+                )
+                for _ in range(4)
+            )
+            if recompose_matrix(decompose_matrix(matrix)) != matrix:
+                return False
+        return True
+
+    checks = [
+        ("beta_squares_to_one", lambda: mat_mul(beta, beta) == identity),
+        (
+            "beta_anticommutes_with_alpha",
+            lambda: all(anticommutes(beta, alpha[i]) for i in range(3)),
+        ),
+        ("alpha_products_reduce_to_sigma", lambda: pair_product_reduces(alpha)),
+        ("sigma_products_reduce_to_sigma", lambda: pair_product_reduces(sigma)),
+        ("gamma5_squares_to_one", lambda: mat_mul(gamma5, gamma5) == identity),
+        ("gamma5_anticommutes_with_beta", lambda: anticommutes(gamma5, beta)),
+        (
+            "gamma5_commutes_with_sigma",
+            lambda: all(commutes(gamma5, sigma[i]) for i in range(3)),
+        ),
+        (
+            "gamma5_times_sigma_is_minus_alpha",
+            lambda: all(
+                mat_mul(gamma5, sigma[i]) == mat_scale(alpha[i], QQi.of(-1))
+                for i in range(3)
+            ),
+        ),
+        (
+            "gamma_is_beta_alpha",
+            lambda: all(gamma[i] == mat_mul(beta, alpha[i]) for i in range(3)),
+        ),
+        (
+            "spin_channel_of_alpha_commutator",
+            lambda: spin_channel(alpha, mat_scale(basis["beta_gamma5"], QQi.of(2))),
+        ),
+        (
+            "spin_channel_of_gamma_commutator",
+            lambda: spin_channel(gamma, mat_scale(gamma5, QQi.of(2))),
+        ),
+        ("basis_orthonormal_under_trace", basis_orthonormal),
+        ("decomposition_involutive_on_random_matrices", decomposition_involutive),
+    ]
+    return [{"identity": name, "status": "pass" if check() else "fail"} for name, check in checks]
+
+
 def test_all_representation_identities_pass():
     report = matrix_identity_report()
     assert len(report) == 13
     assert all(row["status"] == "pass" for row in report)
+    assert report == fraction_identity_report()
+    _require_matrices()
+
+
+# Each corruption changes one basis matrix; together they fail every check.
+CORRUPTIONS = {
+    "gamma5 negated": (
+        "gamma5",
+        lambda m: mat_scale(m, QQi.of(-1)),
+        ["gamma5_times_sigma_is_minus_alpha", "spin_channel_of_gamma_commutator"],
+    ),
+    "gamma5 times i": (
+        "gamma5",
+        lambda m: mat_scale(m, QQi.of(0, 1)),
+        [
+            "gamma5_squares_to_one",
+            "gamma5_times_sigma_is_minus_alpha",
+            "spin_channel_of_gamma_commutator",
+        ],
+    ),
+    "gamma5 replaced by Sigma_x": (
+        "gamma5",
+        lambda m: MATRIX_BASIS["Sigma_x"],
+        [
+            "gamma5_anticommutes_with_beta",
+            "gamma5_commutes_with_sigma",
+            "gamma5_times_sigma_is_minus_alpha",
+            "spin_channel_of_gamma_commutator",
+            "basis_orthonormal_under_trace",
+            "decomposition_involutive_on_random_matrices",
+        ],
+    ),
+    "Sigma_y conjugated": (
+        "Sigma_y",
+        lambda m: tuple(tuple(cell.conj() for cell in row) for row in m),
+        [
+            "alpha_products_reduce_to_sigma",
+            "sigma_products_reduce_to_sigma",
+            "gamma5_times_sigma_is_minus_alpha",
+        ],
+    ),
+    "beta with its first and third rows swapped": (
+        "beta",
+        lambda m: (m[2], m[1], m[0], m[3]),
+        [
+            "beta_squares_to_one",
+            "beta_anticommutes_with_alpha",
+            "gamma_is_beta_alpha",
+            "basis_orthonormal_under_trace",
+            "decomposition_involutive_on_random_matrices",
+        ],
+    ),
+    "Pi_z replaced by the identity": (
+        "Pi_z",
+        lambda m: MATRIX_BASIS["1"],
+        [
+            "spin_channel_of_alpha_commutator",
+            "spin_channel_of_gamma_commutator",
+            "basis_orthonormal_under_trace",
+            "decomposition_involutive_on_random_matrices",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CORRUPTIONS))
+def test_integer_checks_agree_with_fraction_checks_on_a_corrupted_basis(case, monkeypatch):
+    label, corrupt, failing = CORRUPTIONS[case]
+    monkeypatch.setitem(MATRIX_BASIS, label, corrupt(MATRIX_BASIS[label]))
+    report = matrix_identity_report()
+    assert report == fraction_identity_report()
+    assert [row["identity"] for row in report if row["status"] == "fail"] == failing
+    with pytest.raises(MatrixIdentityError) as raised:
+        _require_matrices()
+    assert str(raised.value) == "representation identities failed: " + ", ".join(failing)
+
+
+def test_integer_checks_refuse_a_non_integral_basis(monkeypatch):
+    monkeypatch.setitem(MATRIX_BASIS, "beta", mat_scale(MATRIX_BASIS["beta"], QQi.of(Fraction(1, 2))))
+    with pytest.raises(ValueError, match="not a Gaussian integer"):
+        matrix_identity_report()
 
 
 def test_basis_has_sixteen_orthonormal_elements():
@@ -66,6 +261,28 @@ def test_single_channel_products():
     assert decompose_matrix(
         mat_mul(MATRIX_BASIS["alpha_x"], MATRIX_BASIS["alpha_y"])
     ) == {"Sigma_z": QQi.of(0, 1)}
+
+
+def test_structure_constants_match_the_matrix_products():
+    for left in MATRIX_BASIS:
+        for right in MATRIX_BASIS:
+            [item] = decompose_matrix(mat_mul(MATRIX_BASIS[left], MATRIX_BASIS[right])).items()
+            assert _basis_product(left, right) == item
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        (mat_add(MATRIX_BASIS["beta"], MATRIX_BASIS["alpha_x"]), "2 nonzero entries"),
+        (mat_scale(MATRIX_BASIS["1"], QQi.of(0)), "0 nonzero entries"),
+        (mat_scale(MATRIX_BASIS["Sigma_y"], QQi.of(2)), "not a power of i"),
+        (mat_scale(MATRIX_BASIS["Sigma_y"], QQi.of(1, 1)), "not a power of i"),
+        (mat_scale(MATRIX_BASIS["alpha_z"], QQi.of(Fraction(1, 3))), "not a Gaussian integer"),
+    ],
+)
+def test_monomial_reader_refuses_other_matrices(matrix, message):
+    with pytest.raises(ValueError, match=message):
+        _monomial(matrix)
 
 
 PHASES = (QQi.of(1), QQi.of(-1), QQi.of(0, 1), QQi.of(0, -1))
