@@ -445,50 +445,55 @@ def _scan_grid(values):
 
 
 def _cmd_spectra(args, values) -> tuple[str, str, bool]:
+    import numpy as np
+
     from . import spectra
 
     try:
-        if args.target == "run":
-            model = spectra.SpectralModel(
-                values["particle"],
-                values["representation"],
-                m=values["m"],
-                hbar=values["hbar"],
-                e=values["e"],
-                B=values["B"],
-                g=values["g"],
-                N=values["levels"],
-            )
-            report = spectra.compare_closed_form(model)
-        elif args.target == "amm-scan":
-            report = spectra.amm_linearity_scan(
-                [2.0 + x for x in _scan_grid(values)],
-                values["B"],
-                values["levels"],
-                e=values["e"],
-                m=values["m"],
-                hbar=values["hbar"],
-            )
-        elif args.target == "correction-scan":
-            report = spectra.correction_residual_scan(
-                values["g"],
-                list(_scan_grid(values)),
-                values["levels"],
-                e=values["e"],
-                m=values["m"],
-                hbar=values["hbar"],
-            )
-        else:
-            report = spectra.operator_relation_check(
-                values["B"],
-                values["g"],
-                values["levels"],
-                e=values["e"],
-                m=values["m"],
-                hbar=values["hbar"],
-            )
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if args.target == "run":
+                model = spectra.SpectralModel(
+                    values["particle"],
+                    values["representation"],
+                    m=values["m"],
+                    hbar=values["hbar"],
+                    e=values["e"],
+                    B=values["B"],
+                    g=values["g"],
+                    N=values["levels"],
+                )
+                report = spectra.compare_closed_form(model)
+            elif args.target == "amm-scan":
+                report = spectra.amm_linearity_scan(
+                    [2.0 + x for x in _scan_grid(values)],
+                    values["B"],
+                    values["levels"],
+                    e=values["e"],
+                    m=values["m"],
+                    hbar=values["hbar"],
+                )
+            elif args.target == "correction-scan":
+                report = spectra.correction_residual_scan(
+                    values["g"],
+                    list(_scan_grid(values)),
+                    values["levels"],
+                    e=values["e"],
+                    m=values["m"],
+                    hbar=values["hbar"],
+                )
+            else:
+                report = spectra.operator_relation_check(
+                    values["B"],
+                    values["g"],
+                    values["levels"],
+                    e=values["e"],
+                    m=values["m"],
+                    hbar=values["hbar"],
+                )
     except (spectra.SquareRootDomainError, spectra.InsufficientInteriorError) as exc:
         report = {"status": "fail", "failure": str(exc)}
+    except (FloatingPointError, OverflowError) as exc:
+        raise UsageError(f"the parameters overflow floating-point arithmetic ({exc})") from exc
     ok = report["status"] == "pass"
     return spectra.report_json(report), _generic_text(report), ok
 

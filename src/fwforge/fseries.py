@@ -1,19 +1,19 @@
-"""Truncated commutative series for central functions of eps = sqrt(m^2 + O^2).
+"""Central functions of eps = sqrt(m^2 + O^2) as words of the free algebra.
 
-A CentralSeries stores f(eps, m) = m^offset * sum_k c_k x^k with
-x = O^2/m^2, all c_k exact rationals, truncated above x^order.  Since
-[eps, O] = 0, these objects commute with everything they multiply into;
-converting to the free algebra just spells x^k as the word "OO...O".
+With x = O^2/m^2, the word "OO" times m^-2, every registry function is
+m^offset * sum_k c_k x^k with exact rational c_k: an AbstractExpr whose
+words are runs of O.  Such series commute with O and with one another,
+and a truncated product of them is exact below the budget's word-length
+cut, because words only grow.
 
-The registry maps mini-language names (epsfun(NAME)) to the coefficient
-functions of eps and m used by the closed-form transformed Hamiltonians;
-each is built compositionally from eps = m*(1+x)^{1/2}, so every
-coefficient is exact at any truncation order.
+All powers go through one binomial: eps^q = m^q (1 + x)^{q/2}, and any
+other power of a series c m^k (1 + X) is c^q m^{qk} (1 + X)^q.  The
+registry maps mini-language names (epsfun(NAME)) to the coefficient
+functions of eps and m used by the closed-form transformed Hamiltonians.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -21,7 +21,7 @@ from fwforge.ncalg import AbstractExpr, check_term_cap
 
 
 class SingularSeriesError(ZeroDivisionError):
-    """Inversion of a series whose constant term vanishes."""
+    """Power of a series without a constant term."""
 
 
 def binomial_coefficient(q: Fraction, k: int) -> Fraction:
@@ -31,218 +31,6 @@ def binomial_coefficient(q: Fraction, k: int) -> Fraction:
         out *= (q - j)
         out /= j + 1
     return out
-
-
-@dataclass(frozen=True)
-class CentralSeries:
-    """m^offset * sum c_k x^k with x = O^2/m^2, truncated above x^order."""
-
-    coefficients: dict
-    order: int
-    offset: int
-
-    def __post_init__(self):
-        clean = {
-            k: Fraction(c)
-            for k, c in self.coefficients.items()
-            if c and 0 <= k <= self.order
-        }
-        object.__setattr__(self, "coefficients", clean)
-
-    # -- construction ----------------------------------------------------
-
-    @staticmethod
-    def constant(value, order: int, offset: int = 0) -> "CentralSeries":
-        return CentralSeries({0: Fraction(value)}, order, offset)
-
-    @staticmethod
-    def binomial(q: Fraction, order: int, offset: int = 0) -> "CentralSeries":
-        """(1 + x)^q through x^order, times m^offset."""
-        coeffs = {k: binomial_coefficient(Fraction(q), k) for k in range(order + 1)}
-        return CentralSeries(coeffs, order, offset)
-
-    # -- ring operations ---------------------------------------------------
-
-    def coefficient(self, k: int) -> Fraction:
-        return self.coefficients.get(k, Fraction(0))
-
-    def scale(self, factor) -> "CentralSeries":
-        factor = Fraction(factor)
-        return CentralSeries(
-            {k: c * factor for k, c in self.coefficients.items()},
-            self.order,
-            self.offset,
-        )
-
-    def neg(self) -> "CentralSeries":
-        return self.scale(-1)
-
-    def shift_m(self, delta: int) -> "CentralSeries":
-        return CentralSeries(self.coefficients, self.order, self.offset + delta)
-
-    def add(self, other: "CentralSeries") -> "CentralSeries":
-        # x carries m^-2, so series with different offsets have no common
-        # monomial basis and their sum is not a CentralSeries.
-        if self.offset != other.offset:
-            raise ValueError(
-                f"offset mismatch in series addition: {self.offset} vs {other.offset}"
-            )
-        order = min(self.order, other.order)
-        coeffs = {k: c for k, c in self.coefficients.items() if k <= order}
-        for k, c in other.coefficients.items():
-            if k <= order:
-                coeffs[k] = coeffs.get(k, Fraction(0)) + c
-        return CentralSeries(coeffs, order, self.offset)
-
-    def sub(self, other: "CentralSeries") -> "CentralSeries":
-        return self.add(other.neg())
-
-    def mul(self, other: "CentralSeries") -> "CentralSeries":
-        order = min(self.order, other.order)
-        coeffs: dict[int, Fraction] = {}
-        for k1, c1 in self.coefficients.items():
-            for k2, c2 in other.coefficients.items():
-                k = k1 + k2
-                if k <= order:
-                    coeffs[k] = coeffs.get(k, Fraction(0)) + c1 * c2
-        return CentralSeries(coeffs, order, self.offset + other.offset)
-
-    def invert(self) -> "CentralSeries":
-        c0 = self.coefficient(0)
-        if not c0:
-            raise SingularSeriesError(
-                "cannot invert a series with vanishing constant term"
-            )
-        inv: dict[int, Fraction] = {0: 1 / c0}
-        for k in range(1, self.order + 1):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                acc += self.coefficient(j) * inv.get(k - j, Fraction(0))
-            inv[k] = -acc / c0
-        return CentralSeries(inv, self.order, -self.offset)
-
-    def sqrt(self) -> "CentralSeries":
-        """Square root with exact rational coefficients.
-
-        Requires an even m-offset and a constant term that is a square of
-        a rational; both hold for every registry function.
-        """
-        if self.offset % 2:
-            raise ValueError("square root needs an even m-offset")
-        c0 = self.coefficient(0)
-        if c0 <= 0:
-            raise ValueError("square root needs a positive constant term")
-        root_num, root_den = isqrt(c0.numerator), isqrt(c0.denominator)
-        if root_num * root_num != c0.numerator or root_den * root_den != c0.denominator:
-            raise ValueError(f"constant term {c0} is not a rational square")
-        root0 = Fraction(root_num, root_den)
-        # (c0(1+u))^{1/2} = sqrt(c0) * sum C(1/2,j) u^j with u = tail/c0.
-        tail = CentralSeries(
-            {k: c / c0 for k, c in self.coefficients.items() if k >= 1},
-            self.order,
-            0,
-        )
-        acc = CentralSeries.constant(root0, self.order)
-        power = CentralSeries.constant(1, self.order)
-        for j in range(1, self.order + 1):
-            power = power.mul(tail)
-            if not power.coefficients:
-                break
-            acc = acc.add(power.scale(root0 * binomial_coefficient(Fraction(1, 2), j)))
-        return CentralSeries(acc.coefficients, self.order, self.offset // 2)
-
-    def pow(self, n: int) -> "CentralSeries":
-        if n < 0:
-            return self.invert().pow(-n)
-        acc = CentralSeries.constant(1, self.order)
-        for _ in range(n):
-            acc = acc.mul(self)
-        return acc
-
-    # -- export -----------------------------------------------------------
-
-    def to_terms(self) -> list[tuple[int, Fraction]]:
-        """Sorted (x-power, coefficient) pairs."""
-        return sorted(self.coefficients.items())
-
-
-def to_abstract(series: CentralSeries) -> AbstractExpr:
-    """Spell m^offset * sum c_k x^k as words: x^k -> O^{2k} m^{-2k}."""
-    return AbstractExpr(
-        {
-            (0, "O" * (2 * k), series.offset - 2 * k): c
-            for k, c in series.coefficients.items()
-        }
-    )
-
-
-# -- the named coefficient functions ----------------------------------------
-
-
-def _eps(order: int) -> CentralSeries:
-    return CentralSeries.binomial(Fraction(1, 2), order, offset=1)
-
-
-def _eps_plus_m(order: int) -> CentralSeries:
-    return _eps(order).add(CentralSeries.constant(1, order, offset=1))
-
-
-def _registry_builders():
-    def eps(order):
-        return _eps(order)
-
-    def inv_eps(order):
-        return _eps(order).invert()
-
-    def inv_eps_epsm(order):
-        return _eps(order).mul(_eps_plus_m(order)).invert()
-
-    def quartic_kernel(order):
-        eps2 = _eps(order).pow(2)
-        numerator = (
-            eps2.scale(2)
-            .add(_eps(order).shift_m(1).scale(2))
-            .add(CentralSeries.constant(1, order, offset=2))
-        )
-        denominator = eps2.pow(2).mul(_eps_plus_m(order).pow(2))
-        return numerator.mul(denominator.invert())
-
-    def inv_eps3(order):
-        return _eps(order).pow(-3)
-
-    def inv_eps5(order):
-        return _eps(order).pow(-5)
-
-    def inv_sqrt2(order):
-        return _eps(order).mul(_eps_plus_m(order)).scale(2).sqrt().invert()
-
-    def fact_plus(order):
-        return _eps_plus_m(order).mul(inv_sqrt2(order))
-
-    return {
-        "eps": eps,
-        "inv_eps": inv_eps,
-        "inv_eps_epsm": inv_eps_epsm,
-        "quartic_kernel": quartic_kernel,
-        "inv_eps3": inv_eps3,
-        "inv_eps5": inv_eps5,
-        "inv_sqrt2": inv_sqrt2,
-        "fact_plus": fact_plus,
-    }
-
-
-REGISTRY = _registry_builders()
-
-
-def central_expand(name: str, order: int) -> CentralSeries:
-    """Exact truncated series of a registry function through x^order."""
-    try:
-        builder = REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown epsilon-function name {name!r}") from None
-    if order < 0:
-        raise ValueError("truncation order must be non-negative")
-    return builder(order)
 
 
 # -- noncommutative binomial series ------------------------------------------
@@ -276,3 +64,105 @@ def nc_binomial_power(
             break
         acc = check_term_cap(acc.add(power.scale(binomial_coefficient(q, k))), budget, path)
     return acc
+
+
+def central_power(series: AbstractExpr, q, budget) -> AbstractExpr:
+    """series^q for an integer or half-integer q, truncated by the budget.
+
+    The series must have exactly one term without letters, c m^k, so that
+    it reads c m^k (1 + X); the result is c^q m^{qk} (1 + X)^q.  A
+    fractional q needs c to be the square of a rational and qk an integer.
+    """
+    q = Fraction(q)
+    constants = [(key, c) for key, c in series.terms() if not key[1]]
+    if not constants:
+        raise SingularSeriesError("power of a series without a constant term")
+    if len(constants) > 1:
+        raise ValueError(f"series has {len(constants)} terms without letters, not one")
+    (beta_exp, _, k), c = constants[0]
+    if beta_exp:
+        raise ValueError("the constant term of a central series carries no beta")
+    if q.denominator == 1:
+        factor = c**q.numerator
+    elif q.denominator == 2:
+        root = Fraction(isqrt(c.numerator), isqrt(c.denominator)) if c > 0 else None
+        if root is None or root * root != c:
+            raise ValueError(f"constant term {c} is not the square of a rational")
+        factor = root**q.numerator
+    else:
+        raise ValueError(f"exponent {q} is neither an integer nor a half-integer")
+    if (q * k).denominator != 1:
+        raise ValueError(f"m^{k} to the power {q} is not an integer power of m")
+    x_expr = AbstractExpr({key: coeff / c for key, coeff in series.terms() if key[1]})
+    return nc_binomial_power(x_expr.shift_m(-k), q, budget).scale(factor).shift_m(int(q * k))
+
+
+# -- the named coefficient functions ----------------------------------------
+
+# x = O^2/m^2
+_X = AbstractExpr({(0, "OO", -2): Fraction(1)})
+
+
+def _eps_power(q: int, budget) -> AbstractExpr:
+    """eps^q = m^q (1 + x)^{q/2}."""
+    return nc_binomial_power(_X, Fraction(q, 2), budget).shift_m(q)
+
+
+def _eps_eps_plus_m(budget) -> AbstractExpr:
+    """eps (eps + m) = eps^2 + m eps."""
+    return _eps_power(2, budget).add(_eps_power(1, budget).shift_m(1))
+
+
+def _registry_builders():
+    def eps(budget):
+        return _eps_power(1, budget)
+
+    def inv_eps(budget):
+        return _eps_power(-1, budget)
+
+    def inv_eps_epsm(budget):
+        return central_power(_eps_eps_plus_m(budget), -1, budget)
+
+    def quartic_kernel(budget):
+        # (2 eps (eps + m) + m^2) / (eps^2 (eps (eps + m))^2)
+        product = _eps_eps_plus_m(budget)
+        numerator = product.scale(2).add(AbstractExpr.m_power(2))
+        return numerator.mul(_eps_power(-2, budget), budget).mul(
+            central_power(product, -2, budget), budget
+        )
+
+    def inv_eps3(budget):
+        return _eps_power(-3, budget)
+
+    def inv_eps5(budget):
+        return _eps_power(-5, budget)
+
+    def inv_sqrt2(budget):
+        return central_power(_eps_eps_plus_m(budget).scale(2), Fraction(-1, 2), budget)
+
+    def fact_plus(budget):
+        eps_plus_m = _eps_power(1, budget).add(AbstractExpr.m_power(1))
+        return eps_plus_m.mul(inv_sqrt2(budget), budget)
+
+    return {
+        "eps": eps,
+        "inv_eps": inv_eps,
+        "inv_eps_epsm": inv_eps_epsm,
+        "quartic_kernel": quartic_kernel,
+        "inv_eps3": inv_eps3,
+        "inv_eps5": inv_eps5,
+        "inv_sqrt2": inv_sqrt2,
+        "fact_plus": fact_plus,
+    }
+
+
+REGISTRY = _registry_builders()
+
+
+def central_expand(name: str, budget) -> AbstractExpr:
+    """Exact series of a registry function, truncated by the budget."""
+    try:
+        builder = REGISTRY[name]
+    except KeyError:
+        raise KeyError(f"unknown epsilon-function name {name!r}") from None
+    return builder(budget)

@@ -281,11 +281,6 @@ class Budget:
         if self.max_word_len < 0 or self.max_e_count < 0:
             raise ValueError("budget bounds must be non-negative")
 
-    @property
-    def central_order(self) -> int:
-        """Default truncation order for series in x = O^2/m^2."""
-        return (self.max_word_len + 1) // 2
-
 
 class BudgetOverflowError(Exception):
     def __init__(self, path: str, count: int, cap: int):
@@ -389,11 +384,10 @@ def _expand_at(tree, budget: Budget, path: str) -> AbstractExpr:
     if isinstance(tree, Rat):
         return AbstractExpr.rational(tree.value)
     if isinstance(tree, EpsFun):
-        # Central series in x = O^2/m^2; each x carries two O letters.
-        from fwforge.fseries import central_expand, to_abstract
+        # Central series in x = O^2/m^2, spelled as words of O pairs.
+        from fwforge.fseries import central_expand
 
-        series = central_expand(tree.name, budget.central_order)
-        return check_term_cap(to_abstract(series).filtered(budget), budget, path)
+        return check_term_cap(central_expand(tree.name, budget), budget, path)
     if isinstance(tree, Sum):
         acc = AbstractExpr.zero()
         for i, child in enumerate(tree.children):

@@ -57,8 +57,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concretizer import MATRIX_BASIS
-
 __all__ = [
     "PARTICLES",
     "REPRESENTATIONS",
@@ -234,12 +232,14 @@ def _transverse_momenta(e: float, hbar: float, B: float, levels: np.ndarray):
     return pi_x, pi_y
 
 
-def _complex_matrix(label: str) -> np.ndarray:
-    rows = MATRIX_BASIS[label]
-    return np.array(
-        [[complex(float(cell.re), float(cell.im)) for cell in row] for row in rows],
-        dtype=complex,
-    )
+def _dirac_matrices():
+    """beta, alpha_x, alpha_y, Sigma_z, Pi_z of the Dirac representation:
+    rho_3 x 1, rho_1 x sigma_x, rho_1 x sigma_y, 1 x sigma_3, rho_3 x sigma_3,
+    where rho and sigma are the same Pauli matrices."""
+    rho_1, rho_2, rho_3 = _rho_matrices()
+    eye = np.eye(2, dtype=complex)
+    pairs = ((rho_3, eye), (rho_1, rho_1), (rho_1, rho_2), (eye, rho_3), (rho_3, rho_3))
+    return tuple(np.kron(a, b) for a, b in pairs)
 
 
 def _spin1_matrices():
@@ -341,26 +341,26 @@ def _build_spin0(model: SpectralModel, levels: np.ndarray) -> np.ndarray:
     pi_x, pi_y = _transverse_momenta(model.e, model.hbar, model.B, levels)
     radicand = (model.m**2) * np.eye(levels.shape[-1], dtype=complex) + pi_x @ pi_x + pi_y @ pi_y
     root = hermitian_sqrt(radicand)
-    return _kron(root, np.diag([1.0, -1.0]).astype(complex))
+    return _kron(root, _rho_matrices()[2])
 
 
 def _build_spin12(model: SpectralModel, levels: np.ndarray) -> np.ndarray:
     pi_x, pi_y = _transverse_momenta(model.e, model.hbar, model.B, levels)
-    beta = _complex_matrix("beta")
+    beta, alpha_x, alpha_y, sigma_z, pi_z = _dirac_matrices()
     eye_landau = np.eye(levels.shape[-1], dtype=complex)
     moment = _anomalous_moment(model)
-    amm_term = moment * model.B * np.kron(eye_landau, _complex_matrix("Pi_z"))
+    amm_term = moment * model.B * np.kron(eye_landau, pi_z)
     if model.representation == "original":
         return (
             model.m * np.kron(eye_landau, beta)
-            + _kron(pi_x, _complex_matrix("alpha_x"))
-            + _kron(pi_y, _complex_matrix("alpha_y"))
+            + _kron(pi_x, alpha_x)
+            + _kron(pi_y, alpha_y)
             - amm_term
         )
     radicand = (
         (model.m**2) * np.eye(4 * levels.shape[-1], dtype=complex)
         + _kron(pi_x @ pi_x + pi_y @ pi_y, np.eye(4, dtype=complex))
-        - model.e * model.hbar * model.B * np.kron(eye_landau, _complex_matrix("Sigma_z"))
+        - model.e * model.hbar * model.B * np.kron(eye_landau, sigma_z)
     )
     return np.kron(eye_landau, beta) @ hermitian_sqrt(radicand) - amm_term
 
@@ -873,4 +873,4 @@ def operator_relation_check(
 
 def report_json(report: dict) -> str:
     """Serialize a report dict deterministically."""
-    return json.dumps(report, indent=2, sort_keys=True)
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)

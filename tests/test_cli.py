@@ -432,6 +432,44 @@ def test_symbolic_commands_do_not_import_numpy(argv, tmp_path):
     assert result.stdout.split() == ["0", "False", "False"]
 
 
+def test_spectra_commands_do_not_import_symbolic_modules(tmp_path):
+    script = (
+        "import sys\n"
+        "from fwforge import cli\n"
+        "code = cli.main(['spectra', 'relations', '--levels', '8', '--out', 'report.json'])\n"
+        "print(code, 'fwforge.concretizer' in sys.modules, 'fwforge.fseries' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, env=_child_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", "False", "False"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["correction-scan", "--scan-to", "1e200", "--scan-points", "2"],
+        ["relations", "--B", "1e100"],
+        ["run", "--particle", "spin1", "--representation", "fw_corrected", "--g", "1e200"],
+    ],
+    ids=["correction-scan", "relations", "run"],
+)
+def test_spectra_overflow_is_usage_error(argv, tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-m", "fwforge.cli", "spectra", *argv, "--levels", "8"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=_child_env(),
+    )
+    assert result.returncode == 2, result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("fwforge: error: "), result.stderr
+    assert "overflow" in lines[0]
+    assert not (tmp_path / "fwforge-manifest.json").exists()
+
+
 def test_particle_choices_are_the_spectra_particles():
     from fwforge import spectra
 

@@ -2,9 +2,10 @@
 
 Oracle: sympy's commutative series expansion.  Each registry function
 has a closed form in (eps, m); substituting eps = m*sqrt(1+x) and
-expanding in x must reproduce the CentralSeries coefficients exactly.
-The registry's closed forms are restated here independently rather than
-imported from the implementation.
+expanding in x must reproduce the coefficient of every word O^(2k) at
+m^(offset-2k) exactly, with no other term.  The registry's closed forms
+are restated here independently rather than imported from the
+implementation.
 """
 
 from fractions import Fraction
@@ -14,13 +15,12 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from fwforge.fseries import (
-    CentralSeries,
     REGISTRY,
     SingularSeriesError,
     binomial_coefficient,
     central_expand,
+    central_power,
     nc_binomial_power,
-    to_abstract,
 )
 from fwforge.ncalg import AbstractExpr, Budget, BudgetOverflowError
 
@@ -53,8 +53,14 @@ def oracle_series(form, offset, order):
     return coeffs
 
 
-def as_fraction_map(series):
-    return dict(series.to_terms())
+def x_coefficients(expr, offset):
+    """{k: c} for the terms c m^(offset-2k) O^(2k); any other term fails."""
+    coeffs = {}
+    for (beta_exp, word, m_exp), c in expr.terms():
+        k = len(word) // 2
+        assert (beta_exp, word, m_exp) == (0, "O" * (2 * k), offset - 2 * k)
+        coeffs[k] = c
+    return coeffs
 
 
 def test_registry_has_the_documented_names():
@@ -73,32 +79,29 @@ def test_registry_has_the_documented_names():
 @pytest.mark.parametrize("name", sorted(ORACLE_FORMS))
 def test_registry_matches_sympy_oracle(name):
     form, offset = ORACLE_FORMS[name]
-    series = central_expand(name, 4)
-    assert series.offset == offset
-    assert as_fraction_map(series) == oracle_series(form, offset, 4)
+    series = central_expand(name, Budget(8, 0))
+    assert x_coefficients(series, offset) == oracle_series(form, offset, 4)
 
 
 def test_registry_pairwise_products_match_oracle():
-    # mul must agree with the series of the product function.
+    # Truncated products must agree with the series of the product function.
     names = sorted(ORACLE_FORMS)
-    order = 3
-    expanded = {name: central_expand(name, order) for name in names}
+    budget = Budget(6, 0)
+    expanded = {name: central_expand(name, budget) for name in names}
     for a in names:
         for b in names:
             form = ORACLE_FORMS[a][0] * ORACLE_FORMS[b][0]
             offset = ORACLE_FORMS[a][1] + ORACLE_FORMS[b][1]
-            product = expanded[a].mul(expanded[b])
-            assert product.offset == offset, (a, b)
-            assert as_fraction_map(product) == oracle_series(form, offset, order), (a, b)
+            product = expanded[a].mul(expanded[b], budget)
+            assert x_coefficients(product, offset) == oracle_series(form, offset, 3), (a, b)
 
 
 # -- frozen expansions -----------------------------------------------------------
 
 
 def test_eps_series_through_fourth_order():
-    series = central_expand("eps", 4)
-    assert series.offset == 1
-    assert as_fraction_map(series) == {
+    series = central_expand("eps", Budget(8, 0))
+    assert x_coefficients(series, 1) == {
         0: Fraction(1),
         1: Fraction(1, 2),
         2: Fraction(-1, 8),
@@ -108,9 +111,8 @@ def test_eps_series_through_fourth_order():
 
 
 def test_inv_eps_epsm_through_second_order():
-    series = central_expand("inv_eps_epsm", 2)
-    assert series.offset == -2
-    assert as_fraction_map(series) == {
+    series = central_expand("inv_eps_epsm", Budget(4, 0))
+    assert x_coefficients(series, -2) == {
         0: Fraction(1, 2),
         1: Fraction(-3, 8),
         2: Fraction(5, 16),
@@ -118,76 +120,93 @@ def test_inv_eps_epsm_through_second_order():
 
 
 def test_inv_eps3_through_first_order():
-    series = central_expand("inv_eps3", 1)
-    assert series.offset == -3
-    assert as_fraction_map(series) == {0: Fraction(1), 1: Fraction(-3, 2)}
+    series = central_expand("inv_eps3", Budget(2, 0))
+    assert x_coefficients(series, -3) == {0: Fraction(1), 1: Fraction(-3, 2)}
+
+
+def test_eps_spells_x_as_o_pairs():
+    assert central_expand("eps", Budget(4, 0)) == AbstractExpr(
+        {
+            (0, "", 1): Fraction(1),
+            (0, "OO", -1): Fraction(1, 2),
+            (0, "OOOO", -3): Fraction(-1, 8),
+        }
+    )
 
 
 def test_unknown_name_and_bad_order():
     with pytest.raises(KeyError):
-        central_expand("epsilon", 2)
+        central_expand("epsilon", Budget(2, 0))
     with pytest.raises(ValueError):
-        central_expand("eps", -1)
+        central_expand("eps", Budget(-1, 0))
 
 
-# -- ring operations ---------------------------------------------------------------
+# -- powers of central series ------------------------------------------------------
 
 rationals = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=24
 )
 
+SERIES_BUDGET = Budget(8, 0)
+
 
 @st.composite
-def central_series(draw, order=4, nonzero_constant=False):
+def central_series(draw, order=4, constant=rationals):
+    """m^offset * sum c_k x^k through x^order, spelled as O-words."""
     offset = draw(st.integers(-4, 4))
-    coeffs = {k: draw(rationals) for k in range(order + 1)}
-    if nonzero_constant and not coeffs[0]:
-        coeffs[0] = Fraction(1)
-    return CentralSeries(coeffs, order, offset)
+    coeffs = {k: draw(rationals) for k in range(1, order + 1)}
+    coeffs[0] = draw(constant)
+    return AbstractExpr(
+        {(0, "O" * (2 * k), offset - 2 * k): c for k, c in coeffs.items()}
+    )
 
 
 @given(central_series(), central_series())
 @settings(max_examples=100)
 def test_mul_is_commutative_here(a, b):
-    assert a.mul(b) == b.mul(a)
+    assert a.mul(b, SERIES_BUDGET) == b.mul(a, SERIES_BUDGET)
 
 
-@given(central_series(nonzero_constant=True))
+@given(central_series(constant=rationals.filter(bool)))
 @settings(max_examples=150)
 def test_invert_is_a_right_inverse(a):
-    product = a.mul(a.invert())
-    assert product.offset == 0
-    assert as_fraction_map(product) == {0: Fraction(1)}
+    product = a.mul(central_power(a, -1, SERIES_BUDGET), SERIES_BUDGET)
+    assert product == AbstractExpr.rational(1)
 
 
-@given(central_series())
+@given(central_series(constant=rationals.filter(lambda c: c > 0)))
 @settings(max_examples=100)
 def test_sqrt_of_square_recovers_positive_root(a):
-    if a.coefficient(0) <= 0:
-        a = a.add(CentralSeries.constant(1 + abs(a.coefficient(0)), a.order, a.offset))
-    root = a.mul(a).sqrt()
+    root = central_power(a.mul(a, SERIES_BUDGET), Fraction(1, 2), SERIES_BUDGET)
     assert root == a
-
-
-def test_add_requires_matching_offset():
-    a = CentralSeries({0: Fraction(1)}, 3, 1)
-    b = CentralSeries({0: Fraction(1)}, 3, 2)
-    with pytest.raises(ValueError):
-        a.add(b)
 
 
 def test_invert_singular_series():
     with pytest.raises(SingularSeriesError):
-        CentralSeries({1: Fraction(1)}, 3, 0).invert()
+        central_power(AbstractExpr({(0, "OO", -2): Fraction(1)}), -1, SERIES_BUDGET)
+
+
+def test_central_power_needs_one_term_without_letters():
+    two_constants = AbstractExpr({(0, "", 0): Fraction(1), (0, "", 1): Fraction(1)})
+    with pytest.raises(ValueError):
+        central_power(two_constants, -1, SERIES_BUDGET)
 
 
 def test_sqrt_domain_errors():
+    half = Fraction(1, 2)
     with pytest.raises(ValueError):
-        CentralSeries({0: Fraction(1)}, 3, 1).sqrt()  # odd offset
+        central_power(AbstractExpr.m_power(1), half, SERIES_BUDGET)  # odd offset
     with pytest.raises(ValueError):
-        CentralSeries({0: Fraction(2)}, 3, 0).sqrt()  # not a rational square
+        central_power(AbstractExpr.rational(2), half, SERIES_BUDGET)  # not a rational square
     with pytest.raises(ValueError):
-        CentralSeries({0: Fraction(-1)}, 3, 0).sqrt()
+        central_power(AbstractExpr.rational(-1), half, SERIES_BUDGET)
+
+
+def test_central_power_refuses_beta_constants_and_other_exponents():
+    with pytest.raises(ValueError):
+        central_power(AbstractExpr.beta(), -1, SERIES_BUDGET)
+    with pytest.raises(ValueError):
+        central_power(AbstractExpr.rational(8), Fraction(1, 3), SERIES_BUDGET)
 
 
 def test_binomial_coefficients_at_one_half():
@@ -199,24 +218,6 @@ def test_binomial_coefficients_at_one_half():
         Fraction(1, 16),
         Fraction(-5, 128),
     ]
-
-
-def test_to_abstract_spells_x_as_o_pairs():
-    series = central_expand("eps", 2)
-    assert to_abstract(series) == AbstractExpr(
-        {
-            (0, "", 1): Fraction(1),
-            (0, "OO", -1): Fraction(1, 2),
-            (0, "OOOO", -3): Fraction(-1, 8),
-        }
-    )
-
-
-def test_default_central_order_tracks_word_budget():
-    assert Budget(8, 3).central_order == 4
-    assert Budget(7, 3).central_order == 4
-    assert Budget(1, 0).central_order == 1
-    assert Budget(0, 0).central_order == 0
 
 
 # -- noncommutative binomial --------------------------------------------------------

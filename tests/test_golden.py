@@ -8,17 +8,33 @@ with the JSON report in NAME.json and the text report renamed to
 NAME.txt.  The symbolic commands promise deterministic output, so any
 change to a report shows here first.  The (8,3) comparison reuses the
 session fixture instead of running the command again, and once more
-without a basis, as the command does.
+without a basis, as the command does.  epsfun_series.json holds, for
+each registry name and each max length L from 0 to 15, the canonical
+text that `fwforge expand "epsfun(NAME)" --max-len L --max-e 0` prints.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
 from fwforge import cli
 from fwforge.comparator import diff_report
+from fwforge.fseries import REGISTRY
+from fwforge.lang import format_expr
+from fwforge.ncalg import Budget, EpsFun, expand
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_epsfun_series_match_golden():
+    expected = json.loads((GOLDEN / "epsfun_series.json").read_text())
+    assert sorted(expected) == sorted(REGISTRY)
+    got = {
+        name: [format_expr(expand(EpsFun(name), Budget(length, 0))) for length in range(16)]
+        for name in expected
+    }
+    assert got == expected
 
 
 def test_compare_83_matches_golden(report83):

@@ -563,3 +563,12 @@ def test_scan_report_schema():
     assert set(decoded["scan"]) == {"x_values", "residuals", "fitted_slope"}
     assert decoded["eigenvalues"] == []
     assert decoded["N"] == 32
+
+
+def test_dirac_matrices_are_the_concretizer_basis():
+    from fwforge.concretizer import MATRIX_BASIS
+
+    labels = ("beta", "alpha_x", "alpha_y", "Sigma_z", "Pi_z")
+    for label, matrix in zip(labels, spectra._dirac_matrices()):
+        expected = [[complex(float(c.re), float(c.im)) for c in row] for row in MATRIX_BASIS[label]]
+        assert np.array_equal(matrix, np.array(expected)), label
