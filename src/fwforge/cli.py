@@ -449,6 +449,12 @@ def _cmd_spectra(args, values) -> tuple[str, str, bool]:
 
     from . import spectra
 
+    # Python floats raise on overflow but not on underflow: a mass whose
+    # square is 0.0 or subnormal would reach the operators as no mass.
+    if values["m"] and values["m"] * values["m"] < sys.float_info.min:
+        raise UsageError(
+            f"--m {values['m']} is too small: its square underflows floating-point arithmetic"
+        )
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             if args.target == "run":

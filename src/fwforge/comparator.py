@@ -50,10 +50,7 @@ is scaled to integers once, its scale riding in those columns, so its
 remainder and weights divide back exactly.  Each class gets one echelon,
 built in one pass the first time a caller asks for that class, with its
 elements taken from high nominal order to low; it tracks no
-combinations: certification needs none.  `BracketBasis.dependencies`
-solves every element the class echelon skips over the ones it kept, and
-records the exact relation, e.g. acomm(O, comm(comm(O, E), E)) =
-comm(comm(pow(O, 2), E), E) - 2 pow(comm(O, E), 2).
+combinations: certification needs none.
 
 Projection.  A single-class operator is split into (beta, m) strata;
 each stratum is a rational vector over the class words.  Certification
@@ -98,7 +95,6 @@ from fwforge.ncalg import AbstractExpr, Budget, expand, parity_and_order
 __all__ = [
     "BasisElement",
     "BracketBasis",
-    "Dependency",
     "Projection",
     "ProjectionEntry",
     "ClassDiff",
@@ -143,17 +139,6 @@ def _integer_words(expansion: AbstractExpr, text: str) -> dict[str, int]:
             raise ValueError(f"{text} has the non-integral coefficient {coeff}")
         vector[word] = coeff.numerator
     return vector
-
-
-@dataclass(frozen=True)
-class Dependency:
-    """A rejected candidate with its exact expression in admitted elements."""
-
-    text: str
-    order: int
-    e_count: int
-    o_count: int
-    members: tuple[tuple[str, Fraction], ...]
 
 
 @dataclass(frozen=True)
@@ -431,41 +416,6 @@ class BracketBasis:
             )
         return echelon
 
-    @cached_property
-    def dependencies(self) -> tuple[Dependency, ...]:
-        """Every element spanned by the higher-order ones of its class, with
-        its exact relation: each is solved over the class echelon's elements
-        (those before it carry all its weight)."""
-        found = []
-        for klass in self.classes():
-            independent = set(self.echelon(klass).labels)
-            order = self._insertion_order(klass)
-            kept = [element for element in order if element.text in independent]
-            spanned = [element for element in order if element.text not in independent]
-            if not spanned:
-                continue
-            _, rows = _word_rows(klass, kept)
-            _, targets = _word_rows(klass, spanned)
-            solutions = _solve(rows, targets, [1] * len(spanned))
-            for element, (_, weights) in zip(spanned, solutions):
-                found.append(
-                    Dependency(
-                        text=element.text,
-                        order=element.order,
-                        e_count=element.e_count,
-                        o_count=element.o_count,
-                        members=tuple(
-                            sorted(
-                                (member.text, weight)
-                                for member, weight in zip(kept, weights)
-                                if weight
-                            )
-                        ),
-                    )
-                )
-        found.sort(key=lambda dep: (dep.order, (dep.e_count, dep.o_count), dep.text))
-        return tuple(found)
-
     def class_elements(self, e_count: int, o_count: int) -> tuple[BasisElement, ...]:
         self._require((e_count, o_count))
         return tuple(self._by_class.get((e_count, o_count), ()))
@@ -493,10 +443,10 @@ _ATOMS = (
 
 
 # Preferred spellings for directions the narrative names explicitly, each
-# in the canonical text lang.format_tree gives.  Every candidate's text is
-# canonical too, and no spelling here holds a product, so the text alone
-# decides whether a candidate is curated.  Each starts with comm(, acomm(
-# or pow(, which gives its kind.
+# in the canonical text the candidates are spelled in: "comm(a, b)",
+# "acomm(a, b)" and "pow(a, n)" around operand texts.  No spelling here
+# holds a product, so the text alone decides whether a candidate is
+# curated.  Each starts with comm(, acomm( or pow(, which gives its kind.
 _CURATED_TEXTS = frozenset(
     {
         "comm(O, E)",

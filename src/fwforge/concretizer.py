@@ -16,18 +16,18 @@ and re-derives two concrete results:
 
 Coefficients are Gaussian rationals (:class:`QQi`, exact rational real
 and imaginary parts).  Matrix factors are labels of a fixed 16-element
-basis of the 4x4 matrix algebra, whose explicit matrices
-(:data:`MATRIX_BASIS`) keep ``QQi`` entries.  Every basis matrix is
-monomial: each row holds one entry, a power of i.  So the basis is closed
-under products up to a phase in {1, -1, i, -i}, and a product of two
-labels is one label and one phase, read from each matrix's columns and
-powers of i in integer arithmetic (:func:`_basis_product`).  The
-representation identities are checked on the same matrices converted
-exactly to Gaussian integers, pairs of ints
-(:func:`matrix_identity_report`).  The ``QQi`` matrix helpers
-(:func:`mat_mul`, :func:`decompose_matrix`, :func:`recompose_matrix`)
-run on no command path; they are the public exact reference the tests
-compare against.  Operator words are normal ordered with every
+basis of the 4x4 matrix algebra.  The basis is written once, in Gaussian
+integers (pairs of ints), as Kronecker products rho (x) sigma of Pauli
+matrices; :data:`MATRIX_BASIS` is its copy with ``QQi`` entries.  Every
+basis matrix is monomial: each row holds one entry, a power of i.  So
+the basis is closed under products up to a phase in {1, -1, i, -i}, and
+a product of two labels is one label and one phase, read from each
+matrix's columns and powers of i in integer arithmetic
+(:func:`_basis_product`).  The representation identities are checked on
+the same Gaussian-integer matrices (:func:`matrix_identity_report`).
+The four bracket interiors are not written here: they are read as text
+from ``stepwise.ORDER2_BLOCKS`` and evaluated on the concrete inputs by
+``ncalg.evaluate``.  Operator words are normal ordered with every
 momentum-past-function swap emitting one explicit power of hbar, which
 is what makes the hbar-grading of each derived term exact.
 
@@ -47,6 +47,9 @@ from math import lcm
 from typing import Callable, Iterator, Mapping
 
 from fwforge.fseries import REGISTRY as _EPS_REGISTRY
+from fwforge.lang import parse_expr
+from fwforge.ncalg import evaluate
+from fwforge.stepwise import ORDER2_BLOCKS
 
 __all__ = [
     "QQi",
@@ -60,8 +63,6 @@ __all__ = [
     "field_factor",
     "scalar_factor",
     "eps_factor",
-    "decompose_matrix",
-    "recompose_matrix",
     "matrix_identity_report",
     "derive_electrostatic",
     "verify_uniform_commutator",
@@ -128,84 +129,11 @@ _ONE = QQi.of(1)
 _I = QQi.of(0, 1)
 
 
-# -- fixed 4x4 matrix representation ------------------------------------------------
-
-Matrix = tuple  # 4-tuple of 4-tuples of QQi
-
-
-def _block(a, b, c, d) -> Matrix:
-    rows = []
-    for i in range(2):
-        rows.append(tuple(a[i]) + tuple(b[i]))
-    for i in range(2):
-        rows.append(tuple(c[i]) + tuple(d[i]))
-    return tuple(rows)
-
-
-def mat_add(x: Matrix, y: Matrix) -> Matrix:
-    return tuple(tuple(x[i][j] + y[i][j] for j in range(4)) for i in range(4))
-
-
-def mat_scale(x: Matrix, factor: QQi) -> Matrix:
-    return tuple(tuple(cell * factor for cell in row) for row in x)
-
-
-def mat_mul(x: Matrix, y: Matrix) -> Matrix:
-    return tuple(
-        tuple(
-            sum((x[i][k] * y[k][j] for k in range(4)), _ZERO)
-            for j in range(4)
-        )
-        for i in range(4)
-    )
-
-
-def _inner(x: Matrix, y: Matrix) -> QQi:
-    """Trace inner product tr(x^dagger y) / 4, summed entry by entry."""
-    total = sum(
-        (a.conj() * b for row_x, row_y in zip(x, y) for a, b in zip(row_x, row_y)),
-        _ZERO,
-    )
-    return total * Fraction(1, 4)
-
-
-def _pauli():
-    one = [[QQi.of(1), _ZERO], [_ZERO, QQi.of(1)]]
-    zero = [[_ZERO, _ZERO], [_ZERO, _ZERO]]
-    s1 = [[_ZERO, QQi.of(1)], [QQi.of(1), _ZERO]]
-    s2 = [[_ZERO, QQi.of(0, -1)], [QQi.of(0, 1), _ZERO]]
-    s3 = [[QQi.of(1), _ZERO], [_ZERO, QQi.of(-1)]]
-    return one, zero, (s1, s2, s3)
-
-
-def _build_basis() -> dict[str, Matrix]:
-    one2, zero2, sigma2 = _pauli()
-    identity = _block(one2, zero2, zero2, one2)
-    beta = _block(one2, zero2, zero2, [[-c for c in row] for row in one2])
-    sigmas = [_block(s, zero2, zero2, s) for s in sigma2]
-    alphas = [_block(zero2, s, s, zero2) for s in sigma2]
-    # Chirality matrix fixed to MINUS the antidiagonal block form.  The
-    # sign is a representation choice; it is pinned by requiring that the
-    # uniform-field commutator close with the channel weights asserted in
-    # matrix_identity_report, and every identity below is checked on the
-    # explicit matrices rather than assumed.
-    gamma5 = mat_scale(_block(zero2, one2, one2, zero2), QQi.of(-1))
-    basis: dict[str, Matrix] = {"1": identity, "beta": beta}
-    basis["gamma5"] = gamma5
-    basis["beta_gamma5"] = mat_mul(beta, gamma5)
-    for name, mat in zip(("Sigma_x", "Sigma_y", "Sigma_z"), sigmas):
-        basis[name] = mat
-    for name, mat in zip(("alpha_x", "alpha_y", "alpha_z"), alphas):
-        basis[name] = mat
-    for name, alpha in zip(("gamma_x", "gamma_y", "gamma_z"), alphas):
-        basis[name] = mat_mul(beta, alpha)
-    for name, sigma in zip(("Pi_x", "Pi_y", "Pi_z"), sigmas):
-        basis[name] = mat_mul(beta, sigma)
-    return basis
-
-
-MATRIX_BASIS: dict[str, Matrix] = _build_basis()
-_LABEL_ORDER = {label: index for index, label in enumerate(MATRIX_BASIS)}
+# -- the Dirac basis in Gaussian integers ----------------------------------------
+#
+# A Gaussian integer is an (re, im) pair of ints; a GaussMatrix is a tuple
+# of rows of them.  A monomial form is (columns, powers): row r holds
+# i**powers[r] in column columns[r] and zeros elsewhere.
 
 _AXES = ("x", "y", "z")
 _EPSILON = {
@@ -217,88 +145,12 @@ _EPSILON = {
     (0, 2, 1): -1,
 }
 
-
-def decompose_matrix(matrix: Matrix) -> dict[str, QQi]:
-    """Exact coordinates of a 4x4 matrix in the fixed 16-element basis."""
-    out = {}
-    for label, base in MATRIX_BASIS.items():
-        coeff = _inner(base, matrix)
-        if not coeff.is_zero():
-            out[label] = coeff
-    return out
-
-
-def recompose_matrix(coords: Mapping[str, QQi]) -> Matrix:
-    total = mat_scale(MATRIX_BASIS["1"], _ZERO)
-    for label, coeff in coords.items():
-        total = mat_add(total, mat_scale(MATRIX_BASIS[label], coeff))
-    return total
-
-
-# -- the basis in integer arithmetic ------------------------------------------------
-#
-# A Gaussian integer is an (re, im) pair of ints; a GaussMatrix is a 4-tuple
-# of 4-tuples of them.  A monomial form is (columns, powers): row r holds
-# i**powers[r] in column columns[r] and zeros elsewhere.
-
 GaussMatrix = tuple
 Monomial = tuple
+Matrix = tuple  # 4-tuple of 4-tuples of QQi
 
 _PHASES = (_ONE, _I, -_ONE, -_I)  # i**0 .. i**3
 _UNIT_POWERS = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
-
-
-def _gauss_matrix(matrix: Matrix) -> GaussMatrix:
-    """The exact Gaussian-integer copy of a matrix with integral entries."""
-    out = []
-    for row in matrix:
-        for cell in row:
-            if cell.re.denominator != 1 or cell.im.denominator != 1:
-                raise ValueError(f"matrix entry {cell} is not a Gaussian integer")
-        out.append(tuple((cell.re.numerator, cell.im.numerator) for cell in row))
-    return tuple(out)
-
-
-def _monomial(matrix: Matrix) -> Monomial:
-    """``(columns, powers)`` of a matrix with one entry, a power of i, per row."""
-    columns, powers = [], []
-    for row in _gauss_matrix(matrix):
-        entries = [(column, cell) for column, cell in enumerate(row) if cell != (0, 0)]
-        if len(entries) != 1:
-            raise ValueError(f"matrix row holds {len(entries)} nonzero entries, not one")
-        column, cell = entries[0]
-        if cell not in _UNIT_POWERS:
-            raise ValueError(f"matrix entry {cell[0]}{cell[1]:+}i is not a power of i")
-        columns.append(column)
-        powers.append(_UNIT_POWERS[cell])
-    return tuple(columns), tuple(powers)
-
-
-_MONOMIALS: dict[str, Monomial] = {
-    label: _monomial(matrix) for label, matrix in MATRIX_BASIS.items()
-}
-
-
-@lru_cache(maxsize=None)
-def _basis_product(left: str, right: str) -> tuple[str, QQi]:
-    """``(label, phase)`` with left @ right == phase * label, phase in {1, -1, i, -i}.
-
-    Row r of the product takes the left factor's entry in column c and the
-    right factor's row c: columns compose and powers of i add.  Unpacking
-    exactly one basis element equal to the product up to a phase asserts
-    the closure.
-    """
-    left_columns, left_powers = _MONOMIALS[left]
-    right_columns, right_powers = _MONOMIALS[right]
-    columns = tuple(right_columns[c] for c in left_columns)
-    powers = [(p + right_powers[c]) % 4 for p, c in zip(left_powers, left_columns)]
-    matches = []
-    for label, (base_columns, base_powers) in _MONOMIALS.items():
-        shifts = {(p - q) % 4 for p, q in zip(powers, base_powers)}
-        if base_columns == columns and len(shifts) == 1:
-            matches.append((label, _PHASES[shifts.pop()]))
-    ((label, phase),) = matches
-    return label, phase
 
 
 def _g_add(x: GaussMatrix, y: GaussMatrix) -> GaussMatrix:
@@ -326,13 +178,102 @@ def _g_mul(x: GaussMatrix, y: GaussMatrix) -> GaussMatrix:
     )
 
 
+def _g_kron(x: GaussMatrix, y: GaussMatrix) -> GaussMatrix:
+    """The Kronecker product: block (i, j) of the result is x[i][j] times y."""
+    return tuple(
+        tuple((a * c - b * d, a * d + b * c) for a, b in row_x for c, d in row_y)
+        for row_x in x
+        for row_y in y
+    )
+
+
 def _g_trace_inner(x: GaussMatrix, y: GaussMatrix) -> tuple[int, int]:
-    """tr(x^dagger y), four times the coordinate :func:`decompose_matrix` reads."""
+    """tr(x^dagger y), four times the coordinate of y along a basis matrix x."""
     pairs = [(a, b) for row_x, row_y in zip(x, y) for a, b in zip(row_x, row_y)]
     return (
         sum(a * c + b * d for (a, b), (c, d) in pairs),
         sum(a * d - b * c for (a, b), (c, d) in pairs),
     )
+
+
+def _dirac_basis() -> dict[str, GaussMatrix]:
+    """The 16 Dirac matrices as Kronecker products rho (x) sigma: rho acts
+    on the upper and lower components, sigma on the spin."""
+    one = ((1, 0), (0, 0)), ((0, 0), (1, 0))
+    sigma = (
+        (((0, 0), (1, 0)), ((1, 0), (0, 0))),
+        (((0, 0), (0, -1)), ((0, 1), (0, 0))),
+        (((1, 0), (0, 0)), ((0, 0), (-1, 0))),
+    )
+    rho1, rho3 = sigma[0], sigma[2]
+    i_rho2 = _g_mul(rho3, rho1)
+    # Chirality matrix fixed to MINUS rho_1 (x) 1.  The sign is a
+    # representation choice; it is pinned by requiring that the
+    # uniform-field commutator close with the channel weights asserted in
+    # matrix_identity_report, and every identity is checked on the
+    # explicit matrices rather than assumed.
+    basis = {
+        "1": _g_kron(one, one),
+        "beta": _g_kron(rho3, one),
+        "gamma5": _g_kron(_g_scale(rho1, -1), one),
+        "beta_gamma5": _g_kron(_g_scale(i_rho2, -1), one),
+    }
+    for name, rho in (("Sigma", one), ("alpha", rho1), ("gamma", i_rho2), ("Pi", rho3)):
+        for axis, s in zip(_AXES, sigma):
+            basis[f"{name}_{axis}"] = _g_kron(rho, s)
+    return basis
+
+
+# The one source of the basis: the identity checks and the structure
+# constants read it, and MATRIX_BASIS is its QQi copy.
+_GAUSS_BASIS: dict[str, GaussMatrix] = _dirac_basis()
+MATRIX_BASIS: dict[str, Matrix] = {
+    label: tuple(tuple(QQi.of(re, im) for re, im in row) for row in matrix)
+    for label, matrix in _GAUSS_BASIS.items()
+}
+_LABEL_ORDER = {label: index for index, label in enumerate(MATRIX_BASIS)}
+
+
+def _monomial(matrix: GaussMatrix) -> Monomial:
+    """``(columns, powers)`` of a matrix with one entry, a power of i, per row."""
+    columns, powers = [], []
+    for row in matrix:
+        entries = [(column, cell) for column, cell in enumerate(row) if cell != (0, 0)]
+        if len(entries) != 1:
+            raise ValueError(f"matrix row holds {len(entries)} nonzero entries, not one")
+        column, cell = entries[0]
+        if cell not in _UNIT_POWERS:
+            raise ValueError(f"matrix entry {cell[0]}{cell[1]:+}i is not a power of i")
+        columns.append(column)
+        powers.append(_UNIT_POWERS[cell])
+    return tuple(columns), tuple(powers)
+
+
+_MONOMIALS: dict[str, Monomial] = {
+    label: _monomial(matrix) for label, matrix in _GAUSS_BASIS.items()
+}
+
+
+@lru_cache(maxsize=None)
+def _basis_product(left: str, right: str) -> tuple[str, QQi]:
+    """``(label, phase)`` with left @ right == phase * label, phase in {1, -1, i, -i}.
+
+    Row r of the product takes the left factor's entry in column c and the
+    right factor's row c: columns compose and powers of i add.  Unpacking
+    exactly one basis element equal to the product up to a phase asserts
+    the closure.
+    """
+    left_columns, left_powers = _MONOMIALS[left]
+    right_columns, right_powers = _MONOMIALS[right]
+    columns = tuple(right_columns[c] for c in left_columns)
+    powers = [(p + right_powers[c]) % 4 for p, c in zip(left_powers, left_columns)]
+    matches = []
+    for label, (base_columns, base_powers) in _MONOMIALS.items():
+        shifts = {(p - q) % 4 for p, q in zip(powers, base_powers)}
+        if base_columns == columns and len(shifts) == 1:
+            matches.append((label, _PHASES[shifts.pop()]))
+    ((label, phase),) = matches
+    return label, phase
 
 
 # -- scalar and operator monomials ---------------------------------------------------
@@ -517,9 +458,6 @@ class ConcreteExpr:
 
     def commutator(self, other: "ConcreteExpr") -> "ConcreteExpr":
         return self.mul(other).sub(other.mul(self))
-
-    def anticommutator(self, other: "ConcreteExpr") -> "ConcreteExpr":
-        return self.mul(other).add(other.mul(self))
 
     # normal ordering ---------------------------------------------------------------
 
@@ -743,7 +681,7 @@ def term_strings(expr: ConcreteExpr) -> list[str]:
 
 
 def _identity_cases() -> list[tuple[str, Callable[[], bool]]]:
-    basis = {label: _gauss_matrix(matrix) for label, matrix in MATRIX_BASIS.items()}
+    basis = _GAUSS_BASIS
     identity = basis["1"]
     zero = _g_scale(identity, 0)
     beta = basis["beta"]
@@ -945,22 +883,6 @@ def _directional_curvature(mode: str) -> ConcreteExpr:
     return total
 
 
-@dataclass(frozen=True)
-class _Block:
-    prefactor: str
-    weight: Fraction
-    beta_power: int
-    source: str
-
-
-_ELECTROSTATIC_BLOCKS = (
-    _Block("inv_eps_epsm", Fraction(-1, 8), 0, "comm(O, comm(O, E))"),
-    _Block("quartic_kernel", Fraction(1, 64), 0, "comm(pow(O, 2), comm(pow(O, 2), E))"),
-    _Block("inv_eps3", Fraction(-1, 16), 1, "pow(comm(O, E), 2)"),
-    _Block("inv_eps5", Fraction(1, 64), 1, "pow(comm(pow(O, 2), E), 2)"),
-)
-
-
 def _encoded_interiors(mode: str) -> dict[str, ConcreteExpr]:
     spin_orbit = _spin_cross_terms(mode, field_first=False).sub(
         _spin_cross_terms(mode, field_first=True)
@@ -1000,8 +922,9 @@ def derive_electrostatic(hbar_max: int = 2, constant_potential: bool = False) ->
     """Re-derive the electrostatic Hamiltonian from the bracket interiors.
 
     The odd input is alpha . p and the even input is e Phi.  Each of the
-    four interiors of the order-2 closed form is computed in the concrete
-    algebra, normal ordered, and compared -- per opaque kinetic-energy
+    four interiors of the order-2 closed form (``stepwise.ORDER2_BLOCKS``)
+    is evaluated from its text in the concrete algebra, normal ordered at
+    every bracket and power, and compared -- per opaque kinetic-energy
     prefactor symbol -- against the encoded displayed form, exactly, for
     all terms with hbar power <= hbar_max.  Any deeper remainder is pure
     operator-ordering content of the displayed directional-curvature
@@ -1009,23 +932,16 @@ def derive_electrostatic(hbar_max: int = 2, constant_potential: bool = False) ->
     """
     _require_matrices()
     mode = ELECTROSTATIC
-    odd = _alpha_dot_p(mode)
-    even = field_factor(mode).scalar_mul(e=1)
-    odd_sq = odd.mul(odd).normal_order(constant_potential)
-
-    interiors = {
-        "inv_eps_epsm": odd.commutator(odd.commutator(even)),
-        "quartic_kernel": odd_sq.commutator(odd_sq.commutator(even)),
-        "inv_eps3": odd.commutator(even).mul(odd.commutator(even)),
-        "inv_eps5": odd_sq.commutator(even).mul(odd_sq.commutator(even)),
-    }
+    letters = {"O": _alpha_dot_p(mode), "E": field_factor(mode).scalar_mul(e=1)}
     encoded = _encoded_interiors(mode)
 
     blocks = []
     status = "pass"
-    for block in _ELECTROSTATIC_BLOCKS:
-        derived = interiors[block.prefactor].normal_order(constant_potential)
-        target = encoded[block.prefactor].normal_order(constant_potential)
+    for prefactor, weight, beta_power, interior in ORDER2_BLOCKS:
+        derived = evaluate(
+            parse_expr(interior), letters, lambda x: x.normal_order(constant_potential)
+        )
+        target = encoded[prefactor].normal_order(constant_potential)
         delta = derived.sub(target)
         compared, deeper = delta.split_hbar(hbar_max)
         block_status = "match" if compared.is_zero() else "mismatch"
@@ -1033,10 +949,10 @@ def derive_electrostatic(hbar_max: int = 2, constant_potential: bool = False) ->
             status = "fail"
         blocks.append(
             {
-                "prefactor": block.prefactor,
-                "weight": str(block.weight),
-                "beta": block.beta_power,
-                "source": block.source,
+                "prefactor": prefactor,
+                "weight": str(weight),
+                "beta": beta_power,
+                "source": interior,
                 "status": block_status,
                 "terms": _term_dicts(derived.truncate_hbar(hbar_max)),
                 "residual": term_strings(compared),

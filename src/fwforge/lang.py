@@ -259,50 +259,3 @@ def format_expr(expr: AbstractExpr) -> str:
         else:
             out.append((" - " if coeff < 0 else " + ") + body)
     return "".join(out)
-
-
-def _format_tree_factor(tree: BracketExpr) -> str:
-    """Render `tree` so it can stand as one factor of a product."""
-    rendered = format_tree(tree)
-    if isinstance(tree, Sum) or rendered.startswith("-"):
-        return f"({rendered})"
-    return rendered
-
-
-def format_tree(tree: BracketExpr) -> str:
-    """Mini-language text for a structured tree.
-
-    parse_expr(format_tree(t)) expands to the same AbstractExpr as t;
-    the tree shape itself is not always preserved (product chains
-    re-associate, explicit '*' joins every factor).
-    """
-    if isinstance(tree, Gen):
-        return tree.letter
-    if isinstance(tree, BetaF):
-        return "beta"
-    if isinstance(tree, MPow):
-        return f"m^{tree.k}"
-    if isinstance(tree, Rat):
-        return str(tree.value)
-    if isinstance(tree, Comm):
-        return f"comm({format_tree(tree.left)}, {format_tree(tree.right)})"
-    if isinstance(tree, Acomm):
-        return f"acomm({format_tree(tree.left)}, {format_tree(tree.right)})"
-    if isinstance(tree, PowN):
-        return f"pow({format_tree(tree.base)}, {tree.n})"
-    if isinstance(tree, EpsFun):
-        return f"epsfun({tree.name})"
-    if isinstance(tree, Prod):
-        return " * ".join(_format_tree_factor(child) for child in tree.children)
-    if isinstance(tree, Sum):
-        parts = []
-        for position, child in enumerate(tree.children):
-            rendered = format_tree(child)
-            if position == 0:
-                parts.append(rendered)
-            elif rendered.startswith("-"):
-                parts.append(" - " + rendered[1:])
-            else:
-                parts.append(" + " + rendered)
-        return "".join(parts)
-    raise TypeError(f"cannot format {type(tree).__name__}")

@@ -9,15 +9,17 @@ term makes the form unique, so equality is term-list equality.
 Structured expressions (sums, products, commutators, anticommutators,
 integer powers, central functions of eps = sqrt(m^2 + O^2)) live in a
 small tree type; `expand` flattens a tree into canonical form under a
-truncation budget, and `parity_and_order` evaluates the beta-parity and
-nominal hbar-order grading on the tree without expanding it.
+truncation budget, `evaluate` folds the letters, commutators and powers
+of a tree over another algebra, and `parity_and_order` evaluates the
+beta-parity and nominal hbar-order grading on the tree without expanding
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 # A term key is (betaExp, word, mExp); the coefficient lives in the map.
 TermKey = tuple[int, str, int]
@@ -243,16 +245,6 @@ class AbstractExpr:
             out[klass] = expr
         return out
 
-    def restrict_class(self, e: int, o: int) -> "AbstractExpr":
-        acc = {
-            key: coeff
-            for key, coeff in self._terms.items()
-            if o_count(key[1]) == o and len(key[1]) - o_count(key[1]) == e
-        }
-        out = AbstractExpr.__new__(AbstractExpr)
-        out._terms = acc
-        return out
-
 
 _ZERO_FRACTION = Fraction(0)
 
@@ -430,6 +422,25 @@ def _expand_at(tree, budget: Budget, path: str) -> AbstractExpr:
                 break
         return acc
     raise TypeError(f"not a BracketExpr node: {tree!r}")
+
+
+def evaluate(tree: BracketExpr, letters: Mapping[str, object], reduce: Callable):
+    """Fold the letters, comm and pow (n >= 1) nodes of a tree over another
+    algebra whose elements have `mul` and `commutator`; any other node
+    raises TypeError.  `reduce` brings each node's value to the algebra's
+    canonical form as soon as it is built, which keeps products small."""
+    if isinstance(tree, Gen):
+        return reduce(letters[tree.letter])
+    if isinstance(tree, Comm):
+        left = evaluate(tree.left, letters, reduce)
+        return reduce(left.commutator(evaluate(tree.right, letters, reduce)))
+    if isinstance(tree, PowN) and tree.n >= 1:
+        base = evaluate(tree.base, letters, reduce)
+        acc = base
+        for _ in range(tree.n - 1):
+            acc = reduce(acc.mul(base))
+        return acc
+    raise TypeError(f"evaluate handles letters, comm and pow(n >= 1), not {tree!r}")
 
 
 # -- beta-parity and nominal hbar-order grading ----------------------------

@@ -13,26 +13,43 @@ with every coefficient an eps-function from the series registry.  This
 module writes that operator, its leading exactly-determined part, the
 classical inverse-mass expansion, the displayed static series and the
 first-step operators once each, as mini-language text that
-`lang.parse_expr` reads.  It derives the second step from the
-first-step operators; both the second step and the displayed series are
-checked by explaining their differences in brackets.
+`lang.parse_expr` reads.  The four bracket blocks are the table
+`ORDER2_BLOCKS`: `LEADING` and `ITERATIVE` are assembled from it, and
+the concretizer evaluates its interiors on Dirac operators.  The second
+step is derived from the first-step operators; it and the displayed
+series are checked by explaining their differences in brackets, with
+the comparator imported there, so reading the texts needs no numpy.
 """
 
 from __future__ import annotations
 
-from fwforge.comparator import explain
+from fractions import Fraction
+
 from fwforge.lang import parse_expr
 from fwforge.ncalg import AbstractExpr, BracketExpr, Budget, expand
 
+# The bracket blocks of the order-2 closed form, in its displayed order:
+# (eps-function prefactor, weight, beta power, bracket interior).  Each
+# enters as weight * beta^power * acomm(epsfun(prefactor), interior).
+ORDER2_BLOCKS = (
+    ("inv_eps_epsm", Fraction(-1, 8), 0, "comm(O, comm(O, E))"),
+    ("quartic_kernel", Fraction(1, 64), 0, "comm(pow(O, 2), comm(pow(O, 2), E))"),
+    ("inv_eps3", Fraction(-1, 16), 1, "pow(comm(O, E), 2)"),
+    ("inv_eps5", Fraction(1, 64), 1, "pow(comm(pow(O, 2), E), 2)"),
+)
+
+
+def _block_text(prefactor: str, weight: Fraction, beta_power: int, interior: str) -> str:
+    sign = "-" if weight < 0 else "+"
+    beta = " beta" if beta_power else ""
+    return f" {sign} {abs(weight)}{beta} acomm(epsfun({prefactor}), {interior})"
+
+
 # The exactly-determined zeroth-plus-first-order part: the subset of the
 # order-2 closed form whose coefficients iterative methods fix exactly.
-LEADING = "beta * epsfun(eps) + E - 1/8 acomm(epsfun(inv_eps_epsm), comm(O, comm(O, E)))"
+LEADING = "beta * epsfun(eps) + E" + _block_text(*ORDER2_BLOCKS[0])
 # The order-2 closed form with F instantiated statically as E.
-ITERATIVE = LEADING + (
-    " + 1/64 acomm(epsfun(quartic_kernel), comm(pow(O, 2), comm(pow(O, 2), E)))"
-    " - 1/16 beta acomm(epsfun(inv_eps3), pow(comm(O, E), 2))"
-    " + 1/64 beta acomm(epsfun(inv_eps5), pow(comm(pow(O, 2), E), 2))"
-)
+ITERATIVE = LEADING + "".join(_block_text(*block) for block in ORDER2_BLOCKS[1:])
 # The inverse-mass (classical) expansion through m^-3, static.
 CLASSICAL = (
     "beta * (m^1 + 1/2 m^-1 pow(O, 2) - 1/8 m^-3 pow(O, 4)) + E"
@@ -110,6 +127,8 @@ def derive_second_step(budget: Budget) -> tuple[AbstractExpr, dict]:
     The report lists, per class, the exact bracket combination that
     explains the difference and flags any unexplained residual words.
     """
+    from fwforge.comparator import explain
+
     if budget.max_e_count < 2:
         raise ValueError("second step needs room for two E letters")
     derived = expand(parse_expr(SECOND_STEP), budget)
@@ -122,6 +141,8 @@ def derive_display(budget: Budget) -> dict:
     """Compare the static expansion of the iterative closed form with its
     displayed bracket series; explain any class difference in brackets of
     nominal order two or higher."""
+    from fwforge.comparator import explain
+
     derived = expand_static(build_iterative(), budget)
     diff = derived.sub(expand(parse_expr(DISPLAYED), budget))
     status, classes = explain(diff, budget, min_order=2)

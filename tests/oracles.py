@@ -1,0 +1,254 @@
+"""Exact references the tests compare the program against.
+
+Nothing in ``src/fwforge`` calls these; each one computes a result the
+program computes another way, or reads out what the program never needs:
+
+* 4x4 matrices with ``QQi`` entries, their products and their trace
+  coordinates in a basis, and the Dirac basis built from 2x2 Pauli blocks.
+  The concretizer writes the basis once, as Gaussian-integer Kronecker
+  products, and must agree with this construction entry for entry;
+* the exact linear relation of every bracket-basis element that the
+  class echelon skips (``dependencies``);
+* mini-language text for a bracket tree (``format_tree``);
+* the part of an expression in one letter class (``restrict_class``).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Mapping
+
+from fwforge.comparator import BracketBasis, _solve, _word_rows
+from fwforge.concretizer import QQi
+from fwforge.ncalg import (
+    Acomm,
+    AbstractExpr,
+    BetaF,
+    BracketExpr,
+    Comm,
+    EpsFun,
+    Gen,
+    MPow,
+    PowN,
+    Prod,
+    Rat,
+    Sum,
+    o_count,
+)
+
+# -- 4x4 matrices with QQi entries ---------------------------------------------
+
+Matrix = tuple  # 4-tuple of 4-tuples of QQi
+
+_ZERO = QQi.of(0)
+
+
+def _block(a, b, c, d) -> Matrix:
+    rows = []
+    for i in range(2):
+        rows.append(tuple(a[i]) + tuple(b[i]))
+    for i in range(2):
+        rows.append(tuple(c[i]) + tuple(d[i]))
+    return tuple(rows)
+
+
+def mat_add(x: Matrix, y: Matrix) -> Matrix:
+    return tuple(tuple(x[i][j] + y[i][j] for j in range(4)) for i in range(4))
+
+
+def mat_scale(x: Matrix, factor: QQi) -> Matrix:
+    return tuple(tuple(cell * factor for cell in row) for row in x)
+
+
+def mat_mul(x: Matrix, y: Matrix) -> Matrix:
+    return tuple(
+        tuple(
+            sum((x[i][k] * y[k][j] for k in range(4)), _ZERO)
+            for j in range(4)
+        )
+        for i in range(4)
+    )
+
+
+def inner(x: Matrix, y: Matrix) -> QQi:
+    """Trace inner product tr(x^dagger y) / 4, summed entry by entry."""
+    total = sum(
+        (a.conj() * b for row_x, row_y in zip(x, y) for a, b in zip(row_x, row_y)),
+        _ZERO,
+    )
+    return total * Fraction(1, 4)
+
+
+def qqi_matrix(matrix) -> Matrix:
+    """The ``QQi`` copy of a matrix of Gaussian integers, (re, im) pairs."""
+    return tuple(tuple(QQi.of(re, im) for re, im in row) for row in matrix)
+
+
+def _pauli():
+    one = [[QQi.of(1), _ZERO], [_ZERO, QQi.of(1)]]
+    zero = [[_ZERO, _ZERO], [_ZERO, _ZERO]]
+    s1 = [[_ZERO, QQi.of(1)], [QQi.of(1), _ZERO]]
+    s2 = [[_ZERO, QQi.of(0, -1)], [QQi.of(0, 1), _ZERO]]
+    s3 = [[QQi.of(1), _ZERO], [_ZERO, QQi.of(-1)]]
+    return one, zero, (s1, s2, s3)
+
+
+def pauli_block_basis() -> dict[str, Matrix]:
+    """The 16 Dirac matrices in the concretizer's label order, built from
+    2x2 Pauli blocks, with gamma, Pi and beta gamma5 as matrix products."""
+    one2, zero2, sigma2 = _pauli()
+    identity = _block(one2, zero2, zero2, one2)
+    beta = _block(one2, zero2, zero2, [[-c for c in row] for row in one2])
+    sigmas = [_block(s, zero2, zero2, s) for s in sigma2]
+    alphas = [_block(zero2, s, s, zero2) for s in sigma2]
+    gamma5 = mat_scale(_block(zero2, one2, one2, zero2), QQi.of(-1))
+    basis: dict[str, Matrix] = {"1": identity, "beta": beta}
+    basis["gamma5"] = gamma5
+    basis["beta_gamma5"] = mat_mul(beta, gamma5)
+    for name, mat in zip(("Sigma_x", "Sigma_y", "Sigma_z"), sigmas):
+        basis[name] = mat
+    for name, mat in zip(("alpha_x", "alpha_y", "alpha_z"), alphas):
+        basis[name] = mat
+    for name, alpha in zip(("gamma_x", "gamma_y", "gamma_z"), alphas):
+        basis[name] = mat_mul(beta, alpha)
+    for name, sigma in zip(("Pi_x", "Pi_y", "Pi_z"), sigmas):
+        basis[name] = mat_mul(beta, sigma)
+    return basis
+
+
+PAULI_BLOCK_BASIS: dict[str, Matrix] = pauli_block_basis()
+
+
+def decompose_matrix(
+    matrix: Matrix, basis: Mapping[str, Matrix] = PAULI_BLOCK_BASIS
+) -> dict[str, QQi]:
+    """Exact coordinates of a 4x4 matrix in a 16-element basis."""
+    out = {}
+    for label, base in basis.items():
+        coeff = inner(base, matrix)
+        if not coeff.is_zero():
+            out[label] = coeff
+    return out
+
+
+def recompose_matrix(
+    coords: Mapping[str, QQi], basis: Mapping[str, Matrix] = PAULI_BLOCK_BASIS
+) -> Matrix:
+    total = mat_scale(basis["1"], _ZERO)
+    for label, coeff in coords.items():
+        total = mat_add(total, mat_scale(basis[label], coeff))
+    return total
+
+
+# -- bracket-basis dependencies ------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Dependency:
+    """A rejected candidate with its exact expression in admitted elements."""
+
+    text: str
+    order: int
+    e_count: int
+    o_count: int
+    members: tuple[tuple[str, Fraction], ...]
+
+
+def dependencies(basis: BracketBasis) -> tuple[Dependency, ...]:
+    """Every element spanned by the higher-order ones of its class, with
+    its exact relation: each is solved over the class echelon's elements
+    (those before it carry all its weight)."""
+    found = []
+    for klass in basis.classes():
+        independent = set(basis.echelon(klass).labels)
+        order = basis._insertion_order(klass)
+        kept = [element for element in order if element.text in independent]
+        spanned = [element for element in order if element.text not in independent]
+        if not spanned:
+            continue
+        _, rows = _word_rows(klass, kept)
+        _, targets = _word_rows(klass, spanned)
+        solutions = _solve(rows, targets, [1] * len(spanned))
+        for element, (_, weights) in zip(spanned, solutions):
+            found.append(
+                Dependency(
+                    text=element.text,
+                    order=element.order,
+                    e_count=element.e_count,
+                    o_count=element.o_count,
+                    members=tuple(
+                        sorted(
+                            (member.text, weight)
+                            for member, weight in zip(kept, weights)
+                            if weight
+                        )
+                    ),
+                )
+            )
+    found.sort(key=lambda dep: (dep.order, (dep.e_count, dep.o_count), dep.text))
+    return tuple(found)
+
+
+# -- bracket trees as text -----------------------------------------------------
+
+
+def _format_tree_factor(tree: BracketExpr) -> str:
+    """Render `tree` so it can stand as one factor of a product."""
+    rendered = format_tree(tree)
+    if isinstance(tree, Sum) or rendered.startswith("-"):
+        return f"({rendered})"
+    return rendered
+
+
+def format_tree(tree: BracketExpr) -> str:
+    """Mini-language text for a structured tree.
+
+    parse_expr(format_tree(t)) expands to the same AbstractExpr as t;
+    the tree shape itself is not always preserved (product chains
+    re-associate, explicit '*' joins every factor).
+    """
+    if isinstance(tree, Gen):
+        return tree.letter
+    if isinstance(tree, BetaF):
+        return "beta"
+    if isinstance(tree, MPow):
+        return f"m^{tree.k}"
+    if isinstance(tree, Rat):
+        return str(tree.value)
+    if isinstance(tree, Comm):
+        return f"comm({format_tree(tree.left)}, {format_tree(tree.right)})"
+    if isinstance(tree, Acomm):
+        return f"acomm({format_tree(tree.left)}, {format_tree(tree.right)})"
+    if isinstance(tree, PowN):
+        return f"pow({format_tree(tree.base)}, {tree.n})"
+    if isinstance(tree, EpsFun):
+        return f"epsfun({tree.name})"
+    if isinstance(tree, Prod):
+        return " * ".join(_format_tree_factor(child) for child in tree.children)
+    if isinstance(tree, Sum):
+        parts = []
+        for position, child in enumerate(tree.children):
+            rendered = format_tree(child)
+            if position == 0:
+                parts.append(rendered)
+            elif rendered.startswith("-"):
+                parts.append(" - " + rendered[1:])
+            else:
+                parts.append(" + " + rendered)
+        return "".join(parts)
+    raise TypeError(f"cannot format {type(tree).__name__}")
+
+
+# -- letter classes ------------------------------------------------------------
+
+
+def restrict_class(expr: AbstractExpr, e: int, o: int) -> AbstractExpr:
+    """The terms of `expr` whose word has e letters E and o letters O."""
+    return AbstractExpr(
+        {
+            key: coeff
+            for key, coeff in expr.terms()
+            if o_count(key[1]) == o and len(key[1]) - o_count(key[1]) == e
+        }
+    )

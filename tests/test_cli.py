@@ -211,6 +211,21 @@ def test_spectra_rejects_non_finite_parameters(target, flag, value, capsys):
     assert f"{flag[2:]} must be finite, got {value}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--particle", "spin12", "--representation", "fw", "--m", "1e-200"],
+        ["relations", "--m", "1e-160"],
+    ],
+    ids=["run", "relations"],
+)
+def test_spectra_refuses_a_mass_whose_square_underflows(argv, capsys):
+    assert cli.main(["spectra", *argv, "--levels", "8"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("fwforge: error: --m "), lines
+    assert "underflows" in lines[0]
+
+
 @pytest.mark.parametrize("target, flag", [("amm-scan", "--g"), ("correction-scan", "--B")])
 def test_spectra_scan_rejects_the_flag_it_scans(target, flag, capsys):
     # amm-scan sets g from its scan grid and correction-scan sets B, so the
@@ -452,8 +467,9 @@ def test_spectra_commands_do_not_import_symbolic_modules(tmp_path):
         ["correction-scan", "--scan-to", "1e200", "--scan-points", "2"],
         ["relations", "--B", "1e100"],
         ["run", "--particle", "spin1", "--representation", "fw_corrected", "--g", "1e200"],
+        ["run", "--m", "1e200"],
     ],
-    ids=["correction-scan", "relations", "run"],
+    ids=["correction-scan", "relations", "run", "run-mass"],
 )
 def test_spectra_overflow_is_usage_error(argv, tmp_path):
     result = subprocess.run(

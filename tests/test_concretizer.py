@@ -23,23 +23,30 @@ from fwforge.concretizer import (
     QQi,
     _basis_product,
     _EPSILON,
-    _inner,
+    _g_add,
+    _g_scale,
+    _GAUSS_BASIS,
     _monomial,
     _require_matrices,
-    decompose_matrix,
     derive_electrostatic,
     eps_factor,
     field_factor,
-    mat_add,
-    mat_mul,
-    mat_scale,
     matrix_factor,
     matrix_identity_report,
     momentum,
-    recompose_matrix,
     scalar_factor,
     term_strings,
     verify_uniform_commutator,
+)
+from oracles import (
+    PAULI_BLOCK_BASIS,
+    decompose_matrix,
+    inner,
+    mat_add,
+    mat_mul,
+    mat_scale,
+    qqi_matrix,
+    recompose_matrix,
 )
 
 
@@ -55,10 +62,11 @@ def momentum_squared(mode):
 
 
 def fraction_identity_report() -> list[dict]:
-    """The 13 representation checks on the exact ``QQi`` matrices: the
-    reference that the integer checks of ``matrix_identity_report`` must
-    agree with, on the real basis and on corrupted ones."""
-    basis = MATRIX_BASIS
+    """The 13 representation checks on ``QQi`` copies of the concretizer's
+    Gaussian-integer basis: the reference that the integer checks of
+    ``matrix_identity_report`` must agree with, on the real basis and on
+    corrupted ones."""
+    basis = {label: qqi_matrix(matrix) for label, matrix in _GAUSS_BASIS.items()}
     identity = basis["1"]
     zero = mat_scale(identity, QQi.of(0))
     beta = basis["beta"]
@@ -98,7 +106,7 @@ def fraction_identity_report() -> list[dict]:
 
     def basis_orthonormal() -> bool:
         return all(
-            _inner(basis[a], basis[b]) == QQi.of(1 if a == b else 0)
+            inner(basis[a], basis[b]) == QQi.of(1 if a == b else 0)
             for a in basis
             for b in basis
         )
@@ -116,7 +124,7 @@ def fraction_identity_report() -> list[dict]:
                 )
                 for _ in range(4)
             )
-            if recompose_matrix(decompose_matrix(matrix)) != matrix:
+            if recompose_matrix(decompose_matrix(matrix, basis), basis) != matrix:
                 return False
         return True
 
@@ -167,16 +175,17 @@ def test_all_representation_identities_pass():
     _require_matrices()
 
 
-# Each corruption changes one basis matrix; together they fail every check.
+# Each corruption changes one Gaussian-integer basis matrix; together they
+# fail every check.
 CORRUPTIONS = {
     "gamma5 negated": (
         "gamma5",
-        lambda m: mat_scale(m, QQi.of(-1)),
+        lambda m: _g_scale(m, -1),
         ["gamma5_times_sigma_is_minus_alpha", "spin_channel_of_gamma_commutator"],
     ),
     "gamma5 times i": (
         "gamma5",
-        lambda m: mat_scale(m, QQi.of(0, 1)),
+        lambda m: _g_scale(m, 0, 1),
         [
             "gamma5_squares_to_one",
             "gamma5_times_sigma_is_minus_alpha",
@@ -185,7 +194,7 @@ CORRUPTIONS = {
     ),
     "gamma5 replaced by Sigma_x": (
         "gamma5",
-        lambda m: MATRIX_BASIS["Sigma_x"],
+        lambda m: _GAUSS_BASIS["Sigma_x"],
         [
             "gamma5_anticommutes_with_beta",
             "gamma5_commutes_with_sigma",
@@ -197,7 +206,7 @@ CORRUPTIONS = {
     ),
     "Sigma_y conjugated": (
         "Sigma_y",
-        lambda m: tuple(tuple(cell.conj() for cell in row) for row in m),
+        lambda m: tuple(tuple((re, -im) for re, im in row) for row in m),
         [
             "alpha_products_reduce_to_sigma",
             "sigma_products_reduce_to_sigma",
@@ -217,7 +226,7 @@ CORRUPTIONS = {
     ),
     "Pi_z replaced by the identity": (
         "Pi_z",
-        lambda m: MATRIX_BASIS["1"],
+        lambda m: _GAUSS_BASIS["1"],
         [
             "spin_channel_of_alpha_commutator",
             "spin_channel_of_gamma_commutator",
@@ -231,7 +240,7 @@ CORRUPTIONS = {
 @pytest.mark.parametrize("case", list(CORRUPTIONS))
 def test_integer_checks_agree_with_fraction_checks_on_a_corrupted_basis(case, monkeypatch):
     label, corrupt, failing = CORRUPTIONS[case]
-    monkeypatch.setitem(MATRIX_BASIS, label, corrupt(MATRIX_BASIS[label]))
+    monkeypatch.setitem(_GAUSS_BASIS, label, corrupt(_GAUSS_BASIS[label]))
     report = matrix_identity_report()
     assert report == fraction_identity_report()
     assert [row["identity"] for row in report if row["status"] == "fail"] == failing
@@ -240,15 +249,13 @@ def test_integer_checks_agree_with_fraction_checks_on_a_corrupted_basis(case, mo
     assert str(raised.value) == "representation identities failed: " + ", ".join(failing)
 
 
-def test_integer_checks_refuse_a_non_integral_basis(monkeypatch):
-    monkeypatch.setitem(MATRIX_BASIS, "beta", mat_scale(MATRIX_BASIS["beta"], QQi.of(Fraction(1, 2))))
-    with pytest.raises(ValueError, match="not a Gaussian integer"):
-        matrix_identity_report()
-
-
 def test_basis_has_sixteen_orthonormal_elements():
     assert len(MATRIX_BASIS) == 16
     assert list(MATRIX_BASIS)[:4] == ["1", "beta", "gamma5", "beta_gamma5"]
+
+
+def test_basis_is_the_pauli_block_construction():
+    assert list(MATRIX_BASIS.items()) == list(PAULI_BLOCK_BASIS.items())
 
 
 def test_single_channel_products():
@@ -273,11 +280,10 @@ def test_structure_constants_match_the_matrix_products():
 @pytest.mark.parametrize(
     "matrix, message",
     [
-        (mat_add(MATRIX_BASIS["beta"], MATRIX_BASIS["alpha_x"]), "2 nonzero entries"),
-        (mat_scale(MATRIX_BASIS["1"], QQi.of(0)), "0 nonzero entries"),
-        (mat_scale(MATRIX_BASIS["Sigma_y"], QQi.of(2)), "not a power of i"),
-        (mat_scale(MATRIX_BASIS["Sigma_y"], QQi.of(1, 1)), "not a power of i"),
-        (mat_scale(MATRIX_BASIS["alpha_z"], QQi.of(Fraction(1, 3))), "not a Gaussian integer"),
+        (_g_add(_GAUSS_BASIS["beta"], _GAUSS_BASIS["alpha_x"]), "2 nonzero entries"),
+        (_g_scale(_GAUSS_BASIS["1"], 0), "0 nonzero entries"),
+        (_g_scale(_GAUSS_BASIS["Sigma_y"], 2), "not a power of i"),
+        (_g_scale(_GAUSS_BASIS["Sigma_y"], 1, 1), "not a power of i"),
     ],
 )
 def test_monomial_reader_refuses_other_matrices(matrix, message):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fwforge import eriksen, stepwise
-from fwforge.lang import ExprSyntaxError, format_expr, format_term, format_tree, parse_expr
+from fwforge.lang import ExprSyntaxError, format_expr, format_term, parse_expr
 from fwforge.ncalg import (
     AbstractExpr,
     BetaF,
@@ -20,6 +20,7 @@ from fwforge.ncalg import (
     Rat,
     expand,
 )
+from oracles import format_tree
 
 BIG = Budget(64, 64)
 

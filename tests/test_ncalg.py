@@ -29,9 +29,12 @@ from fwforge.ncalg import (
     Prod,
     Rat,
     Sum,
+    evaluate,
     expand,
     parity_and_order,
 )
+from fwforge.lang import parse_expr
+from fwforge.stepwise import ORDER2_BLOCKS
 
 BIG = Budget(64, 64)
 
@@ -485,3 +488,43 @@ def test_only_ncalg_and_lang_bind_tree_node_classes():
         module = vars(importlib.import_module(name))
         bound = [key for key, value in module.items() if isinstance(value, type) and value in nodes]
         assert not bound, (name, bound)
+
+
+def test_every_name_in_a_module_all_resolves():
+    """A name left in __all__ after its definition moved away fails here."""
+    names = ["fwforge"] + [f"fwforge.{info.name}" for info in pkgutil.iter_modules(fwforge.__path__)]
+    for name in names:
+        module = importlib.import_module(name)
+        missing = [item for item in getattr(module, "__all__", ()) if not hasattr(module, item)]
+        assert not missing, (name, missing)
+
+
+# -- folding a tree over another algebra ----------------------------------------
+
+GENERATORS = {"E": AbstractExpr.generator("E"), "O": AbstractExpr.generator("O")}
+FOLDED_TEXTS = [interior for _, _, _, interior in ORDER2_BLOCKS] + [
+    "O",
+    "pow(E, 1)",
+    "comm(E, O)",
+    "comm(comm(O, E), pow(O, 3))",
+    "pow(comm(O, comm(E, O)), 2)",
+    "comm(pow(comm(O, E), 2), comm(E, pow(O, 2)))",
+]
+
+
+@pytest.mark.parametrize("text", FOLDED_TEXTS)
+def test_evaluate_over_generators_is_the_expansion(text):
+    tree = parse_expr(text)
+    assert evaluate(tree, GENERATORS, lambda x: x) == expand(tree, Budget(12, 6))
+    # reduce runs at every node: filtering each value as it is built is
+    # what expand does under a budget
+    small = Budget(4, 2)
+    assert evaluate(tree, GENERATORS, lambda x: x.filtered(small)) == expand(tree, small)
+
+
+@pytest.mark.parametrize(
+    "text", ["epsfun(eps)", "beta", "m^2", "1/2", "pow(O, 0)", "comm(O, beta)", "O * E", "O + E"]
+)
+def test_evaluate_refuses_other_nodes(text):
+    with pytest.raises(TypeError, match="evaluate handles letters, comm and pow"):
+        evaluate(parse_expr(text), GENERATORS, lambda x: x)
