@@ -164,6 +164,19 @@ class SpectralModel:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise InvalidModelError(f"{name} must be finite, got {value}")
+        # The lowest spin-1/2 level squares to m^2 + |e| hbar B - e hbar B:
+        # an m^2 lost to rounding leaves it no mass.  (A splitting that
+        # overflows is left to the overflow error.)
+        splitting = abs(self.e) * self.hbar * self.B
+        if (
+            self.particle == "spin12"
+            and math.isfinite(splitting)
+            and self.m * self.m + splitting == splitting
+        ):
+            raise InvalidModelError(
+                f"m = {self.m} is too small against |e| hbar B = {splitting}: "
+                "m^2 is lost to rounding in m^2 + |e| hbar B"
+            )
 
     @property
     def edge_levels(self) -> int:

@@ -5,8 +5,11 @@ program computes another way, or reads out what the program never needs:
 
 * 4x4 matrices with ``QQi`` entries, their products and their trace
   coordinates in a basis, and the Dirac basis built from 2x2 Pauli blocks.
-  The concretizer writes the basis once, as Gaussian-integer Kronecker
-  products, and must agree with this construction entry for entry;
+  The concretizer writes the basis once, as 16 monomials (one power of i
+  per row) that it multiplies without ever forming a matrix; the
+  ``QQi`` matrices of those monomials (``monomial_matrix``) must agree
+  with this construction entry for entry, and with ``mat_mul`` on every
+  product;
 * the exact linear relation of every bracket-basis element that the
   class echelon skips (``dependencies``);
 * mini-language text for a bracket tree (``format_tree``);
@@ -71,18 +74,30 @@ def mat_mul(x: Matrix, y: Matrix) -> Matrix:
     )
 
 
+def conj(z: QQi) -> QQi:
+    return QQi(z.re, -z.im)
+
+
 def inner(x: Matrix, y: Matrix) -> QQi:
     """Trace inner product tr(x^dagger y) / 4, summed entry by entry."""
     total = sum(
-        (a.conj() * b for row_x, row_y in zip(x, y) for a, b in zip(row_x, row_y)),
+        (conj(a) * b for row_x, row_y in zip(x, y) for a, b in zip(row_x, row_y)),
         _ZERO,
     )
     return total * Fraction(1, 4)
 
 
-def qqi_matrix(matrix) -> Matrix:
-    """The ``QQi`` copy of a matrix of Gaussian integers, (re, im) pairs."""
-    return tuple(tuple(QQi.of(re, im) for re, im in row) for row in matrix)
+_UNITS = (QQi.of(1), QQi.of(0, 1), QQi.of(-1), QQi.of(0, -1))  # i**0 .. i**3
+
+
+def monomial_matrix(monomial) -> Matrix:
+    """The ``QQi`` matrix of a monomial ``(columns, powers)``: row r holds
+    i**powers[r] in column columns[r] and zeros elsewhere."""
+    columns, powers = monomial
+    return tuple(
+        tuple(_UNITS[powers[row]] if column == columns[row] else _ZERO for column in range(4))
+        for row in range(4)
+    )
 
 
 def _pauli():

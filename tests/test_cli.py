@@ -226,6 +226,26 @@ def test_spectra_refuses_a_mass_whose_square_underflows(argv, capsys):
     assert "underflows" in lines[0]
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--representation", "fw"],
+        ["--representation", "original"],
+        ["--representation", "fw", "--e", "-1"],
+    ],
+    ids=["fw", "original", "negative-charge"],
+)
+def test_spectra_refuses_a_spin12_mass_lost_to_rounding(flags, capsys):
+    # m^2 = 1e-300 is a normal float, but it vanishes against |e| hbar B = 0.5
+    argv = ["spectra", "run", "--particle", "spin12", "--m", "1e-150", "--levels", "8"]
+    assert cli.main([*argv, *flags]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [
+        "fwforge: error: m = 1e-150 is too small against |e| hbar B = 0.5: "
+        "m^2 is lost to rounding in m^2 + |e| hbar B"
+    ]
+
+
 @pytest.mark.parametrize("target, flag", [("amm-scan", "--g"), ("correction-scan", "--B")])
 def test_spectra_scan_rejects_the_flag_it_scans(target, flag, capsys):
     # amm-scan sets g from its scan grid and correction-scan sets B, so the

@@ -23,10 +23,9 @@ from fwforge.concretizer import (
     QQi,
     _basis_product,
     _EPSILON,
-    _g_add,
-    _g_scale,
-    _GAUSS_BASIS,
-    _monomial,
+    _m_phase,
+    _MONOMIALS,
+    _product_table,
     _require_matrices,
     derive_electrostatic,
     eps_factor,
@@ -45,7 +44,7 @@ from oracles import (
     mat_add,
     mat_mul,
     mat_scale,
-    qqi_matrix,
+    monomial_matrix,
     recompose_matrix,
 )
 
@@ -62,11 +61,11 @@ def momentum_squared(mode):
 
 
 def fraction_identity_report() -> list[dict]:
-    """The 13 representation checks on ``QQi`` copies of the concretizer's
-    Gaussian-integer basis: the reference that the integer checks of
+    """The 13 representation checks on ``QQi`` matrices of the concretizer's
+    basis monomials: the reference that the monomial checks of
     ``matrix_identity_report`` must agree with, on the real basis and on
     corrupted ones."""
-    basis = {label: qqi_matrix(matrix) for label, matrix in _GAUSS_BASIS.items()}
+    basis = {label: monomial_matrix(monomial) for label, monomial in _MONOMIALS.items()}
     identity = basis["1"]
     zero = mat_scale(identity, QQi.of(0))
     beta = basis["beta"]
@@ -175,17 +174,17 @@ def test_all_representation_identities_pass():
     _require_matrices()
 
 
-# Each corruption changes one Gaussian-integer basis matrix; together they
-# fail every check.
+# Each corruption changes one basis monomial; together they fail every
+# check.
 CORRUPTIONS = {
     "gamma5 negated": (
         "gamma5",
-        lambda m: _g_scale(m, -1),
+        lambda m: _m_phase(m, 2),
         ["gamma5_times_sigma_is_minus_alpha", "spin_channel_of_gamma_commutator"],
     ),
     "gamma5 times i": (
         "gamma5",
-        lambda m: _g_scale(m, 0, 1),
+        lambda m: _m_phase(m, 1),
         [
             "gamma5_squares_to_one",
             "gamma5_times_sigma_is_minus_alpha",
@@ -194,7 +193,7 @@ CORRUPTIONS = {
     ),
     "gamma5 replaced by Sigma_x": (
         "gamma5",
-        lambda m: _GAUSS_BASIS["Sigma_x"],
+        lambda m: _MONOMIALS["Sigma_x"],
         [
             "gamma5_anticommutes_with_beta",
             "gamma5_commutes_with_sigma",
@@ -206,7 +205,7 @@ CORRUPTIONS = {
     ),
     "Sigma_y conjugated": (
         "Sigma_y",
-        lambda m: tuple(tuple((re, -im) for re, im in row) for row in m),
+        lambda m: (m[0], tuple(-p % 4 for p in m[1])),
         [
             "alpha_products_reduce_to_sigma",
             "sigma_products_reduce_to_sigma",
@@ -215,7 +214,7 @@ CORRUPTIONS = {
     ),
     "beta with its first and third rows swapped": (
         "beta",
-        lambda m: (m[2], m[1], m[0], m[3]),
+        lambda m: tuple((row[2], row[1], row[0], row[3]) for row in m),
         [
             "beta_squares_to_one",
             "beta_anticommutes_with_alpha",
@@ -226,7 +225,7 @@ CORRUPTIONS = {
     ),
     "Pi_z replaced by the identity": (
         "Pi_z",
-        lambda m: _GAUSS_BASIS["1"],
+        lambda m: _MONOMIALS["1"],
         [
             "spin_channel_of_alpha_commutator",
             "spin_channel_of_gamma_commutator",
@@ -240,7 +239,7 @@ CORRUPTIONS = {
 @pytest.mark.parametrize("case", list(CORRUPTIONS))
 def test_integer_checks_agree_with_fraction_checks_on_a_corrupted_basis(case, monkeypatch):
     label, corrupt, failing = CORRUPTIONS[case]
-    monkeypatch.setitem(_GAUSS_BASIS, label, corrupt(_GAUSS_BASIS[label]))
+    monkeypatch.setitem(_MONOMIALS, label, corrupt(_MONOMIALS[label]))
     report = matrix_identity_report()
     assert report == fraction_identity_report()
     assert [row["identity"] for row in report if row["status"] == "fail"] == failing
@@ -277,18 +276,18 @@ def test_structure_constants_match_the_matrix_products():
             assert _basis_product(left, right) == item
 
 
-@pytest.mark.parametrize(
-    "matrix, message",
-    [
-        (_g_add(_GAUSS_BASIS["beta"], _GAUSS_BASIS["alpha_x"]), "2 nonzero entries"),
-        (_g_scale(_GAUSS_BASIS["1"], 0), "0 nonzero entries"),
-        (_g_scale(_GAUSS_BASIS["Sigma_y"], 2), "not a power of i"),
-        (_g_scale(_GAUSS_BASIS["Sigma_y"], 1, 1), "not a power of i"),
-    ],
-)
-def test_monomial_reader_refuses_other_matrices(matrix, message):
-    with pytest.raises(ValueError, match=message):
-        _monomial(matrix)
+def test_a_product_outside_the_basis_is_refused(monkeypatch):
+    # the permutation matrix swapping only the first two components
+    monkeypatch.setitem(_MONOMIALS, "Sigma_x", ((1, 0, 2, 3), (0, 0, 0, 0)))
+    with pytest.raises(ValueError, match="Sigma_x @ beta is not a basis element"):
+        _basis_product("Sigma_x", "beta")
+
+
+def test_product_table_refuses_labels_equal_up_to_a_phase():
+    assert len(_product_table(_MONOMIALS)) == 64
+    basis = dict(_MONOMIALS, gamma5=_m_phase(_MONOMIALS["Sigma_x"], 3))
+    with pytest.raises(ValueError, match="gamma5 and Sigma_x agree up to a phase"):
+        _product_table(basis)
 
 
 PHASES = (QQi.of(1), QQi.of(-1), QQi.of(0, 1), QQi.of(0, -1))

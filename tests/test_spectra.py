@@ -65,6 +65,18 @@ def test_invalid_parameters_rejected():
         SpectralModel("spin1", "fw", hbar=-1.0)
 
 
+def test_spin12_mass_lost_to_rounding_is_rejected():
+    with pytest.raises(InvalidModelError, match=r"m = 1e-150 .* \|e\| hbar B = 0.5"):
+        SpectralModel("spin12", "fw", m=1e-150, B=0.5)
+    with pytest.raises(InvalidModelError, match="m = 1e-150"):
+        SpectralModel("spin12", "original", m=1e-150, e=-1.0, B=0.5)
+    # spin 1 keeps its own checks, and a splitting that overflows is left
+    # to the overflow error
+    SpectralModel("spin1", "fw", m=1e-150, B=0.5)
+    SpectralModel("spin12", "fw", m=1.0, hbar=1e10, B=1e300)
+    SpectralModel("spin12", "fw", m=1e-8, B=0.5)
+
+
 def test_edge_level_counts():
     assert SpectralModel("spin0", "fw").edge_levels == 2
     assert SpectralModel("spin12", "fw").edge_levels == 2
