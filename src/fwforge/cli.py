@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -455,6 +456,19 @@ def _cmd_spectra(args, values) -> tuple[str, str, bool]:
         raise UsageError(
             f"--m {values['m']} is too small: its square underflows floating-point arithmetic"
         )
+    # The lowest spin-1 level squares to m^2 - |e| hbar B.  The operators
+    # themselves stay well defined (`spectra relations` uses them at any
+    # mass), so only a spin-1 spectrum is refused.
+    if args.target == "run" and values["particle"] == "spin1":
+        splitting = abs(values["e"]) * values["hbar"] * values["B"]
+        # `*` gives inf where `**` would raise OverflowError outside the handler.
+        square = values["m"] * values["m"]
+        if math.isfinite(splitting) and values["m"] > 0 and square <= splitting:
+            raise UsageError(
+                f"--m {values['m']} is too small for spin 1: m^2 = {square} "
+                f"does not exceed |e| hbar B = {splitting}, and the lowest spin-1 level "
+                "squares to m^2 - |e| hbar B (spin-1 spectra need m^2 > |e| hbar B)"
+            )
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             if args.target == "run":

@@ -11,25 +11,32 @@ agree through first order.
 
 Construction.  Candidates are generated deterministically: brackets of
 atoms, brackets of brackets, deeper atom nestings, two- and three-factor
-products, and one more bracket layer around the two-factor products.
-Each candidate is its text, its kind (commutator, power or product,
-anticommutator, letter), its nominal order and its integer word vector;
-no bracket tree is built.  It lies in a single class (e, o), and the
-class of a bracket or product is the sum of its operands' classes, so
-the class test decides the budget for every term pair at once: a pair
-that fits is multiplied whole, by concatenating words and multiplying
-integers.  Only the curated spellings are parsed and go through
-`expand`, once each.  Candidates that vanish are dropped; parallel
-candidates collapse onto one direction, keyed by the word vector over
-its gcd with a positive lead, and one representative (the highest-order
-label wins, so the span per order cutoff is never understated).  Every
-surviving direction becomes a basis element: the collection is
-deliberately redundant, because different bracket spellings of the same
-content are exactly what the agreement narrative trades in.  Asked for
-some classes, `build_basis` skips every pair whose class lies outside
-their sub-class closure; since classes add and no direction crosses a
-class, each class it keeps gets exactly the elements of the full basis.
-Building the basis does no elimination.
+products, and one more bracket layer around the two-factor products.  A
+candidate is its text, its kind (commutator, power or product,
+anticommutator, letter), its nominal order and its class (e, o), kept in
+parallel lists, and its integer row over the class words in sorted
+order, kept in one matrix per class; no bracket tree is built.  The class
+of a bracket or product is the sum of its operands' classes, so the
+class test decides the budget for a whole block of pairs at once.  Word
+concatenation is injective, so the products of all the pairs of two
+classes are one outer product of their rows scattered through a table of
+concatenated words, and commutators and anticommutators are the
+difference and sum of the two orders.  These blocks take about 1 MiB
+and are int64 unless an entry could reach 2**62.  Only the curated
+spellings are parsed and go through `expand`, once each.  Candidates
+that vanish are dropped; parallel candidates collapse onto one
+direction, keyed by the row over its gcd with a positive lead, behind
+its class, as bytes.  Each direction keeps one representative (the
+highest-order label wins, so the span per order cutoff is never
+understated), and the first candidate of a new direction, in the order
+the pairs are listed, feeds the next round.  Every surviving direction
+becomes a basis element that views its row in its class matrix: the
+collection is deliberately redundant, because different bracket
+spellings of the same content are exactly what the agreement narrative
+trades in.  Asked for some classes, `build_basis` skips every pair whose
+class lies outside their sub-class closure; since classes add and no
+direction crosses a class, each class it keeps gets exactly the elements
+of the full basis.  Building the basis does no elimination.
 
 Elimination.  One exact kernel, `_eliminate`, does every elimination in
 this module, fraction-free (integer-preserving, after E. H. Bareiss,
@@ -60,9 +67,14 @@ the reduction uses carries a nonzero weight and no later label carries
 any, so that label's order is the stratum's certificate, and the lowest
 over the strata is the certified minimum order.  Projection spells a
 stratum in as few elements as it can, preferring low order first, then
-the listing order: the subsets of up to three columns are enumerated
-in bounded numpy blocks, filtered by bit masks of the words they cover,
-and the covering ones of a block screened by batched eliminations.
+the listing order: it visits the subsets of up to three columns in
+`combinations` order, under a budget.  A subset S can span the target t
+only when the rows of [S; t] are dependent, and then det([S; t] P) = 0
+for every integer matrix P.  So, with one fixed P of small entries, a
+subset whose determinant is nonzero is dropped, exactly.  The
+determinant is linear in a subset's last column, so a block of subsets
+that share their other columns is one integer matrix product.  The few
+subsets left are screened by batched eliminations, in order.
 When no small subset spans a stratum, one untracked pass over the
 preference-ordered columns picks the greedy-independent ones, and one
 tracked elimination over those alone gives the weights.  Whatever cannot
@@ -81,10 +93,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import combinations
+from functools import cache, cached_property
+from itertools import combinations, permutations
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, factorial, lcm
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -107,38 +120,55 @@ __all__ = [
 ]
 
 
+@cache
+def _class_words(klass: tuple[int, int]) -> tuple[str, ...]:
+    """The words with klass's E and O counts, sorted: the columns of every
+    row of that class."""
+    e_count, o_count = klass
+    length = e_count + o_count
+    return tuple(
+        sorted(
+            "".join("E" if i in places else "O" for i in range(length))
+            for places in combinations(range(length), e_count)
+        )
+    )
+
+
+@cache
+def _class_index(klass: tuple[int, int]) -> dict[str, int]:
+    """Each word of the class to its column."""
+    return {word: col for col, word in enumerate(_class_words(klass))}
+
+
 @dataclass(frozen=True)
 class BasisElement:
-    """One admitted bracket monomial, with its kind rank and the integer
-    coefficients of the words of its expansion."""
+    """One admitted bracket monomial: its text, kind rank, grading order and
+    class, and `row`, the integer coefficients of its expansion over the
+    class words in sorted order.  The row is a read-only view into one
+    matrix per class; `word_vector` and `expansion` are built from it on
+    demand."""
 
     text: str
     kind: int
     order: int
     e_count: int
     o_count: int
-    word_vector: dict[str, int] = field(hash=False)
+    row: np.ndarray = field(compare=False, hash=False, repr=False)
 
     @property
     def klass(self) -> tuple[int, int]:
         return (self.e_count, self.o_count)
 
+    @property
+    def word_vector(self) -> dict[str, int]:
+        """The nonzero coefficients by word, words in sorted order."""
+        words = _class_words(self.klass)
+        return {words[col]: int(self.row[col]) for col in np.flatnonzero(self.row)}
+
     @cached_property
     def expansion(self) -> AbstractExpr:
-        """The word vector as an expression, built on first use: a basis
-        keeps only the integer vectors, which take a few times less memory."""
+        """The word vector as an expression, built on first use."""
         return AbstractExpr({(0, word, 0): coeff for word, coeff in self.word_vector.items()})
-
-
-def _integer_words(expansion: AbstractExpr, text: str) -> dict[str, int]:
-    """The word coefficients of a pure-word expansion, which are integers:
-    brackets and products of letters and powers of O carry no fractions."""
-    vector = {}
-    for (_, word, _), coeff in expansion.terms():
-        if coeff.denominator != 1:
-            raise ValueError(f"{text} has the non-integral coefficient {coeff}")
-        vector[word] = coeff.numerator
-    return vector
 
 
 @dataclass(frozen=True)
@@ -188,21 +218,11 @@ def _integral(vector: dict[str, Fraction]) -> tuple[dict[str, int], int]:
     return scaled, denominator
 
 
-def _combine(p: int, target: dict, q: int, source: dict) -> dict:
-    """p * target + q * source, without the entries that cancel."""
-    out = dict(target) if p == 1 else {key: p * value for key, value in target.items()}
-    for key, value in source.items():
-        total = out.get(key, 0) + q * value
-        if total:
-            out[key] = total
-        else:
-            del out[key]
-    return out
-
-
 # Entries stay below this in int64; a step that could reach it runs on
 # Python integers (dtype=object) from then on.
 _INT64_BOUND = 1 << 62
+# Batched products and subset screens work in blocks of about this size.
+_BLOCK_BYTES = 1 << 20
 
 
 def _word_matrix(vectors: Sequence[dict[str, int]], index: dict[str, int]) -> np.ndarray:
@@ -211,6 +231,14 @@ def _word_matrix(vectors: Sequence[dict[str, int]], index: dict[str, int]) -> np
     matrix = np.zeros((len(vectors), len(index)), dtype=object if big else np.int64)
     for row, vector in zip(matrix, vectors):
         row[[index[word] for word in vector]] = list(vector.values())
+    return matrix
+
+
+def _narrowed(matrix: np.ndarray) -> np.ndarray:
+    """An object-dtype integer matrix as int64 when its entries stay below
+    _INT64_BOUND; any other matrix as it is."""
+    if matrix.dtype == object and matrix.size and _magnitude(matrix) < _INT64_BOUND:
+        return matrix.astype(np.int64)
     return matrix
 
 
@@ -351,16 +379,12 @@ class _ClassEchelon:
 def _word_rows(
     klass: tuple[int, int], elements: Sequence[BasisElement]
 ) -> tuple[dict[str, int], np.ndarray]:
-    """The class words, sorted, as column indices, and the word vectors of
-    `elements` (of that class) as matrix rows over them."""
-    e_count, o_count = klass
-    length = e_count + o_count
-    words = sorted(
-        "".join("E" if i in places else "O" for i in range(length))
-        for places in combinations(range(length), e_count)
-    )
-    index = {word: col for col, word in enumerate(words)}
-    return index, _word_matrix([element.word_vector for element in elements], index)
+    """The class words, sorted, as column indices, and the stored rows of
+    `elements` (of that class) gathered into one matrix over them."""
+    index = _class_index(klass)
+    if not elements:
+        return index, np.zeros((0, len(index)), dtype=np.int64)
+    return index, _narrowed(np.stack([element.row for element in elements]))
 
 
 class BracketBasis:
@@ -384,7 +408,7 @@ class BracketBasis:
         self._by_text: dict[str, BasisElement] = {}
         self._echelons: dict[tuple[int, int], _ClassEchelon] = {}
         for element in self.elements:
-            self._by_class.setdefault(element.klass, []).append(element)
+            self._by_class.setdefault((element.e_count, element.o_count), []).append(element)
             self._by_text[element.text] = element
 
     def _require(self, klass: tuple[int, int]) -> None:
@@ -473,124 +497,317 @@ _CURATED_TEXTS = frozenset(
 )
 
 
-def _word_product(left: dict[str, int], right: dict[str, int]) -> dict[str, int]:
-    """Product of two integer word vectors, without the words that cancel."""
-    out: dict[str, int] = {}
-    for w1, c1 in left.items():
-        for w2, c2 in right.items():
-            word = w1 + w2
-            out[word] = out.get(word, 0) + c1 * c2
-    return {word: coeff for word, coeff in out.items() if coeff}
+@cache
+def _concatenations(
+    left: tuple[int, int], right: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """For left word u and right word v, in sorted order and flattened
+    row-major over (u, v): the columns of uv and of vu among the words of
+    the sum class.  Concatenation is injective, so neither table repeats a
+    column."""
+    index = _class_index((left[0] + right[0], left[1] + right[1]))
+    lefts, rights = _class_words(left), _class_words(right)
+    return (
+        np.array([index[u + v] for u in lefts for v in rights], dtype=np.intp),
+        np.array([index[v + u] for u in lefts for v in rights], dtype=np.intp),
+    )
 
 
-def _word_brackets(
-    left: dict[str, int], right: dict[str, int]
-) -> tuple[dict[str, int], dict[str, int]]:
-    """(commutator, anticommutator) of two integer word vectors."""
-    forward = _word_product(left, right)
-    backward = _word_product(right, left)
-    return _combine(1, forward, -1, backward), _combine(1, forward, 1, backward)
+def _pair_blocks(
+    left_class: tuple[int, int],
+    lefts: np.ndarray,
+    right_class: tuple[int, int],
+    rights: np.ndarray,
+    brackets: bool,
+):
+    """Yield (left slice, right slice, rows) for blocks of the pairs
+    (lefts[i], rights[j]), i and j in those slices, in row-major order.
+
+    `lefts` and `rights` are integer rows over their class words, on
+    Python integers (dtype=object) when a product entry could reach
+    _INT64_BOUND.  Each pair's outer product, scattered through one
+    concatenation table, is the row of lefts[i] * rights[j] over the words
+    of the sum class, and scattered through the other, that of
+    rights[j] * lefts[i].  rows is (comm, acomm), their difference and sum,
+    with `brackets`, else (product,).  A block's rows take about
+    _BLOCK_BYTES.
+    """
+    width = len(_class_words((left_class[0] + right_class[0], left_class[1] + right_class[1])))
+    forward_at, backward_at = _concatenations(left_class, right_class)
+    per_block = max(1, _BLOCK_BYTES // (8 * width))
+    right_step = min(len(rights), per_block)
+    left_step = max(1, per_block // right_step)
+    for left_start in range(0, len(lefts), left_step):
+        left_slice = slice(left_start, left_start + left_step)
+        left = lefts[left_slice]
+        for right_start in range(0, len(rights), right_step):
+            right_slice = slice(right_start, right_start + right_step)
+            right = rights[right_slice]
+            outer = (left[:, None, :, None] * right[None, :, None, :]).reshape(
+                len(left) * len(right), -1
+            )
+            forward = np.zeros((len(outer), width), dtype=outer.dtype)
+            forward[:, forward_at] = outer
+            if not brackets:
+                yield left_slice, right_slice, (forward,)
+                continue
+            backward = np.zeros_like(forward)
+            backward[:, backward_at] = outer
+            yield left_slice, right_slice, (forward - backward, forward + backward)
 
 
-@dataclass(slots=True)
-class _Candidate:
-    """A bracket spelling with its kind rank, grading order, class and
-    integer word vector; the vector is its untruncated expansion."""
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
-    text: str
-    kind: int
-    order: int
-    klass: tuple[int, int]
-    vector: dict[str, int]
 
-    def beats(self, held: "_Candidate") -> bool:
+def _direction_keys(klass: tuple[int, int], rows: np.ndarray) -> list:
+    """The direction key of each nonzero row of the class: the row over the
+    gcd of its entries, signed so its first nonzero entry is positive, as
+    bytes behind the class.  Rows of one class share a key exactly when
+    they are parallel.  A row whose reduced entries pass int64 gets the
+    tuple (class, entries) instead."""
+    content = np.gcd.reduce(rows, axis=1, initial=0)
+    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    primitive = rows // np.where((lead < 0).astype(bool), -content, content)[:, None]
+    if primitive.dtype != object:
+        return _packed(klass, primitive)
+    return [
+        _packed(klass, row[None].astype(np.int64))[0] if fits else (klass, tuple(map(int, row)))
+        for row, fits in zip(primitive, np.abs(primitive).max(axis=1) <= _INT64_MAX)
+    ]
+
+
+def _packed(klass: tuple[int, int], rows: np.ndarray) -> list[bytes]:
+    """int64 rows as bytes, each behind its class."""
+    coded = np.empty((len(rows), rows.shape[1] + 1), dtype=np.int64)
+    coded[:, 0] = klass[0] << 32 | klass[1]
+    coded[:, 1:] = rows
+    return coded.view(np.dtype((np.void, 8 * coded.shape[1]))).ravel().tolist()
+
+
+class _Candidates:
+    """The candidates one build keeps.  A candidate is an id that indexes
+    parallel lists of text, kind rank, grading order, class and row
+    position; its integer row over the class words is that row of its
+    class's matrix.  `best` maps each direction key to the id of the
+    candidate that beats every other offered for it."""
+
+    def __init__(self, allowed: frozenset[tuple[int, int]]):
+        self.allowed = allowed
+        self.texts: list[str] = []
+        self.kinds: list[int] = []
+        self.orders: list[int] = []
+        self.classes: list[tuple[int, int]] = []
+        self.at: list[int] = []
+        self.matrices: dict[tuple[int, int], np.ndarray] = {}
+        self.sizes: dict[tuple[int, int], int] = {}
+        self.best: dict = {}
+
+    def _add(self, text: str, kind: int, order: int, klass: tuple[int, int], row) -> int:
+        size = self.sizes.get(klass, 0)
+        matrix = self.matrices.get(klass)
+        if matrix is None or size == len(matrix):
+            # Room for twice as many rows.
+            dtype = np.int64 if matrix is None else matrix.dtype
+            grown = np.zeros((max(16, 2 * size), len(row)), dtype=dtype)
+            grown[:size] = matrix[:size] if size else 0
+            self.matrices[klass] = matrix = grown
+        try:
+            matrix[size] = row
+        except OverflowError:
+            # An entry past int64: the class goes on Python integers.
+            self.matrices[klass] = matrix = matrix.astype(object)
+            matrix[size] = row
+        self.sizes[klass] = size + 1
+        self.texts.append(text)
+        self.kinds.append(kind)
+        self.orders.append(order)
+        self.classes.append(klass)
+        self.at.append(size)
+        return len(self.texts) - 1
+
+    def rows(self, klass: tuple[int, int], ids: Sequence[int]) -> np.ndarray:
+        """The rows of `ids`, all of that class, as one matrix."""
+        return _narrowed(self.matrices[klass][[self.at[cid] for cid in ids]])
+
+    def _beats(self, text: str, order: int, held: int) -> bool:
         """Higher order wins, then a curated spelling, then shorter text,
         then the text that sorts first."""
-        ours, theirs = self._rank(), held._rank()
-        return ours > theirs or (ours == theirs and self.text < held.text)
+        if order != self.orders[held]:
+            return order > self.orders[held]
+        theirs = self.texts[held]
+        ours_rank = (text in _CURATED_TEXTS, -len(text))
+        theirs_rank = (theirs in _CURATED_TEXTS, -len(theirs))
+        return ours_rank > theirs_rank or (ours_rank == theirs_rank and text < theirs)
 
-    def _rank(self) -> tuple[int, bool, int]:
-        return (self.order, self.text in _CURATED_TEXTS, -len(self.text))
+    def claim(self, text: str, kind: int, order: int, klass: tuple[int, int], row) -> int:
+        """Keep a candidate and offer it; its id."""
+        key = _direction_keys(klass, row[None])[0]
+        return self._offer(key, text, kind, order, klass, row, keep=True)
 
+    def _offer(
+        self, key, text: str, kind: int, order: int, klass: tuple[int, int], row, keep: bool = False
+    ) -> int | None:
+        """Offer a candidate for direction `key`: it wins when none is held
+        or it beats the one held, and then it is held.  It is kept when it
+        wins or with `keep`; its id, or None when it was not kept."""
+        held = self.best.get(key)
+        wins = held is None or self._beats(text, order, held)
+        if not (wins or keep):
+            return None
+        cid = self._add(text, kind, order, klass, row)
+        if wins:
+            self.best[key] = cid
+        return cid
 
-def _direction(vector: dict[str, int]) -> tuple:
-    """The word-ordered vector over its gcd, signed so the lead is positive:
-    parallel vectors, and only they, share it."""
-    words = sorted(vector)
-    content = gcd(*vector.values())
-    if vector[words[0]] < 0:
-        content = -content
-    return tuple((word, vector[word] // content) for word in words)
+    def _groups(self, ids: Sequence[int]) -> dict:
+        """Per class among `ids`: the positions in `ids` and the rows."""
+        at: dict[tuple[int, int], list[int]] = {}
+        for position, cid in enumerate(ids):
+            at.setdefault(self.classes[cid], []).append(position)
+        return {
+            klass: (np.array(positions), self.rows(klass, [ids[p] for p in positions]))
+            for klass, positions in at.items()
+        }
 
+    def _blocks(self, lefts: Sequence[int], rights: Sequence[int], brackets: bool):
+        """_pair_blocks over the pairs of lefts and rights whose class is
+        allowed, the class pairs of one sum class merged up to about
+        _BLOCK_BYTES a block: (class, positions i in lefts, positions j in
+        rights, rows)."""
+        left_groups = self._groups(lefts)
+        right_groups = left_groups if lefts is rights else self._groups(rights)
+        # A product entry is at most 2 max|l| max|r|; past int64 the pass
+        # runs on Python integers.
+        magnitudes = [
+            max((_magnitude(rows) for _, rows in groups.values()), default=0)
+            for groups in (left_groups, right_groups)
+        ]
+        if 2 * magnitudes[0] * magnitudes[1] >= _INT64_BOUND:
+            left_groups, right_groups = (
+                {klass: (at, rows.astype(object)) for klass, (at, rows) in groups.items()}
+                for groups in (left_groups, right_groups)
+            )
+        by_sum: dict[tuple[int, int], list] = {}
+        for left_class in left_groups:
+            for right_class in right_groups:
+                klass = (left_class[0] + right_class[0], left_class[1] + right_class[1])
+                if klass in self.allowed:
+                    by_sum.setdefault(klass, []).append((left_class, right_class))
+        for klass, class_pairs in by_sum.items():
+            parts: list = []
+            size = 0
+            for left_class, right_class in class_pairs:
+                left_at, left_rows = left_groups[left_class]
+                right_at, right_rows = right_groups[right_class]
+                for left_slice, right_slice, rows in _pair_blocks(
+                    left_class, left_rows, right_class, right_rows, brackets
+                ):
+                    i, j = left_at[left_slice], right_at[right_slice]
+                    parts.append((np.repeat(i, len(j)), np.tile(j, len(i)), *rows))
+                    size += rows[0].nbytes
+                    if size >= _BLOCK_BYTES:
+                        yield klass, *_merged(parts)
+                        parts, size = [], 0
+            if parts:
+                yield klass, *_merged(parts)
 
-def _offer(best: dict[tuple, _Candidate], candidate: _Candidate) -> bool:
-    """Record a nonzero candidate under its direction, replacing the one
-    held only when it beats it; True when the direction is new."""
-    key = _direction(candidate.vector)
-    held = best.get(key)
-    if held is None:
-        best[key] = candidate
-        return True
-    if candidate.beats(held):
-        best[key] = candidate
-    return False
+    def brackets(
+        self, lefts: Sequence[int], rights: Sequence[int], mirror: bool = False
+    ) -> list[int]:
+        """Offer the commutator and anticommutator of every pair (lefts[i],
+        rights[j]) with an allowed class and two texts that differ (when
+        lefts is rights, the anticommutator for i < j only).  Returns the
+        new directions, each as the first candidate offered for it in
+        (i, j, commutator before anticommutator) order, in that order.
 
+        With `mirror`, each pair also offers the brackets spelled the other
+        way round, comm(r, l) and acomm(r, l): the same pass over rights and
+        lefts would offer them.  They lie on the directions of comm(l, r)
+        and acomm(l, r), so they bring no new direction and only compete
+        for the representative."""
+        once = lefts is rights
+        firsts: dict = {}
+        texts, orders, classes, best = self.texts, self.orders, self.classes, self.best
+        per_left = len(rights)
+        for klass, at_i, at_j, comm, acomm in self._blocks(lefts, rights, True):
+            pairs = len(comm)
+            rows = np.concatenate([comm, acomm])
+            live = (rows != 0).any(axis=1)
+            if once:
+                live[pairs:] &= at_i < at_j
+            picked = np.flatnonzero(live)
+            i, j = at_i.tolist(), at_j.tolist()
+            for p, key in zip(picked.tolist(), _direction_keys(klass, rows[picked])):
+                is_acomm = p >= pairs
+                pair = p - pairs if is_acomm else p
+                a, b = lefts[i[pair]], rights[j[pair]]
+                order = orders[a] + orders[b]
+                if not is_acomm and not (classes[a][1] % 2 and classes[b][1] % 2):
+                    order += 1  # A commutator costs one hbar unless both operands are odd.
+                held, first = best.get(key), firsts.get(key)
+                if held is not None and first is None and order < orders[held]:
+                    continue  # no spelling of it can win
+                left_text, right_text = texts[a], texts[b]
+                if left_text == right_text:
+                    continue
+                kind, name = (_ACOMM, "acomm") if is_acomm else (_COMM, "comm")
+                text = f"{name}({left_text}, {right_text})"
+                # It is recorded as its direction's first when no candidate
+                # held the direction before this pass and none offered in
+                # this pass comes before it.
+                seq = 2 * (i[pair] * per_left + j[pair]) + is_acomm
+                earlier = held is None or (first is not None and seq < first[0])
+                cid = self._offer(key, text, kind, order, klass, rows[p], earlier)
+                if earlier:
+                    firsts[key] = (seq, cid)
+                if mirror:
+                    text = f"{name}({right_text}, {left_text})"
+                    row = rows[p] if is_acomm else -rows[p]
+                    self._offer(key, text, kind, order, klass, row)
+        return [cid for _, cid in sorted(firsts.values())]
 
-def _bracket_candidates(
-    best: dict[tuple, _Candidate],
-    lefts: Sequence[_Candidate],
-    rights: Sequence[_Candidate],
-    allowed: frozenset[tuple[int, int]],
-) -> list[_Candidate]:
-    """Offer comm/acomm of every pair whose class is allowed; return the
-    new directions."""
-    fresh: list[_Candidate] = []
-    seen_acomm: set[tuple[int, int]] = set()
-    for i, left in enumerate(lefts):
-        left_e, left_o = left.klass
-        for j, right in enumerate(rights):
-            klass = (left_e + right.klass[0], left_o + right.klass[1])
-            if klass not in allowed or left.text == right.text:
-                continue
-            comm, acomm = _word_brackets(left.vector, right.vector)
-            # A commutator of two odd operators costs no hbar.
-            both_odd = left_o % 2 and right.klass[1] % 2
-            order = left.order + right.order
-            if comm:
-                new = _Candidate(
-                    f"comm({left.text}, {right.text})",
-                    _COMM,
-                    order if both_odd else order + 1,
-                    klass,
-                    comm,
+    def products(self, lefts: Sequence[int], rights: Sequence[int], keep: bool) -> list[int]:
+        """Offer lefts[i] * rights[j] for every pair with an allowed class,
+        spelled pow(x, 2) when lefts is rights and the texts are equal.
+        With `keep`, every product is kept, and all of them are returned in
+        (i, j) order; products of nonzero rows are nonzero, since the free
+        algebra has no zero divisors."""
+        square = lefts is rights
+        made = []
+        for klass, at_i, at_j, rows in self._blocks(lefts, rights, False):
+            i, j = at_i.tolist(), at_j.tolist()
+            for p, key in enumerate(_direction_keys(klass, rows)):
+                a, b = lefts[i[p]], rights[j[p]]
+                left_text, right_text = self.texts[a], self.texts[b]
+                order = self.orders[a] + self.orders[b]
+                text = (
+                    f"pow({left_text}, 2)"
+                    if square and left_text == right_text
+                    else f"{left_text} * {right_text}"
                 )
-                if _offer(best, new):
-                    fresh.append(new)
-            pair = (min(i, j), max(i, j)) if lefts is rights else (i, j)
-            if pair in seen_acomm:
-                continue
-            seen_acomm.add(pair)
-            if acomm:
-                new = _Candidate(
-                    f"acomm({left.text}, {right.text})",
-                    _ACOMM,
-                    order,
-                    klass,
-                    acomm,
-                )
-                if _offer(best, new):
-                    fresh.append(new)
-    return fresh
+                cid = self._offer(key, text, _PRODUCT, order, klass, rows[p], keep)
+                if keep:
+                    made.append((i[p] * len(rights) + j[p], cid))
+        return [cid for _, cid in sorted(made)]
 
 
-def _product(left: _Candidate, right: _Candidate, klass: tuple[int, int]) -> _Candidate:
-    return _Candidate(
-        f"{left.text} * {right.text}",
-        _PRODUCT,
-        left.order + right.order,
-        klass,
-        _word_product(left.vector, right.vector),
-    )
+def _merged(parts: list) -> tuple:
+    """The blocks of `parts` as one, component by component."""
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(component) for component in zip(*parts))
+
+
+def _expansion_row(expansion: AbstractExpr, text: str) -> tuple[tuple[int, int], np.ndarray]:
+    """The class and integer row of a one-class pure-word expansion:
+    brackets and products of letters and powers of O carry no fractions."""
+    vector = {}
+    for (_, word, _), coeff in expansion.terms():
+        if coeff.denominator != 1:
+            raise ValueError(f"{text} has the non-integral coefficient {coeff}")
+        vector[word] = coeff.numerator
+    klass = (word.count("E"), word.count("O"))
+    return klass, _word_matrix([vector], _class_index(klass))[0]
 
 
 def _in_closure(
@@ -620,102 +837,73 @@ def build_basis(
         if _in_closure((e_count, o_count), classes)
     )
 
-    best: dict[tuple, _Candidate] = {}
+    store = _Candidates(allowed)
     # Claim the narrative spellings first so they become the
     # representatives of their directions.
-    curated_candidates: list[_Candidate] = []
+    curated: list[int] = []
     for text in sorted(_CURATED_TEXTS):
         tree = parse_expr(text)
         expansion = expand(tree, budget)
         if expansion.is_zero():
             continue
-        vector = _integer_words(expansion, text)
-        word = next(iter(vector))
-        klass = (word.count("E"), word.count("O"))
+        klass, row = _expansion_row(expansion, text)
         if klass not in allowed:
             continue
         kind = {"comm": _COMM, "pow": _PRODUCT, "acomm": _ACOMM}[text[: text.index("(")]]
-        candidate = _Candidate(text, kind, parity_and_order(tree)[1], klass, vector)
-        _offer(best, candidate)
-        curated_candidates.append(candidate)
-    atom_candidates: list[_Candidate] = []
+        curated.append(store.claim(text, kind, parity_and_order(tree)[1], klass, row))
+    atoms: list[int] = []
     for text, word, kind in _ATOMS:
         klass = (word.count("E"), word.count("O"))
-        if klass not in allowed:
-            continue
-        candidate = _Candidate(text, kind, 0, klass, {word: 1})
-        _offer(best, candidate)
-        atom_candidates.append(candidate)
+        if klass in allowed:
+            # The class of a letter or a power of O has that one word.
+            atoms.append(store.claim(text, kind, 0, klass, np.ones(1, dtype=np.int64)))
 
     # Round 1: brackets of atoms.  Round 2: brackets over everything so
     # far.  Rounds 3..5: one more atom layer each (padding and nesting).
     # The curated spellings ride along: they claimed their directions
     # above, so the new-direction rounds would otherwise never feed the
     # narrative's own commutators back into deeper nestings or products.
-    round1 = _bracket_candidates(best, atom_candidates, atom_candidates, allowed)
-    pool = atom_candidates + round1 + curated_candidates
-    round2 = _bracket_candidates(best, pool, pool, allowed)
-    layer = round1 + round2 + curated_candidates
+    round1 = store.brackets(atoms, atoms)
+    pool = atoms + round1 + curated
+    round2 = store.brackets(pool, pool)
+    layer = round1 + round2 + curated
+    # Each layer offers comm(a, x) and acomm(a, x) with their mirrored
+    # spellings comm(x, a) and acomm(x, a), which bring no new direction.
     for _ in range(3):
-        grown = _bracket_candidates(best, atom_candidates, layer, allowed)
-        grown += _bracket_candidates(best, layer, atom_candidates, allowed)
-        layer = grown
+        layer = store.brackets(atoms, layer, mirror=True)
 
     # Two-factor products of brackets (both factors carry order >= 1),
     # then one bracket layer around the products for padded squares.
-    # Products of nonzero vectors are nonzero: the free algebra has no
-    # zero divisors.  The only powers among the rounds and the curated
-    # spellings are curated pow(...) squares, and they stay out.
-    bracket_pool = [c for c in round1 + round2 + curated_candidates if c.kind != _PRODUCT]
-    products: list[_Candidate] = []
-    for left in bracket_pool:
-        left_e, left_o = left.klass
-        for right in bracket_pool:
-            klass = (left_e + right.klass[0], left_o + right.klass[1])
-            if klass not in allowed:
-                continue
-            if left.text == right.text:
-                product = _Candidate(
-                    f"pow({left.text}, 2)",
-                    _PRODUCT,
-                    2 * left.order,
-                    klass,
-                    _word_product(left.vector, left.vector),
-                )
-            else:
-                product = _product(left, right, klass)
-            _offer(best, product)
-            products.append(product)
-    _bracket_candidates(best, atom_candidates, products, allowed)
-    _bracket_candidates(best, products, atom_candidates, allowed)
+    # The only powers among the rounds and the curated spellings are
+    # curated pow(...) squares, and they stay out.
+    bracket_pool = [c for c in round1 + round2 + curated if store.kinds[c] != _PRODUCT]
+    products = store.products(bracket_pool, bracket_pool, keep=True)
+    store.brackets(atoms, products, mirror=True)
 
     # Three-factor products: a two-factor product times one more small
     # bracket, on either side.  Needed so high-letter-count classes keep
     # full coverage at every grading order.
-    small = [c for c in bracket_pool if sum(c.klass) <= 3]
-    for middle in products:
-        mid_e, mid_o = middle.klass
-        for extra in small:
-            klass = (mid_e + extra.klass[0], mid_o + extra.klass[1])
-            if klass not in allowed:
-                continue
-            _offer(best, _product(middle, extra, klass))
-            _offer(best, _product(extra, middle, klass))
+    small = [c for c in bracket_pool if sum(store.classes[c]) <= 3]
+    store.products(products, small, keep=False)
+    store.products(small, products, keep=False)
 
     # Every representative becomes an element: the basis is deliberately
-    # overcomplete (see the module docstring).
+    # overcomplete (see the module docstring).  Each class's rows go into
+    # one read-only matrix that the elements view, and the class's
+    # candidates go.
+    by_class: dict[tuple[int, int], list[int]] = {}
+    for cid in store.best.values():
+        by_class.setdefault(store.classes[cid], []).append(cid)
     elements = []
-    for held in best.values():
-        element = BasisElement(
-            text=held.text,
-            kind=held.kind,
-            order=held.order,
-            e_count=held.klass[0],
-            o_count=held.klass[1],
-            word_vector=dict(sorted(held.vector.items())),
+    for (e_count, o_count), ids in by_class.items():
+        matrix = store.rows((e_count, o_count), ids)
+        del store.matrices[e_count, o_count]
+        matrix.flags.writeable = False
+        elements.extend(
+            BasisElement(store.texts[c], store.kinds[c], store.orders[c], e_count, o_count, row)
+            for c, row in zip(ids, matrix)
         )
-        elements.append(element)
-    elements.sort(key=lambda el: (el.order, el.klass, el.text))
+    elements.sort(key=attrgetter("order", "e_count", "o_count", "text"))
     return BracketBasis(budget, elements, classes=classes)
 
 
@@ -728,9 +916,9 @@ def _strata(piece: AbstractExpr) -> dict[tuple[int, int], dict[str, Fraction]]:
 
 _SPARSE_LIMIT = 3
 _SUBSET_BUDGET = 300_000
-_SUBSET_BLOCK = 1 << 13
-# Subset blocks and screens stay about 1 MiB at most.
-_SCREEN_BYTES = 1 << 20
+# A subset block spans about this many (head, last column) cells; its
+# determinants fill _BLOCK_BYTES in int64.
+_SUBSET_BLOCK = _BLOCK_BYTES // 8
 
 
 def _binomial(n, k: int):
@@ -753,45 +941,118 @@ def _unrank(ranks: np.ndarray, n: int, size: int) -> np.ndarray:
         members.append(least)
         ranks = ranks - before[least]
         low = least + 1
-    return np.column_stack(members)
+    return np.array(members, dtype=np.intp).reshape(size, len(ranks)).T
 
 
-def _bit_masks(flags: np.ndarray) -> np.ndarray:
-    """Rows of booleans packed into 64-bit words."""
-    packed = np.packbits(flags, axis=1)
-    words = np.zeros((len(flags), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
-    words[:, : packed.shape[1]] = packed
-    return words.view(np.uint64)
+def _screen_projection(width: int) -> np.ndarray:
+    """A fixed integer matrix P of shape (width, _SPARSE_LIMIT + 1), its
+    entries in -15..15 drawn by the SplitMix64 hash of the cell index."""
+    z = np.arange(1, width * (_SPARSE_LIMIT + 1) + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z % np.uint64(31)).astype(np.int64).reshape(width, -1) - 15
+
+
+def _projected(matrix: np.ndarray, projection: np.ndarray) -> np.ndarray:
+    """matrix @ projection, exactly: on Python integers when an entry could
+    reach _INT64_BOUND."""
+    if _magnitude(matrix) * _magnitude(projection) * matrix.shape[-1] >= _INT64_BOUND:
+        matrix = matrix.astype(object)
+    return matrix @ projection
+
+
+def _determinants(blocks: np.ndarray) -> np.ndarray:
+    """Exact determinants of a stack of small square integer matrices, as
+    sums over permutations."""
+    size = blocks.shape[-1]
+    total = np.zeros(blocks.shape[:-2], dtype=blocks.dtype)
+    for perm in permutations(range(size)):
+        term = blocks[..., 0, perm[0]]
+        for row in range(1, size):
+            term = term * blocks[..., row, perm[row]]
+        odd = sum(a > b for a, b in combinations(perm, 2)) % 2
+        total = total - term if odd else total + term
+    return total
+
+
+def _span_candidates(images: np.ndarray, image: np.ndarray, size: int, total: int):
+    """Yield, in blocks, the size-subsets among the first `total` of
+    `combinations` order that the determinant test keeps.
+
+    `images` holds each column times P and `image` the target times P, P
+    cut to size + 1 columns.  If the columns of a subset S span the target,
+    the rows of [S; t] are dependent, so det([S; t] P) = 0: a subset with a
+    nonzero determinant cannot be the answer, and dropping it is exact.  A
+    block holds the subsets that extend consecutive (size - 1)-subsets, the
+    heads, by one later column.  The determinant is linear in that column,
+    so one product of the heads' cofactor vectors with the images gives a
+    whole block.  It runs on int64 unless a determinant could reach
+    _INT64_BOUND, and then on Python integers.
+    """
+    n = len(images)
+    heads_total = comb(n, size - 1)
+    heads_per_block = max(1, _SUBSET_BLOCK // n)
+    columns = np.arange(n)
+    head_rank = start = 0
+    while start < total:
+        heads = _unrank(
+            np.arange(head_rank, min(head_rank + heads_per_block, heads_total)), n, size - 1
+        )
+        head_rank += len(heads)
+        last = heads[:, -1] if size > 1 else np.full(len(heads), -1)
+        counts = n - 1 - last
+        live = columns > last[:, None]
+        if start + counts.sum() > total:
+            # The rank of each (head, column): heads' subsets follow each other.
+            offsets = start + np.cumsum(counts) - counts
+            ranks = offsets[:, None] + columns - last[:, None] - 1
+            live &= ranks < total
+        start += int(counts.sum())
+        rows = np.concatenate(
+            [images[heads], np.broadcast_to(image, (len(heads), 1, size + 1))], axis=1
+        )
+        bound = factorial(size + 1) * _magnitude(image) * _magnitude(images)
+        if size > 1:
+            bound *= _magnitude(rows[:, :-1]) ** (size - 1)
+        kind = object if bound >= _INT64_BOUND else np.int64
+        rows = rows.astype(kind)
+        cofactors = np.stack(
+            [
+                (-1) ** (size + col) * _determinants(np.delete(rows, col, axis=2))
+                for col in range(size + 1)
+            ],
+            axis=1,
+        )
+        determinants = cofactors @ images.T.astype(kind)
+        head, column = np.nonzero(live & (determinants == 0))
+        yield np.column_stack([heads[head], column])
 
 
 def _sparse_solve(target: np.ndarray, columns: np.ndarray) -> tuple[int, ...] | None:
     """The first subset of at most _SPARSE_LIMIT columns (matrix rows) that
-    covers the target's words, is independent and spans the target.
+    is independent and spans the target.
 
     Subsets are tried smallest first, in `combinations` order, so ties
     resolve toward the column preference; the search gives up (None) after
-    _SUBSET_BUDGET subsets.  Linearly dependent subsets are skipped: their
-    span equals that of a smaller subset already tried.  Subsets come in
-    blocks of _SUBSET_BLOCK; a subset covers the target when the OR of its
-    columns' word masks fills the target's, and the covering subsets of a
-    block are screened by batched eliminations of their columns with the
-    target below them, _SCREEN_BYTES at most each.
+    _SUBSET_BUDGET subsets, the ones the determinant test of
+    `_span_candidates` drops included.  Linearly dependent subsets are
+    skipped: their span equals that of a smaller subset already tried.  The
+    subsets the test keeps are screened, in order, by batched eliminations
+    of their columns with the target below them.
     """
+    if not len(columns):
+        return None
     used = np.flatnonzero((columns != 0).any(axis=0) | (target != 0))
     columns, target = columns[:, used], target[used]
-    wanted = target != 0
-    masks = _bit_masks(columns[:, wanted] != 0)
-    full = _bit_masks(wanted[None, wanted])[0]
+    projection = _screen_projection(len(used))
+    images, image = _projected(columns, projection), _projected(target, projection)
     left = _SUBSET_BUDGET
     for size in range(1, min(_SPARSE_LIMIT, len(columns)) + 1):
         total = min(comb(len(columns), size), left)
-        for start in range(0, total, _SUBSET_BLOCK):
-            ranks = np.arange(start, min(start + _SUBSET_BLOCK, total))
-            subsets = _unrank(ranks, len(columns), size)
-            covered = masks[subsets[:, 0]]
-            for member in range(1, size):
-                covered = covered | masks[subsets[:, member]]
-            found = _screen(subsets[(covered == full).all(axis=1)], columns, target)
+        for subsets in _span_candidates(images[:, : size + 1], image[: size + 1], size, total):
+            found = _screen(subsets, columns, target)
             if found is not None:
                 return found
         left -= total
@@ -803,7 +1064,7 @@ def _sparse_solve(target: np.ndarray, columns: np.ndarray) -> tuple[int, ...] | 
 def _screen(subsets: np.ndarray, columns: np.ndarray, target: np.ndarray) -> tuple[int, ...] | None:
     """The first subset whose columns are independent and span the target."""
     size = subsets.shape[1]
-    chunk = max(1, _SCREEN_BYTES // ((size + 1) * columns.shape[1] * 8))
+    chunk = max(1, _BLOCK_BYTES // ((size + 1) * columns.shape[1] * 8))
     for start in range(0, len(subsets), chunk):
         part = subsets[start : start + chunk]
         stacked = np.concatenate(

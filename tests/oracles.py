@@ -12,6 +12,10 @@ program computes another way, or reads out what the program never needs:
   product;
 * the exact linear relation of every bracket-basis element that the
   class echelon skips (``dependencies``);
+* products, brackets and directions of integer word vectors held as
+  ``dict[str, int]``, one term pair at a time (``word_product``,
+  ``word_brackets``, ``direction``, ``combine``): the comparator builds
+  them as batched rows over the class words;
 * mini-language text for a bracket tree (``format_tree``);
 * the part of an expression in one letter class (``restrict_class``).
 """
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Mapping
 
 from fwforge.comparator import BracketBasis, _solve, _word_rows
@@ -203,6 +208,50 @@ def dependencies(basis: BracketBasis) -> tuple[Dependency, ...]:
             )
     found.sort(key=lambda dep: (dep.order, (dep.e_count, dep.o_count), dep.text))
     return tuple(found)
+
+
+# -- integer word vectors as dicts ---------------------------------------------
+
+
+def combine(p: int, target: dict, q: int, source: dict) -> dict:
+    """p * target + q * source, without the entries that cancel."""
+    out = dict(target) if p == 1 else {key: p * value for key, value in target.items()}
+    for key, value in source.items():
+        total = out.get(key, 0) + q * value
+        if total:
+            out[key] = total
+        else:
+            del out[key]
+    return out
+
+
+def word_product(left: dict[str, int], right: dict[str, int]) -> dict[str, int]:
+    """Product of two integer word vectors, without the words that cancel."""
+    out: dict[str, int] = {}
+    for w1, c1 in left.items():
+        for w2, c2 in right.items():
+            word = w1 + w2
+            out[word] = out.get(word, 0) + c1 * c2
+    return {word: coeff for word, coeff in out.items() if coeff}
+
+
+def word_brackets(
+    left: dict[str, int], right: dict[str, int]
+) -> tuple[dict[str, int], dict[str, int]]:
+    """(commutator, anticommutator) of two integer word vectors."""
+    forward = word_product(left, right)
+    backward = word_product(right, left)
+    return combine(1, forward, -1, backward), combine(1, forward, 1, backward)
+
+
+def direction(vector: dict[str, int]) -> tuple:
+    """The word-ordered vector over its gcd, signed so the lead is positive:
+    parallel vectors, and only they, share it."""
+    words = sorted(vector)
+    content = gcd(*vector.values())
+    if vector[words[0]] < 0:
+        content = -content
+    return tuple((word, vector[word] // content) for word in words)
 
 
 # -- bracket trees as text -----------------------------------------------------

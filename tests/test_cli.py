@@ -148,8 +148,13 @@ def test_spectra_run_rejects_invalid_combination(capsys):
 
 
 def test_spectra_run_square_root_failure_is_reported(capsys):
+    # m^2 = 1 exceeds |e| hbar B = 0.5, but at g = 6 the corrected spin-1
+    # operator under the square root is not positive definite.
     code = cli.main(
-        ["spectra", "run", "--particle", "spin1", "--representation", "fw", "--B", "1.2", "--levels", "16"]
+        [
+            "spectra", "run", "--particle", "spin1", "--representation", "fw_corrected",
+            "--g", "6", "--levels", "16",
+        ]
     )
     assert code == 1
     report = _json_out(capsys)
@@ -244,6 +249,40 @@ def test_spectra_refuses_a_spin12_mass_lost_to_rounding(flags, capsys):
         "fwforge: error: m = 1e-150 is too small against |e| hbar B = 0.5: "
         "m^2 is lost to rounding in m^2 + |e| hbar B"
     ]
+
+
+@pytest.mark.parametrize("representation", ["fw", "fw_corrected", "original"])
+@pytest.mark.parametrize("mass, square", [("0.5", "0.25"), ("0.7", "0.48999999999999994")])
+def test_spectra_refuses_a_spin1_mass_at_or_below_the_splitting(
+    representation, mass, square, capsys
+):
+    # At the defaults e = 1, hbar = 1 and B = 0.5 the lowest spin-1 level
+    # squares to m^2 - 0.5 < 0.
+    argv = ["spectra", "run", "--particle", "spin1", "--representation", representation]
+    assert cli.main([*argv, "--m", mass, "--levels", "8"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"fwforge: error: --m {mass} is too small for spin 1: m^2 = {square} does not "
+        "exceed |e| hbar B = 0.5, and the lowest spin-1 level squares to "
+        "m^2 - |e| hbar B (spin-1 spectra need m^2 > |e| hbar B)"
+    ]
+
+
+def test_spectra_refuses_a_spin1_mass_equal_to_the_splitting(capsys):
+    argv = ["spectra", "run", "--particle", "spin1", "--representation", "fw", "--levels", "8"]
+    assert cli.main([*argv, "--m", "0.5", "--B", "0.25"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "m^2 = 0.25 does not exceed |e| hbar B = 0.25" in line
+    # Just above the splitting the spectrum runs.
+    assert cli.main([*argv, "--m", "0.5", "--B", "0.2"]) == 0
+    capsys.readouterr()
+    # A mass that is not positive keeps the model's own message.
+    assert cli.main([*argv, "--m", "-0.5"]) == 2
+    assert capsys.readouterr().err == "fwforge: error: mass must be positive, got -0.5\n"
+
+
+def test_spectra_spin1_small_mass_is_refused_only_for_a_spectrum(capsys):
+    assert cli.main(["spectra", "relations", "--m", "0.5", "--levels", "16"]) == 0
+    assert cli.main(["spectra", "correction-scan", "--m", "0.5", "--levels", "16"]) == 0
 
 
 @pytest.mark.parametrize("target, flag", [("amm-scan", "--g"), ("correction-scan", "--B")])
@@ -488,8 +527,9 @@ def test_spectra_commands_do_not_import_symbolic_modules(tmp_path):
         ["relations", "--B", "1e100"],
         ["run", "--particle", "spin1", "--representation", "fw_corrected", "--g", "1e200"],
         ["run", "--m", "1e200"],
+        ["run", "--particle", "spin1", "--m", "1e200"],
     ],
-    ids=["correction-scan", "relations", "run", "run-mass"],
+    ids=["correction-scan", "relations", "run", "run-mass", "run-spin1-mass"],
 )
 def test_spectra_overflow_is_usage_error(argv, tmp_path):
     result = subprocess.run(

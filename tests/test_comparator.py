@@ -6,6 +6,8 @@ free-word oracle (and, for the dependency records, by brute-force
 re-expansion) before being pinned here.
 """
 
+import hashlib
+import json
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -20,16 +22,13 @@ from fwforge.comparator import (
     _CURATED_TEXTS,
     _SPARSE_LIMIT,
     _SUBSET_BUDGET,
-    _combine,
     _eliminate,
     _integral,
     _preferred_columns,
     _solve,
     _sparse_solve,
     _strata,
-    _word_brackets,
     _word_matrix,
-    _word_product,
     build_basis,
     diff_report,
     explain,
@@ -54,7 +53,10 @@ from fwforge.ncalg import (
 )
 from fwforge.lang import parse_expr
 from fwforge.stepwise import DISPLAYED
-from oracles import dependencies, format_tree, restrict_class
+from oracles import combine as _combine
+from oracles import dependencies, direction, format_tree, restrict_class
+from oracles import word_brackets as _word_brackets
+from oracles import word_product as _word_product
 
 O = Gen("O")
 E = Gen("E")
@@ -264,6 +266,125 @@ def test_integer_word_helpers_match_the_algebra(left, right):
     assert _as_expr(product) == a.mul(b, budget)
     assert _as_expr(comm) == a.commutator(b, budget)
     assert _as_expr(acomm) == a.anticommutator(b, budget)
+
+
+@st.composite
+def _class_rows(draw):
+    """A class and a few integer word vectors of it, as rows over its words."""
+    e_count = draw(st.integers(0, 2))
+    klass = (e_count, draw(st.integers(0 if e_count else 1, 3)))
+    vectors = draw(
+        st.lists(
+            st.dictionaries(
+                st.sampled_from(comparator._class_words(klass)),
+                st.integers(-3, 3).filter(bool),
+                min_size=1,
+                max_size=4,
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return klass, vectors, _word_matrix(vectors, comparator._class_index(klass))
+
+
+@pytest.mark.parametrize(
+    "bound, block", [(comparator._INT64_BOUND, comparator._BLOCK_BYTES), (1, 64)],
+    ids=["int64", "python-int"],
+)
+@given(left=_class_rows(), right=_class_rows())
+@settings(max_examples=100, deadline=None)
+def test_batched_products_match_the_dict_oracles(bound, block, left, right):
+    """The rows a pass over two candidate lists builds, products,
+    commutators and anticommutators pair by pair in row-major order, and
+    the direction keys of those rows agree with the dict oracles.  With
+    the bound patched low the pass runs on Python integers, and with small
+    blocks the pairs are split."""
+    (left_class, left_vectors, lefts), (right_class, right_vectors, rights) = left, right
+    klass = (left_class[0] + right_class[0], left_class[1] + right_class[1])
+    words = comparator._class_words(klass)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(comparator, "_INT64_BOUND", bound)
+        patch.setattr(comparator, "_BLOCK_BYTES", block)
+        store = comparator._Candidates(frozenset({klass}))
+        left_ids = [store.claim(f"l{n}", 0, 0, left_class, row) for n, row in enumerate(lefts)]
+        right_ids = [store.claim(f"r{n}", 0, 0, right_class, row) for n, row in enumerate(rights)]
+        product_blocks, bracket_blocks = (
+            list(store._blocks(left_ids, right_ids, brackets)) for brackets in (False, True)
+        )
+        arrays = [part for _, _, _, *parts in bracket_blocks + product_blocks for part in parts]
+        rows = np.concatenate(arrays)
+        live = rows[(rows != 0).any(axis=1)]
+        keys = comparator._direction_keys(klass, live)
+    assert all((array.dtype == object) == (bound == 1) for array in arrays)
+
+    def as_dict(row):
+        return {words[col]: int(row[col]) for col in np.flatnonzero(row)}
+
+    pairs = [(i, j) for i in range(len(lefts)) for j in range(len(rights))]
+    for blocks in (product_blocks, bracket_blocks):
+        assert [(int(i), int(j)) for _, i_s, j_s, *_ in blocks for i, j in zip(i_s, j_s)] == pairs
+    products = [as_dict(row) for _, _, _, block in product_blocks for row in block]
+    comms = [as_dict(row) for _, _, _, block, _ in bracket_blocks for row in block]
+    acomms = [as_dict(row) for _, _, _, _, block in bracket_blocks for row in block]
+    for (i, j), product, comm, acomm in zip(pairs, products, comms, acomms):
+        assert product == _word_product(left_vectors[i], right_vectors[j])
+        assert (comm, acomm) == _word_brackets(left_vectors[i], right_vectors[j])
+
+    # Keys are equal exactly where the oracle directions are, and each
+    # holds the class and the oracle's reduced vector.
+    directions = [direction(as_dict(row)) for row in live]
+    for key, expected in zip(keys, directions):
+        coded = np.frombuffer(key, dtype=np.int64)
+        assert coded[0] == klass[0] << 32 | klass[1]
+        assert tuple(as_dict(coded[1:]).items()) == expected
+    assert len(set(keys)) == len(set(directions))
+    assert len(set(zip(keys, directions))) == len(set(keys))
+
+
+def test_direction_keys_past_int64_are_tuples():
+    klass = (1, 1)  # the words EO and OE
+    big = 1 << 64
+    rows = np.array([[big, -1], [-5 * big, 5], [big, 1], [3, -6]], dtype=object)
+    keys = comparator._direction_keys(klass, rows)
+    assert keys[0] == keys[1] == (klass, (big, -1))
+    assert keys[2] == (klass, (big, 1))
+    # A row that fits int64 gets the bytes key the int64 path gives.
+    assert keys[3] == comparator._direction_keys(klass, np.array([[-1, 2]]))[0]
+    assert isinstance(keys[3], bytes)
+
+
+# sha256 over the elements in listing order of json [text, kind, order, e,
+# o, sorted word vector] lines, as the dict-based builder that the
+# per-class rows replaced produced them, with the number of elements.
+_ELEMENT_DIGESTS = {
+    (5, 2, None): (129, "54551d09b4e091d82c08ae4d9333857687e203b8b1cf58e43dfd9c916447b787"),
+    (5, 2, ((1, 4), (2, 2))): (
+        56, "38f36efc2568c2e2358505675e418e9876c141547b05163eefa031ce803ce7da",
+    ),
+    (6, 2, None): (387, "823cee539ed09c27e9f3e7e247dcea110b7147f300aaf4ca5966ec19509c57e5"),
+    (6, 2, ((1, 4), (2, 2), (2, 4))): (
+        353, "d31d2cd502c912a6b4eff78af64e7223a2af642802abdd5c1ff0b349854bf00c",
+    ),
+    (8, 3, None): (6208, "ea873a2aee630c17e62e3cbec6c3b4c46717c5807bdd8ced86d8aa49b936afd3"),
+    (8, 3, tuple(DIFFERING_83)): (
+        3530, "452b547056b6a799f14309a3f58150a0f34c83dcfc1015a15f7a378fef413c27",
+    ),
+    (9, 3, None): (14159, "568e70c96c370af1e1d274441305c98a7a17dc5d4b1a3e450794c7f307be4bdc"),
+    (9, 3, ((1, 4), (1, 6), (1, 8), (2, 2), (2, 4), (2, 6), (3, 2), (3, 4), (3, 6))): (
+        11942, "6ae93df5b45603b30348446f4456fb6b940f30e40761aad9092c5233ceba3afa",
+    ),
+}
+
+
+@pytest.mark.parametrize("max_len, max_e, classes", list(_ELEMENT_DIGESTS))
+def test_elements_match_the_dict_builder(max_len, max_e, classes):
+    basis = build_basis(Budget(max_len, max_e), classes=classes)
+    digest = hashlib.sha256()
+    for el in basis.elements:
+        line = [el.text, el.kind, el.order, el.e_count, el.o_count, sorted(el.word_vector.items())]
+        digest.update(json.dumps(line).encode() + b"\n")
+    assert (len(basis), digest.hexdigest()) == _ELEMENT_DIGESTS[max_len, max_e, classes]
 
 
 # -- projection -------------------------------------------------------------------
@@ -771,6 +892,81 @@ def test_sparse_solve_covers_targets_of_more_than_64_words():
     # No pair spans it; (1, 2, 3) is the first triple that does.
     assert expected == {1: Fraction(-1, 2), 2: Fraction(3, 2), 3: Fraction(3, 2)}
     assert _kernel_solve(vector, index, matrix) == expected
+
+
+@pytest.fixture(scope="module")
+def subset_scans_83(report83, eriksen83, static13_83, basis83):
+    """(class, stratum, vector, column index, column matrix, the subset
+    scan's answer) of every stratum at (8,3)."""
+    scans = []
+    for klass, row, delta in _differing_83(report83, eriksen83, static13_83):
+        columns = _preferred_columns(basis83, klass, row.hbar_order_min)
+        index, matrix = comparator._word_rows(klass, columns)
+        for stratum, vector in _strata(delta).items():
+            expected, _ = _subset_scan(vector, [el.word_vector for el in columns])
+            scans.append((klass, stratum, vector, index, matrix, expected))
+    return scans
+
+
+@pytest.mark.parametrize("projection", ["zeros", "two words merged"])
+def test_determinant_screen_drops_no_answer(monkeypatch, projection, subset_scans_83):
+    """The screen only drops subsets: with a P that tells nothing apart
+    (zeros) or one under which the first two words look the same, every
+    stratum still gets the subset scan's answer."""
+    fixed = comparator._screen_projection
+
+    def patched(width):
+        matrix = fixed(width)
+        if projection == "zeros":
+            return np.zeros_like(matrix)
+        matrix[1] = matrix[0]
+        return matrix
+
+    monkeypatch.setattr(comparator, "_screen_projection", patched)
+    for klass, stratum, vector, index, matrix, expected in subset_scans_83:
+        assert _kernel_solve(vector, index, matrix) == expected, (klass, stratum)
+
+
+def test_determinant_screen_keeps_few_subsets_at_8_3(monkeypatch, subset_scans_83):
+    """Class (2,6) spans its stratum with no subset of at most three of its
+    661 columns.  Of the 661 singles, 218 130 pairs and the first 81 209
+    triples the search may visit, the screen passes 0, 2 and 5 on."""
+    screened = {1: 0, 2: 0, 3: 0}
+    screen = comparator._screen
+
+    def counting(subsets, columns, target):
+        screened[subsets.shape[1]] += len(subsets)
+        return screen(subsets, columns, target)
+
+    monkeypatch.setattr(comparator, "_screen", counting)
+    ((_, _, vector, index, matrix, expected),) = [
+        scan for scan in subset_scans_83 if scan[0] == (2, 6)
+    ]
+    assert len(matrix) == 661 and expected is None
+    assert _kernel_solve(vector, index, matrix) is None
+    assert screened == {1: 0, 2: 2, 3: 5}
+
+
+def test_determinants_match_fraction_elimination():
+    rng = np.random.default_rng(7)
+    for size in (1, 2, 3):
+        blocks = rng.integers(-4, 5, size=(50, size, size))
+        for block, value in zip(blocks, comparator._determinants(blocks)):
+            rows = [[Fraction(int(x)) for x in row] for row in block]
+            det = Fraction(1)
+            for col in range(size):
+                pivot = next((r for r in range(col, size) if rows[r][col]), None)
+                if pivot is None:
+                    det = Fraction(0)
+                    break
+                if pivot != col:
+                    rows[col], rows[pivot] = rows[pivot], rows[col]
+                    det = -det
+                det *= rows[col][col]
+                for r in range(col + 1, size):
+                    factor = rows[r][col] / rows[col][col]
+                    rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+            assert int(value) == det
 
 
 def test_certificates_match_the_oracle_on_every_differing_class(
