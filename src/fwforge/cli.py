@@ -445,6 +445,33 @@ def _scan_grid(values):
     )
 
 
+def _refuse_outside_corrected_domain(values, field: float, label: str) -> None:
+    """Refuse a spin-1 `fw_corrected` field whose radicand is not positive.
+
+    The radicand's smallest entry is at n = 0, the least over s_z of
+    m^2 + |e| hbar B - 2 e hbar B s_z - e^2 hbar^2 g (g - 2) B^2 s_z^2 / (4 m^2).
+    For g outside (0, 2) it falls as B grows, so a scan is checked at its
+    largest field; inside, it stays above m^2 - |e| hbar B.  An entry that
+    is not finite is left to the overflow error, and a mass, hbar or field
+    the model rejects to the model's own message.
+    """
+    m, e, hbar, g = values["m"], values["e"], values["hbar"], values["g"]
+    if not (m > 0 and hbar > 0 and field >= 0):
+        return
+    correction = e * e * hbar * hbar * g * (g - 2.0) * field * field / (4.0 * m * m)
+    smallest = min(
+        m * m + abs(e) * hbar * field - 2.0 * e * hbar * field * s_z - correction * s_z * s_z
+        for s_z in (-1, 0, 1)
+    )
+    if math.isfinite(smallest) and smallest <= 0:
+        raise UsageError(
+            f"spin-1 fw_corrected is outside its domain at {label} = {field}, g = {g}: "
+            "the corrected radicand's smallest entry, the least over s_z of m^2 + |e| hbar B "
+            "- 2 e hbar B s_z - e^2 hbar^2 g (g - 2) B^2 s_z^2 / (4 m^2), "
+            f"is {smallest} (the corrected form needs it positive)"
+        )
+
+
 def _cmd_spectra(args, values) -> tuple[str, str, bool]:
     import numpy as np
 
@@ -469,6 +496,11 @@ def _cmd_spectra(args, values) -> tuple[str, str, bool]:
                 f"does not exceed |e| hbar B = {splitting}, and the lowest spin-1 level "
                 "squares to m^2 - |e| hbar B (spin-1 spectra need m^2 > |e| hbar B)"
             )
+        if values["representation"] == "fw_corrected":
+            _refuse_outside_corrected_domain(values, values["B"], "B")
+    grid = _scan_grid(values) if args.target in ("amm-scan", "correction-scan") else None
+    if args.target == "correction-scan":
+        _refuse_outside_corrected_domain(values, float(grid.max()), "the largest scanned B")
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             if args.target == "run":
@@ -485,7 +517,7 @@ def _cmd_spectra(args, values) -> tuple[str, str, bool]:
                 report = spectra.compare_closed_form(model)
             elif args.target == "amm-scan":
                 report = spectra.amm_linearity_scan(
-                    [2.0 + x for x in _scan_grid(values)],
+                    [2.0 + x for x in grid],
                     values["B"],
                     values["levels"],
                     e=values["e"],
@@ -495,7 +527,7 @@ def _cmd_spectra(args, values) -> tuple[str, str, bool]:
             elif args.target == "correction-scan":
                 report = spectra.correction_residual_scan(
                     values["g"],
-                    list(_scan_grid(values)),
+                    list(grid),
                     values["levels"],
                     e=values["e"],
                     m=values["m"],

@@ -59,29 +59,31 @@ built in one pass the first time a caller asks for that class, with its
 elements taken from high nominal order to low; it tracks no
 combinations: certification needs none.
 
-Projection.  A single-class operator is split into (beta, m) strata;
-each stratum is a rational vector over the class words.  Certification
-is one reduction per stratum against the class echelon.  Because its
-rows were inserted from high order to low, the label of the last row
-the reduction uses carries a nonzero weight and no later label carries
-any, so that label's order is the stratum's certificate, and the lowest
-over the strata is the certified minimum order.  Projection spells a
-stratum in as few elements as it can, preferring low order first, then
-the listing order: it visits the subsets of up to three columns in
-`combinations` order, under a budget.  A subset S can span the target t
-only when the rows of [S; t] are dependent, and then det([S; t] P) = 0
-for every integer matrix P.  So, with one fixed P of small entries, a
-subset whose determinant is nonzero is dropped, exactly.  The
-determinant is linear in a subset's last column, so a block of subsets
-that share their other columns is one integer matrix product.  The few
-subsets left are screened by batched eliminations, in order.
-When no small subset spans a stratum, one untracked pass over the
-preference-ordered columns picks the greedy-independent ones, and one
-tracked elimination over those alone gives the weights.  Whatever cannot
-be expressed is returned verbatim as a residual, and reconstruction
-(entries plus residual) is exact by construction.  Because the columns
-are redundant, reports project at the certified minimum order, which
-keeps low-order spellings out of a difference that certifies higher.
+Projection.  `diff_report` explains every difference in brackets, for
+`compare` and both stepwise reports: per differing class it projects at
+the caller's order, or else certifies and projects at the certified one,
+which keeps low-order spellings out of a difference that certifies
+higher.  A class is split into (beta, m) strata, rational vectors over
+its words.  Certification is one reduction per stratum against the class
+echelon.  Because its rows were inserted from high order to low, the
+label of the last row the reduction uses carries a nonzero weight and no
+later label carries any, so that label's order is the stratum's
+certificate, and the lowest over the strata is the certified minimum
+order.  Projection spells a stratum in as few elements as it can,
+preferring low order first, then the listing order: it visits the
+subsets of up to three columns in `combinations` order, under a budget.
+A subset S can span the target t only when the rows of [S; t] are
+dependent, and then det([S; t] P) = 0 for every integer matrix P.  So,
+with one fixed P of small entries, a subset whose determinant is nonzero
+is dropped, exactly.  The determinant is linear in a subset's last
+column, so a block of subsets that share their other columns is one
+integer matrix product.  The few subsets left are screened by batched
+eliminations, in order.  When no small subset spans a stratum, one
+untracked pass over the preference-ordered columns picks the
+greedy-independent ones, and one tracked elimination over those alone
+gives the weights.  Whatever cannot be expressed is returned verbatim as
+a residual, and reconstruction (entries plus residual) is exact by
+construction.
 
 Beta and mass bookkeeping: basis expansions are pure words.  The beta
 and m content of the projected operator is uniform within a stratum, so
@@ -116,7 +118,6 @@ __all__ = [
     "project",
     "min_hbar_order",
     "diff_report",
-    "explain",
 ]
 
 
@@ -1088,17 +1089,18 @@ def _preferred_columns(
     )
 
 
-def project(
-    piece: AbstractExpr,
-    basis: BracketBasis,
-    min_order: int | None = None,
-) -> Projection:
-    """Express a single-class operator over the basis elements.
+def _single_class(piece: AbstractExpr, what: str) -> tuple[int, int]:
+    """The one class of a piece; ValueError naming `what` otherwise."""
+    classes = piece.classify()
+    if len(classes) != 1:
+        raise ValueError(f"{what} wants a single class, got {sorted(classes)}")
+    (klass,) = classes
+    return klass
 
-    The columns are restricted to grading order >= min_order; when
-    min_order is omitted, the piece's own certified minimum order is
-    used, so the result is spelled in the vocabulary of the order the
-    piece actually carries rather than padded low-order spellings.
+
+def project(piece: AbstractExpr, basis: BracketBasis, min_order: int) -> Projection:
+    """Express a single-class operator over the basis elements of grading
+    order >= min_order.
 
     The solve aims for the fewest elements: subsets of up to three
     columns are tried exhaustively, because the narrative names a
@@ -1111,13 +1113,7 @@ def project(
     """
     if piece.is_zero():
         return Projection(entries=(), residual=AbstractExpr.zero())
-    classes = piece.classify()
-    if len(classes) != 1:
-        raise ValueError(f"projection wants a single class, got {sorted(classes)}")
-    (klass,) = classes
-    if min_order is None:
-        certified = min_hbar_order(piece, basis)
-        min_order = 0 if certified is None else certified
+    klass = _single_class(piece, "projection")
     columns = _preferred_columns(basis, klass, min_order)
     index, matrix = _word_rows(klass, columns)
     words = tuple(index)
@@ -1167,11 +1163,7 @@ def min_hbar_order(piece: AbstractExpr, basis: BracketBasis) -> int | None:
     """
     if piece.is_zero():
         return None
-    classes = piece.classify()
-    if len(classes) != 1:
-        raise ValueError(f"certification wants a single class, got {sorted(classes)}")
-    (klass,) = classes
-    labels = basis.echelon(klass).last_used(
+    labels = basis.echelon(_single_class(piece, "certification")).last_used(
         [_integral(vector)[0] for vector in _strata(piece).values()]
     )
     if None in labels:
@@ -1279,10 +1271,15 @@ def diff_report(
     h_second: AbstractExpr,
     budget: Budget,
     basis: BracketBasis | None = None,
+    min_order: int | None = None,
 ) -> DiffReport:
     """Per-class comparison of two even expansions (first minus second).
 
-    Without a basis, one is built for the differing classes only.
+    Each differing class is spelled in brackets of order >= min_order
+    when one is given, and is then not certified (its `hbar_order_min`
+    is None).  Otherwise it is certified and spelled at its certified
+    order, or at 0 when it is outside the span.  Without a basis, one is
+    built for the differing classes only.
     """
     first_parts = h_first.classify()
     second_parts = h_second.classify()
@@ -1295,63 +1292,13 @@ def diff_report(
         basis = build_basis(budget, classes=differing)
     rows = []
     for (e_count, o_count), delta in deltas.items():
-        if delta.is_zero():
-            rows.append(
-                ClassDiff(
-                    e_count=e_count,
-                    o_count=o_count,
-                    status="identical",
-                    hbar_order_min=None,
-                    projection=None,
-                )
-            )
-            continue
-        certified = min_hbar_order(delta, basis)
-        # Present the difference in the vocabulary of its own order:
-        # projecting with the certified cutoff keeps low-order spellings
-        # of redundant directions out of the report.
-        rows.append(
-            ClassDiff(
-                e_count=e_count,
-                o_count=o_count,
-                status="differs",
-                hbar_order_min=certified,
-                projection=project(delta, basis, min_order=certified),
-            )
-        )
+        certified = projection = None
+        if not delta.is_zero():
+            order = min_order
+            if order is None:
+                certified = min_hbar_order(delta, basis)
+                order = certified or 0
+            projection = project(delta, basis, order)
+        status = "identical" if projection is None else "differs"
+        rows.append(ClassDiff(e_count, o_count, status, certified, projection))
     return DiffReport(budget=budget, classes=tuple(rows))
-
-
-def explain(
-    diff: AbstractExpr, budget: Budget, min_order: int
-) -> tuple[str, list[dict]]:
-    """Spell every class of a difference in brackets of order >= min_order.
-
-    The basis is built for the differing classes only.  Returns "pass"
-    when every class is explained and "fail" otherwise, with one row per
-    class, smallest class first: its e and o counts, its status
-    ("explained" or "unexplained"), the weighted brackets as
-    `delta_brackets`, and, when the brackets leave a residual, its terms
-    as `unexplained`.
-    """
-    status = "pass"
-    rows = []
-    pieces = diff.classify()
-    basis = build_basis(budget, classes=pieces)
-    for (e_count, o_count), piece in sorted(pieces.items()):
-        projection = project(piece, basis, min_order=min_order)
-        explained = projection.residual.is_zero()
-        row = {
-            "e": e_count,
-            "o": o_count,
-            "status": "explained" if explained else "unexplained",
-            "delta_brackets": [
-                {"bracket": entry.bracket, "weight": str(entry.weight), "m_exp": entry.m_exp}
-                for entry in projection.entries
-            ],
-        }
-        if not explained:
-            row["unexplained"] = term_strings(projection.residual)
-            status = "fail"
-        rows.append(row)
-    return status, rows

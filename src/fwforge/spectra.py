@@ -401,7 +401,10 @@ def _build_spin1(model: SpectralModel, levels: np.ndarray) -> np.ndarray:
         (e**2) * (hbar**2) * g * (g - 2.0) * (B**2) / (4.0 * m**2)
     ) * kernels["s_z_sq_full"]
     energy_root = hermitian_sqrt(radicand)
-    kernel = np.linalg.inv(energy_root @ energy_root + m * energy_root)
+    # The root is diagonal, so (root^2 + m root)^-1 is taken entry by
+    # entry and multiplies the core from either side as a broadcast.
+    root = np.diagonal(energy_root, axis1=-2, axis2=-1)
+    kernel = 1.0 / (root * root + m * root)
     cross = _kron(kernels["pi_y"], kernels["s_x"]) - _kron(
         kernels["pi_x"], kernels["s_y"]
     )
@@ -414,7 +417,9 @@ def _build_spin1(model: SpectralModel, levels: np.ndarray) -> np.ndarray:
     inner = (
         energy_root
         - amm * kernels["s_z_full"]
-        + weight * (kernel @ correction_core + correction_core @ kernel)
+        + weight * (
+            kernel[..., :, None] * correction_core + correction_core * kernel[..., None, :]
+        )
     )
     return _kron(inner, rho_3)
 

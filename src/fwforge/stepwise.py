@@ -17,15 +17,16 @@ first-step operators once each, as mini-language text that
 `ORDER2_BLOCKS`: `LEADING` and `ITERATIVE` are assembled from it, and
 the concretizer evaluates its interiors on Dirac operators.  The second
 step is derived from the first-step operators; it and the displayed
-series are checked by explaining their differences in brackets, with
-the comparator imported there, so reading the texts needs no numpy.
+series are checked by spelling each differing class in brackets at a
+fixed order through `comparator.diff_report`, imported there, so reading
+the texts needs no numpy.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from fwforge.lang import parse_expr
+from fwforge.lang import parse_expr, term_strings
 from fwforge.ncalg import AbstractExpr, BracketExpr, Budget, expand
 
 # The bracket blocks of the order-2 closed form, in its displayed order:
@@ -116,6 +117,37 @@ SECOND_STEP = (
 )
 
 
+def _explained(
+    derived: AbstractExpr, other: AbstractExpr, budget: Budget, min_order: int
+) -> tuple[str, list[dict]]:
+    """The status and one row per differing class of derived - other,
+    spelled at min_order: "explained" when the brackets leave no
+    residual, else "unexplained" with it, and the status is "fail"."""
+    from fwforge.comparator import diff_report
+
+    status = "pass"
+    rows = []
+    for diff in diff_report(derived, other, budget, min_order=min_order).classes:
+        if diff.projection is None:
+            continue
+        residual = diff.projection.residual
+        explained = residual.is_zero()
+        row = {
+            "e": diff.e_count,
+            "o": diff.o_count,
+            "status": "explained" if explained else "unexplained",
+            "delta_brackets": [
+                {"bracket": entry.bracket, "weight": str(entry.weight), "m_exp": entry.m_exp}
+                for entry in diff.projection.entries
+            ],
+        }
+        if not explained:
+            row["unexplained"] = term_strings(residual)
+            status = "fail"
+        rows.append(row)
+    return status, rows
+
+
 def derive_second_step(budget: Budget) -> tuple[AbstractExpr, dict]:
     """Expand beta eps + E' + (1/4) beta {1/eps, O'^2} and certify it.
 
@@ -127,13 +159,10 @@ def derive_second_step(budget: Budget) -> tuple[AbstractExpr, dict]:
     The report lists, per class, the exact bracket combination that
     explains the difference and flags any unexplained residual words.
     """
-    from fwforge.comparator import explain
-
     if budget.max_e_count < 2:
         raise ValueError("second step needs room for two E letters")
     derived = expand(parse_expr(SECOND_STEP), budget)
-    diff = derived.sub(expand_static(build_iterative(), budget))
-    status, classes = explain(diff, budget, min_order=3)
+    status, classes = _explained(derived, expand_static(build_iterative(), budget), budget, 3)
     return derived, {"status": status, "classes": classes}
 
 
@@ -141,11 +170,8 @@ def derive_display(budget: Budget) -> dict:
     """Compare the static expansion of the iterative closed form with its
     displayed bracket series; explain any class difference in brackets of
     nominal order two or higher."""
-    from fwforge.comparator import explain
-
     derived = expand_static(build_iterative(), budget)
-    diff = derived.sub(expand(parse_expr(DISPLAYED), budget))
-    status, classes = explain(diff, budget, min_order=2)
+    status, classes = _explained(derived, expand(parse_expr(DISPLAYED), budget), budget, 2)
     return {
         "budget": {"max_word_len": budget.max_word_len, "max_e_count": budget.max_e_count},
         "status": status,

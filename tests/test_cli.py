@@ -147,19 +147,64 @@ def test_spectra_run_rejects_invalid_combination(capsys):
     assert "not available" in capsys.readouterr().err
 
 
-def test_spectra_run_square_root_failure_is_reported(capsys):
-    # m^2 = 1 exceeds |e| hbar B = 0.5, but at g = 6 the corrected spin-1
-    # operator under the square root is not positive definite.
+def test_spectra_run_square_root_failure_is_reported(capsys, monkeypatch):
+    # The parameter checks keep every radicand positive, so a square root
+    # that fails anyway is forced here; it must still end in a report.
+    from fwforge import spectra
+
+    def failing_sqrt(matrix):
+        raise spectra.SquareRootDomainError(-1.0)
+
+    monkeypatch.setattr(spectra, "hermitian_sqrt", failing_sqrt)
     code = cli.main(
         [
             "spectra", "run", "--particle", "spin1", "--representation", "fw_corrected",
-            "--g", "6", "--levels", "16",
+            "--g", "2.3", "--levels", "16",
         ]
     )
     assert code == 1
     report = _json_out(capsys)
     assert report["status"] == "fail"
     assert "positive-definite" in report["failure"]
+
+
+_CORRECTED_DOMAIN = (
+    "the corrected radicand's smallest entry, the least over s_z of m^2 + |e| hbar B "
+    "- 2 e hbar B s_z - e^2 hbar^2 g (g - 2) B^2 s_z^2 / (4 m^2), is {} "
+    "(the corrected form needs it positive)"
+)
+
+
+@pytest.mark.parametrize("charge", ["1", "-1"])
+@pytest.mark.parametrize("g, smallest", [("4", "0.0"), ("5", "-0.4375"), ("6", "-1.0")])
+def test_spectra_refuses_fw_corrected_outside_its_domain(g, smallest, charge, capsys):
+    # m = 1, B = 0.5: m^2 exceeds |e| hbar B, but at n = 0 and s_z = sign(e)
+    # the corrected radicand is 1 - 0.5 - g (g - 2) / 16.
+    argv = ["spectra", "run", "--particle", "spin1", "--representation", "fw_corrected"]
+    assert cli.main([*argv, "--g", g, "--e", charge, "--levels", "8"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"fwforge: error: spin-1 fw_corrected is outside its domain at B = 0.5, g = {g}.0: "
+        + _CORRECTED_DOMAIN.format(smallest)
+    ]
+
+
+@pytest.mark.parametrize("charge", ["1", "-1"])
+def test_spectra_fw_corrected_just_inside_its_domain_runs(charge, capsys):
+    argv = ["spectra", "run", "--particle", "spin1", "--representation", "fw_corrected"]
+    assert cli.main([*argv, "--g", "3.9", "--e", charge, "--levels", "16"]) != 2
+    report = _json_out(capsys)
+    assert "failure" not in report
+    assert report["interior_count"] > 0
+
+
+def test_spectra_correction_scan_refuses_a_field_outside_the_domain(capsys):
+    # The radicand is smallest at the largest field: 1 + 0.5 - 1 - 5 at B = 0.5.
+    argv = ["spectra", "correction-scan", "--g", "10", "--scan-from", "0.3", "--scan-to", "0.5"]
+    assert cli.main([*argv, "--levels", "8"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "fwforge: error: spin-1 fw_corrected is outside its domain at the largest scanned "
+        "B = 0.5, g = 10.0: " + _CORRECTED_DOMAIN.format("-4.5")
+    ]
 
 
 def test_spectra_amm_scan_reports_shallow_slope(capsys):

@@ -31,7 +31,6 @@ from fwforge.comparator import (
     _word_matrix,
     build_basis,
     diff_report,
-    explain,
     min_hbar_order,
     project,
 )
@@ -94,23 +93,18 @@ def test_curated_texts_are_canonical():
         assert format_tree(parse_expr(text)) == text
 
 
-def test_explain_builds_the_basis_for_the_differing_classes():
+def test_diff_report_at_an_order_builds_the_basis_for_the_differing_classes():
     budget = Budget(3, 1)
     diff = expand(sc(Fraction(1, 2), MPow(-2), Comm(O, Comm(O, E))), budget)
-    status, rows = explain(diff, budget, min_order=1)
-    assert status == "pass"
-    assert rows == [
-        {
-            "e": 1,
-            "o": 2,
-            "status": "explained",
-            "delta_brackets": [{"bracket": "comm(O, comm(O, E))", "weight": "1/2", "m_exp": -2}],
-        }
+    (row,) = diff_report(diff, AbstractExpr.zero(), budget, min_order=1).classes
+    assert (row.e_count, row.o_count, row.status, row.hbar_order_min) == (1, 2, "differs", None)
+    assert [(e.bracket, e.weight, e.m_exp) for e in row.projection.entries] == [
+        ("comm(O, comm(O, E))", Fraction(1, 2), -2)
     ]
-    status, rows = explain(diff, budget, min_order=2)
-    assert status == "fail"
-    assert rows[0]["status"] == "unexplained"
-    assert explain(AbstractExpr.zero(), budget, min_order=2) == ("pass", [])
+    assert row.projection.residual.is_zero()
+    (row,) = diff_report(diff, AbstractExpr.zero(), budget, min_order=2).classes
+    assert not row.projection.residual.is_zero()
+    assert diff_report(AbstractExpr.zero(), AbstractExpr.zero(), budget, min_order=2).classes == ()
 
 
 def test_order_two_pair(basis42):
@@ -222,8 +216,7 @@ def test_partial_basis_refuses_classes_outside_its_closure():
         "class_elements": lambda: basis.class_elements(1, 4),
         "echelon": lambda: basis.echelon((1, 4)),
         "min_hbar_order": lambda: min_hbar_order(piece, basis),
-        "project": lambda: project(piece, basis),
-        "project at an order": lambda: project(piece, basis, min_order=2),
+        "project": lambda: project(piece, basis, 2),
     }
     for name, query in queries.items():
         with pytest.raises(ValueError, match=r"class \(1, 4\)"):
@@ -392,7 +385,7 @@ def test_elements_match_the_dict_builder(max_len, max_e, classes):
 
 def test_project_basis_member_onto_itself(basis83, budget83):
     piece = expand(Comm(O, Comm(O, E)), budget83)
-    result = project(piece, basis83)
+    result = project(piece, basis83, 1)
     assert [(e.element.text, e.weight, e.m_exp) for e in result.entries] == [
         ("comm(O, comm(O, E))", Fraction(1), 0)
     ]
@@ -401,7 +394,7 @@ def test_project_basis_member_onto_itself(basis83, budget83):
 
 
 def test_project_zero(basis83):
-    result = project(AbstractExpr.zero(), basis83)
+    result = project(AbstractExpr.zero(), basis83, 0)
     assert result.entries == ()
     assert result.residual.is_zero()
 
@@ -411,7 +404,7 @@ def test_project_rejects_mixed_classes(basis83, budget83):
         expand(PowN(Comm(O, E), 2), budget83)
     )
     with pytest.raises(ValueError):
-        project(mixed, basis83)
+        project(mixed, basis83, 0)
 
 
 def test_quartic_display_difference_projects_onto_three_brackets(basis83, budget83):
@@ -419,7 +412,7 @@ def test_quartic_display_difference_projects_onto_three_brackets(basis83, budget
     three-bracket combination with zero residual."""
     mine = restrict_class(expand(reference_target("order2"), budget83), 2, 4)
     other = restrict_class(expand(parse_expr(DISPLAYED), budget83), 2, 4)
-    result = project(mine.sub(other), basis83)
+    result = project(mine.sub(other), basis83, 2)
     assert [(e.element.text, e.weight, e.beta_exp, e.m_exp) for e in result.entries] == [
         ("pow(comm(pow(O, 2), E), 2)", Fraction(-19, 256), 1, -5),
         ("acomm(pow(O, 2), comm(comm(pow(O, 2), E), E))", Fraction(-7, 128), 1, -5),
@@ -449,11 +442,22 @@ def test_certification_of_simple_brackets(basis83, budget83):
     )
 
 
+def test_certificate_is_the_lowest_over_the_strata(basis83, budget83):
+    """Each (beta, m) stratum certifies on its own, and the piece takes the
+    lowest of their orders."""
+    low = expand(Acomm(E, Comm(O, Comm(O, E))), budget83)
+    high = expand(Comm(Comm(O2, E), E), budget83).shift_m(-2)
+    assert min_hbar_order(low, basis83) == 1
+    assert min_hbar_order(high, basis83) == 2
+    assert min_hbar_order(low.add(high), basis83) == 1
+    assert min_hbar_order(high.add(high.shift_m(-1)), basis83) == 2
+
+
 def test_residual_captures_out_of_span_content(basis42):
     # A single bare word with two potential letters is not a bracket
     # combination: everything lands in the residual, reconstruct holds.
     piece = AbstractExpr.from_terms([((0, "EE", 0), Fraction(1))])
-    result = project(piece, basis42)
+    result = project(piece, basis42, 0)
     assert result.entries == ()
     assert not result.residual.is_zero()
     assert result.reconstruct().sub(piece).is_zero()

@@ -62,6 +62,9 @@ def test_compare_83_without_a_basis_matches_golden(eriksen83, static13_83, budge
         (["compare", "--max-len", "7", "--max-e", "3"], "compare_7_3"),
         (["compare", "--max-len", "9", "--max-e", "3"], "compare_9_3"),
         (["compare", "--max-len", "10", "--max-e", "4"], "compare_10_4"),
+        (["derive", "stepwise", "--max-len", "8", "--max-e", "3"], "derive_stepwise_8_3"),
+        (["derive", "second-step", "--max-len", "8", "--max-e", "3"], "derive_second_step_8_3"),
+        (["derive", "stepwise", "--max-len", "10", "--max-e", "4"], "derive_stepwise_10_4"),
     ],
 )
 def test_report_matches_golden(argv, name, tmp_path):

@@ -162,6 +162,51 @@ def test_diagonal_sqrt_matches_dense_eigh(particle, representation, e, field, mo
     assert np.abs(matrix - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
+def _corrected_with_inverse(model, levels):
+    """The spin-1 `fw_corrected` operator with its kernel taken by a dense
+    inverse and applied by matrix products."""
+    kernels = spectra._spin1_kernels(model, levels)
+    m, hbar, e, B, g = model.m, model.hbar, model.e, model.B, model.g
+    radicand = (
+        m * m * kernels["eye"]
+        + kernels["pi_sq_full"]
+        - 2.0 * e * hbar * B * kernels["s_z_full"]
+        - (e * e * hbar * hbar * g * (g - 2.0) * B * B / (4.0 * m * m)) * kernels["s_z_sq_full"]
+    )
+    root = hermitian_sqrt(radicand)
+    kernel = np.linalg.inv(root @ root + m * root)
+    cross = spectra._kron(kernels["pi_y"], kernels["s_x"]) - spectra._kron(
+        kernels["pi_x"], kernels["s_y"]
+    )
+    core = (
+        B * B * kernels["spin_momentum"] @ kernels["spin_momentum"]
+        - B * B * cross @ cross
+        - e * hbar * (g - 1.0) * B**3 * kernels["s_z_full"]
+    )
+    weight = e * e * hbar * hbar * (g - 1.0) * (g - 2.0) / (16.0 * m**3)
+    inner = (
+        root
+        - spectra._spin1_amm(model) * kernels["s_z_full"]
+        + weight * (kernel @ core + core @ kernel)
+    )
+    return spectra._kron(inner, spectra._rho_matrices()[2])
+
+
+@pytest.mark.parametrize("e", [1.0, -1.0])
+@pytest.mark.parametrize("field", [0.0, 0.3, 0.5])
+@pytest.mark.parametrize("g", [2.3, 3.9])
+def test_corrected_kernel_matches_the_dense_inverse(e, field, g):
+    """The broadcast kernel of the spin-1 corrected form builds the windows
+    that the dense inverse and the two products build."""
+    model = SpectralModel("spin1", "fw_corrected", e=e, B=field, g=g, N=16)
+    levels = np.arange(12)[:, None] + np.arange(5)
+    stack = build_model_matrix(model, levels=levels)
+    want = _corrected_with_inverse(model, levels)
+    assert stack.shape == want.shape == (12, 30, 30)
+    for window, expected in zip(stack, want):
+        assert np.abs(window - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 # -- closed-form spectra ----------------------------------------------------------------
 
 
