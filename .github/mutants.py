@@ -172,6 +172,24 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "basis-guard-off",
+        "src/fwforge/comparator.py",
+        "if 2 * left_max * right_max > np.iinfo(np.int64).max:",
+        "if False:",
+        (
+            "tests/test_comparator.py::test_blocks_refuse_entries_that_could_pass_int64",
+        ),
+    ),
+    Mutant(
+        "nearest-tie-takes-the-later-index",
+        "src/fwforge/spectra.py",
+        "((above == below) & (first[upper] < first[lower]))",
+        "((above == below) & (first[upper] > first[lower]))",
+        (
+            "tests/test_spectra.py::test_nearest_matches_the_table_scan",
+        ),
+    ),
+    Mutant(
         "spin1-closed-form-half-splitting",
         "src/fwforge/spectra.py",
         "radicand = base - 2.0 * lam * signed",

@@ -445,25 +445,43 @@ def _scan_grid(values):
     )
 
 
-def _refuse_outside_corrected_domain(values, field: float, label: str) -> None:
-    """Refuse a spin-1 `fw_corrected` field whose radicand is not positive.
+def _refuse_outside_spin1_domain(values, field: float, label: str, corrected: bool) -> None:
+    """Refuse a spin-1 spectrum at a field outside its domain.
 
-    The radicand's smallest entry is at n = 0, the least over s_z of
+    The lowest spin-1 level squares to m^2 - |e| hbar B, so m^2 must exceed
+    |e| hbar B.  The operators themselves stay well defined (`spectra
+    relations` uses them at any mass), so only a spectrum is refused.  With
+    `corrected`, the `fw_corrected` radicand must also be positive.  Its
+    smallest entry is at n = 0, the least over s_z of
     m^2 + |e| hbar B - 2 e hbar B s_z - e^2 hbar^2 g (g - 2) B^2 s_z^2 / (4 m^2).
-    For g outside (0, 2) it falls as B grows, so a scan is checked at its
-    largest field; inside, it stays above m^2 - |e| hbar B.  An entry that
-    is not finite is left to the overflow error, and a mass, hbar or field
-    the model rejects to the model's own message.
+    Both fall as B grows (the radicand for g outside (0, 2); inside, it
+    stays above m^2 - |e| hbar B), so a scan is checked at its largest
+    field.  A radicand that is not finite is left to the overflow error,
+    and a mass, hbar or field the model rejects to the model's own message.
     """
-    m, e, hbar, g = values["m"], values["e"], values["hbar"], values["g"]
+    m, e, hbar = values["m"], values["e"], values["hbar"]
     if not (m > 0 and hbar > 0 and field >= 0):
         return
-    correction = e * e * hbar * hbar * g * (g - 2.0) * field * field / (4.0 * m * m)
-    smallest = min(
-        m * m + abs(e) * hbar * field - 2.0 * e * hbar * field * s_z - correction * s_z * s_z
-        for s_z in (-1, 0, 1)
-    )
-    if math.isfinite(smallest) and smallest <= 0:
+    smallest = 1.0
+    if corrected:
+        g = values["g"]
+        correction = e * e * hbar * hbar * g * (g - 2.0) * field * field / (4.0 * m * m)
+        smallest = min(
+            m * m + abs(e) * hbar * field - 2.0 * e * hbar * field * s_z - correction * s_z * s_z
+            for s_z in (-1, 0, 1)
+        )
+        if not math.isfinite(smallest):
+            return
+    splitting = abs(e) * hbar * field
+    # `*` gives inf where `**` would raise OverflowError outside the handler.
+    square = m * m
+    if math.isfinite(splitting) and square <= splitting:
+        raise UsageError(
+            f"--m {m} is too small for spin 1: m^2 = {square} "
+            f"does not exceed |e| hbar B = {splitting}, and the lowest spin-1 level "
+            "squares to m^2 - |e| hbar B (spin-1 spectra need m^2 > |e| hbar B)"
+        )
+    if smallest <= 0:
         raise UsageError(
             f"spin-1 fw_corrected is outside its domain at {label} = {field}, g = {g}: "
             "the corrected radicand's smallest entry, the least over s_z of m^2 + |e| hbar B "
@@ -483,24 +501,15 @@ def _cmd_spectra(args, values) -> tuple[str, str, bool]:
         raise UsageError(
             f"--m {values['m']} is too small: its square underflows floating-point arithmetic"
         )
-    # The lowest spin-1 level squares to m^2 - |e| hbar B.  The operators
-    # themselves stay well defined (`spectra relations` uses them at any
-    # mass), so only a spin-1 spectrum is refused.
     if args.target == "run" and values["particle"] == "spin1":
-        splitting = abs(values["e"]) * values["hbar"] * values["B"]
-        # `*` gives inf where `**` would raise OverflowError outside the handler.
-        square = values["m"] * values["m"]
-        if math.isfinite(splitting) and values["m"] > 0 and square <= splitting:
-            raise UsageError(
-                f"--m {values['m']} is too small for spin 1: m^2 = {square} "
-                f"does not exceed |e| hbar B = {splitting}, and the lowest spin-1 level "
-                "squares to m^2 - |e| hbar B (spin-1 spectra need m^2 > |e| hbar B)"
-            )
-        if values["representation"] == "fw_corrected":
-            _refuse_outside_corrected_domain(values, values["B"], "B")
+        corrected = values["representation"] == "fw_corrected"
+        _refuse_outside_spin1_domain(values, values["B"], "B", corrected=corrected)
+    elif args.target == "amm-scan":
+        _refuse_outside_spin1_domain(values, values["B"], "B", corrected=False)
     grid = _scan_grid(values) if args.target in ("amm-scan", "correction-scan") else None
     if args.target == "correction-scan":
-        _refuse_outside_corrected_domain(values, float(grid.max()), "the largest scanned B")
+        field = float(grid.max())
+        _refuse_outside_spin1_domain(values, field, "the largest scanned B", corrected=True)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             if args.target == "run":

@@ -15,19 +15,25 @@ products, and one more bracket layer around the two-factor products.  A
 candidate is its text, its kind (commutator, power or product,
 anticommutator, letter), its nominal order and its class (e, o), kept in
 parallel lists, and its integer row over the class words in sorted
-order, kept in one matrix per class; no bracket tree is built.  The class
-of a bracket or product is the sum of its operands' classes, so the
-class test decides the budget for a whole block of pairs at once.  Word
-concatenation is injective, so the products of all the pairs of two
+order, kept in one matrix per class; no bracket tree is built.  The
+class of a bracket or product is the sum of its operands' classes, so
+the class test decides the budget for a whole block of pairs at once.
+Word concatenation is injective, so the products of all the pairs of two
 classes are one outer product of their rows scattered through a table of
 concatenated words, and commutators and anticommutators are the
-difference and sum of the two orders.  These blocks take about 1 MiB
-and are int64 unless an entry could reach 2**62.  Only the curated
-spellings are parsed and go through `expand`, once each.  Candidates
-that vanish are dropped; parallel candidates collapse onto one
-direction, keyed by the row over its gcd with a positive lead, behind
-its class, as bytes.  Each direction keeps one representative (the
-highest-order label wins, so the span per order cutoff is never
+difference and sum of the two orders.  These blocks take about 1 MiB,
+and every row is int64 by construction.  An atom's row has L1 norm 1; a
+product's norm is its factors' product, since its outer product lands on
+distinct columns, and a bracket's at most twice that.  No candidate has
+more than 23 atoms (a curated spelling 5, round 2 10, the atom layers
+13, a product 21 with its bracket, a three-factor one 23), so a row's
+norm stays below 2**22 and a block entry, at most 2 max|l| max|r|, below
+2**45.  `_Candidates._blocks` raises OverflowError past int64.  Only the
+curated spellings are parsed and go through `expand`, once each.
+Candidates that vanish are dropped; parallel candidates collapse onto
+one direction, keyed by the row over its gcd with a positive lead,
+behind its class, as bytes.  Each direction keeps one representative
+(the highest-order label wins, so the span per order cutoff is never
 understated), and the first candidate of a new direction, in the order
 the pairs are listed, feeds the next round.  Every surviving direction
 becomes a basis element that views its row in its class matrix: the
@@ -50,7 +56,9 @@ its gcd, and rows that vanish drop out.  So each row is a multiple of the
 row a rational elimination keeps, and every choice is the same.  Entries
 are int64 until a step could reach 2**62; that step and all after it run
 on Python integers (dtype=object), so no entry overflows and no float
-enters.  A leading batch axis eliminates many small matrices in one call.
+enters.  Only this kernel, the solves, the targets and the subset screen
+switch so; basis rows never need to.  A leading batch axis eliminates
+many small matrices in one call.
 A tracked elimination appends each row's combination as extra columns
 that are never pivots (the gcd spans both parts), and a rational target
 is scaled to integers once, its scale riding in those columns, so its
@@ -96,7 +104,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from fractions import Fraction
 from math import comb, factorial, lcm
 from operator import attrgetter
@@ -232,14 +240,6 @@ def _word_matrix(vectors: Sequence[dict[str, int]], index: dict[str, int]) -> np
     matrix = np.zeros((len(vectors), len(index)), dtype=object if big else np.int64)
     for row, vector in zip(matrix, vectors):
         row[[index[word] for word in vector]] = list(vector.values())
-    return matrix
-
-
-def _narrowed(matrix: np.ndarray) -> np.ndarray:
-    """An object-dtype integer matrix as int64 when its entries stay below
-    _INT64_BOUND; any other matrix as it is."""
-    if matrix.dtype == object and matrix.size and _magnitude(matrix) < _INT64_BOUND:
-        return matrix.astype(np.int64)
     return matrix
 
 
@@ -383,9 +383,8 @@ def _word_rows(
     """The class words, sorted, as column indices, and the stored rows of
     `elements` (of that class) gathered into one matrix over them."""
     index = _class_index(klass)
-    if not elements:
-        return index, np.zeros((0, len(index)), dtype=np.int64)
-    return index, _narrowed(np.stack([element.row for element in elements]))
+    rows = np.array([element.row for element in elements], dtype=np.int64)
+    return index, rows.reshape(len(elements), len(index))
 
 
 class BracketBasis:
@@ -524,14 +523,12 @@ def _pair_blocks(
     """Yield (left slice, right slice, rows) for blocks of the pairs
     (lefts[i], rights[j]), i and j in those slices, in row-major order.
 
-    `lefts` and `rights` are integer rows over their class words, on
-    Python integers (dtype=object) when a product entry could reach
-    _INT64_BOUND.  Each pair's outer product, scattered through one
-    concatenation table, is the row of lefts[i] * rights[j] over the words
-    of the sum class, and scattered through the other, that of
-    rights[j] * lefts[i].  rows is (comm, acomm), their difference and sum,
-    with `brackets`, else (product,).  A block's rows take about
-    _BLOCK_BYTES.
+    `lefts` and `rights` are int64 rows over their class words.  Each
+    pair's outer product, scattered through one concatenation table, is
+    the row of lefts[i] * rights[j] over the words of the sum class, and
+    scattered through the other, that of rights[j] * lefts[i].  rows is
+    (comm, acomm), their difference and sum, with `brackets`, else
+    (product,).  A block's rows take about _BLOCK_BYTES.
     """
     width = len(_class_words((left_class[0] + right_class[0], left_class[1] + right_class[1])))
     forward_at, backward_at = _concatenations(left_class, right_class)
@@ -557,31 +554,16 @@ def _pair_blocks(
             yield left_slice, right_slice, (forward - backward, forward + backward)
 
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
-
-def _direction_keys(klass: tuple[int, int], rows: np.ndarray) -> list:
-    """The direction key of each nonzero row of the class: the row over the
-    gcd of its entries, signed so its first nonzero entry is positive, as
-    bytes behind the class.  Rows of one class share a key exactly when
-    they are parallel.  A row whose reduced entries pass int64 gets the
-    tuple (class, entries) instead."""
+def _direction_keys(klass: tuple[int, int], rows: np.ndarray) -> list[bytes]:
+    """The direction key of each nonzero int64 row of the class: the row
+    over the gcd of its entries, signed so its first nonzero entry is
+    positive, as bytes behind the class.  Rows of one class share a key
+    exactly when they are parallel."""
     content = np.gcd.reduce(rows, axis=1, initial=0)
     lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
-    primitive = rows // np.where((lead < 0).astype(bool), -content, content)[:, None]
-    if primitive.dtype != object:
-        return _packed(klass, primitive)
-    return [
-        _packed(klass, row[None].astype(np.int64))[0] if fits else (klass, tuple(map(int, row)))
-        for row, fits in zip(primitive, np.abs(primitive).max(axis=1) <= _INT64_MAX)
-    ]
-
-
-def _packed(klass: tuple[int, int], rows: np.ndarray) -> list[bytes]:
-    """int64 rows as bytes, each behind its class."""
     coded = np.empty((len(rows), rows.shape[1] + 1), dtype=np.int64)
     coded[:, 0] = klass[0] << 32 | klass[1]
-    coded[:, 1:] = rows
+    coded[:, 1:] = rows // np.where(lead < 0, -content, content)[:, None]
     return coded.view(np.dtype((np.void, 8 * coded.shape[1]))).ravel().tolist()
 
 
@@ -608,16 +590,10 @@ class _Candidates:
         matrix = self.matrices.get(klass)
         if matrix is None or size == len(matrix):
             # Room for twice as many rows.
-            dtype = np.int64 if matrix is None else matrix.dtype
-            grown = np.zeros((max(16, 2 * size), len(row)), dtype=dtype)
+            grown = np.zeros((max(16, 2 * size), len(row)), dtype=np.int64)
             grown[:size] = matrix[:size] if size else 0
             self.matrices[klass] = matrix = grown
-        try:
-            matrix[size] = row
-        except OverflowError:
-            # An entry past int64: the class goes on Python integers.
-            self.matrices[klass] = matrix = matrix.astype(object)
-            matrix[size] = row
+        matrix[size] = row
         self.sizes[klass] = size + 1
         self.texts.append(text)
         self.kinds.append(kind)
@@ -628,7 +604,7 @@ class _Candidates:
 
     def rows(self, klass: tuple[int, int], ids: Sequence[int]) -> np.ndarray:
         """The rows of `ids`, all of that class, as one matrix."""
-        return _narrowed(self.matrices[klass][[self.at[cid] for cid in ids]])
+        return self.matrices[klass][[self.at[cid] for cid in ids]]
 
     def _beats(self, text: str, order: int, held: int) -> bool:
         """Higher order wins, then a curated spelling, then shorter text,
@@ -677,17 +653,13 @@ class _Candidates:
         rights, rows)."""
         left_groups = self._groups(lefts)
         right_groups = left_groups if lefts is rights else self._groups(rights)
-        # A product entry is at most 2 max|l| max|r|; past int64 the pass
-        # runs on Python integers.
-        magnitudes = [
+        # A block entry is at most 2 max|l| max|r| (see the module docstring).
+        left_max, right_max = (
             max((_magnitude(rows) for _, rows in groups.values()), default=0)
             for groups in (left_groups, right_groups)
-        ]
-        if 2 * magnitudes[0] * magnitudes[1] >= _INT64_BOUND:
-            left_groups, right_groups = (
-                {klass: (at, rows.astype(object)) for klass, (at, rows) in groups.items()}
-                for groups in (left_groups, right_groups)
-            )
+        )
+        if 2 * left_max * right_max > np.iinfo(np.int64).max:
+            raise OverflowError(f"bracket rows with entries {left_max} and {right_max} pass int64")
         by_sum: dict[tuple[int, int], list] = {}
         for left_class in left_groups:
             for right_class in right_groups:
@@ -922,29 +894,6 @@ _SUBSET_BUDGET = 300_000
 _SUBSET_BLOCK = _BLOCK_BYTES // 8
 
 
-def _binomial(n, k: int):
-    """n choose k, elementwise for an integer array n >= 0."""
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
-
-
-def _unrank(ranks: np.ndarray, n: int, size: int) -> np.ndarray:
-    """The size-subsets of range(n) at the given ranks of `combinations` order."""
-    members = []
-    low = np.zeros_like(ranks)
-    for left in range(size, 0, -1):
-        # before[j]: the left-subsets of range(n) whose least member is below j.
-        before = _binomial(n, left) - _binomial(n - np.arange(n + 1), left)
-        ranks = ranks + before[low]
-        least = np.searchsorted(before, ranks, side="right") - 1
-        members.append(least)
-        ranks = ranks - before[least]
-        low = least + 1
-    return np.array(members, dtype=np.intp).reshape(size, len(ranks)).T
-
-
 def _screen_projection(width: int) -> np.ndarray:
     """A fixed integer matrix P of shape (width, _SPARSE_LIMIT + 1), its
     entries in -15..15 drawn by the SplitMix64 hash of the cell index."""
@@ -993,15 +942,12 @@ def _span_candidates(images: np.ndarray, image: np.ndarray, size: int, total: in
     _INT64_BOUND, and then on Python integers.
     """
     n = len(images)
-    heads_total = comb(n, size - 1)
+    every_head = combinations(range(n), size - 1)
     heads_per_block = max(1, _SUBSET_BLOCK // n)
     columns = np.arange(n)
-    head_rank = start = 0
+    start = 0
     while start < total:
-        heads = _unrank(
-            np.arange(head_rank, min(head_rank + heads_per_block, heads_total)), n, size - 1
-        )
-        head_rank += len(heads)
+        heads = np.array(list(islice(every_head, heads_per_block)), dtype=np.intp)
         last = heads[:, -1] if size > 1 else np.full(len(heads), -1)
         counts = n - 1 - last
         live = columns > last[:, None]

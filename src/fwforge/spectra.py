@@ -579,25 +579,15 @@ def _nearest(values: np.ndarray, energies: np.ndarray) -> np.ndarray:
     """Index of the energy nearest each value: on a tie in distance the first
     in table order, as ``min`` over the table picks it."""
     order = np.argsort(energies, kind="stable")
-    ranked = energies[order]
-    last = len(ranked) - 1
-    after = np.searchsorted(ranked, values)
-    least = np.minimum(
-        np.abs(values - ranked[np.maximum(after - 1, 0)]),
-        np.abs(values - ranked[np.minimum(after, last)]),
-    )
-    best = np.full(len(values), len(ranked))
-    # The energies at the least distance lie next to the insertion point:
-    # walk outwards through them on either side.
-    for index, step in ((after - 1, -1), (after, 1)):
-        while True:
-            at = np.clip(index, 0, last)
-            hit = (index >= 0) & (index <= last) & (np.abs(values - ranked[at]) == least)
-            if not hit.any():
-                break
-            best = np.where(hit, np.minimum(best, order[at]), best)
-            index = np.where(hit, index + step, -1)
-    return best
+    # Each distinct energy, ascending, and the first table index holding it.
+    distinct, at = np.unique(energies[order], return_index=True)
+    first = order[at]
+    # The nearest distinct energy is one of the two around the insertion point.
+    upper = np.minimum(np.searchsorted(distinct, values), len(distinct) - 1)
+    lower = np.maximum(upper - 1, 0)
+    below, above = np.abs(values - distinct[lower]), np.abs(values - distinct[upper])
+    take_upper = (above < below) | ((above == below) & (first[upper] < first[lower]))
+    return np.where(take_upper, first[upper], first[lower])
 
 
 def compare_closed_form(model: SpectralModel) -> dict:

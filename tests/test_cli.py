@@ -328,6 +328,26 @@ def test_spectra_refuses_a_spin1_mass_equal_to_the_splitting(capsys):
 def test_spectra_spin1_small_mass_is_refused_only_for_a_spectrum(capsys):
     assert cli.main(["spectra", "relations", "--m", "0.5", "--levels", "16"]) == 0
     assert cli.main(["spectra", "correction-scan", "--m", "0.5", "--levels", "16"]) == 0
+    # m^2 = 0.25 <= |e| hbar B = 1, which a spectrum refuses.
+    assert cli.main(["spectra", "relations", "--m", "0.5", "--B", "1", "--levels", "16"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["amm-scan", "--m", "0.5", "--B", "1"],
+        # The scan's largest field decides: 0.25 <= 1 at B = 1.
+        ["correction-scan", "--m", "0.5", "--g", "1", "--scan-to", "1"],
+    ],
+    ids=["amm-scan", "correction-scan"],
+)
+def test_spectra_scans_refuse_a_spin1_mass_at_or_below_the_splitting(argv, capsys):
+    assert cli.main(["spectra", *argv, "--levels", "16"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "fwforge: error: --m 0.5 is too small for spin 1: m^2 = 0.25 does not "
+        "exceed |e| hbar B = 1.0, and the lowest spin-1 level squares to "
+        "m^2 - |e| hbar B (spin-1 spectra need m^2 > |e| hbar B)"
+    ]
 
 
 @pytest.mark.parametrize("target, flag", [("amm-scan", "--g"), ("correction-scan", "--B")])

@@ -282,22 +282,19 @@ def _class_rows(draw):
 
 
 @pytest.mark.parametrize(
-    "bound, block", [(comparator._INT64_BOUND, comparator._BLOCK_BYTES), (1, 64)],
-    ids=["int64", "python-int"],
+    "block", [comparator._BLOCK_BYTES, 64], ids=["int64", "int64-small-blocks"]
 )
 @given(left=_class_rows(), right=_class_rows())
 @settings(max_examples=100, deadline=None)
-def test_batched_products_match_the_dict_oracles(bound, block, left, right):
+def test_batched_products_match_the_dict_oracles(block, left, right):
     """The rows a pass over two candidate lists builds, products,
     commutators and anticommutators pair by pair in row-major order, and
-    the direction keys of those rows agree with the dict oracles.  With
-    the bound patched low the pass runs on Python integers, and with small
-    blocks the pairs are split."""
+    the direction keys of those rows agree with the dict oracles.  Every
+    block is int64, and with small blocks the pairs are split."""
     (left_class, left_vectors, lefts), (right_class, right_vectors, rights) = left, right
     klass = (left_class[0] + right_class[0], left_class[1] + right_class[1])
     words = comparator._class_words(klass)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(comparator, "_INT64_BOUND", bound)
         patch.setattr(comparator, "_BLOCK_BYTES", block)
         store = comparator._Candidates(frozenset({klass}))
         left_ids = [store.claim(f"l{n}", 0, 0, left_class, row) for n, row in enumerate(lefts)]
@@ -309,7 +306,7 @@ def test_batched_products_match_the_dict_oracles(bound, block, left, right):
         rows = np.concatenate(arrays)
         live = rows[(rows != 0).any(axis=1)]
         keys = comparator._direction_keys(klass, live)
-    assert all((array.dtype == object) == (bound == 1) for array in arrays)
+    assert all(array.dtype == np.int64 for array in arrays)
 
     def as_dict(row):
         return {words[col]: int(row[col]) for col in np.flatnonzero(row)}
@@ -335,16 +332,26 @@ def test_batched_products_match_the_dict_oracles(bound, block, left, right):
     assert len(set(zip(keys, directions))) == len(set(keys))
 
 
-def test_direction_keys_past_int64_are_tuples():
-    klass = (1, 1)  # the words EO and OE
-    big = 1 << 64
-    rows = np.array([[big, -1], [-5 * big, 5], [big, 1], [3, -6]], dtype=object)
-    keys = comparator._direction_keys(klass, rows)
-    assert keys[0] == keys[1] == (klass, (big, -1))
-    assert keys[2] == (klass, (big, 1))
-    # A row that fits int64 gets the bytes key the int64 path gives.
-    assert keys[3] == comparator._direction_keys(klass, np.array([[-1, 2]]))[0]
-    assert isinstance(keys[3], bytes)
+def test_blocks_refuse_entries_that_could_pass_int64():
+    """Two rows whose products could pass int64 raise instead of wrapping."""
+    store = comparator._Candidates(frozenset({(1, 1)}))
+    big = 1 << 31
+    left = store.claim("l", 0, 0, (1, 0), np.array([big]))
+    right = store.claim("r", 0, 0, (0, 1), np.array([-big]))
+    for brackets in (False, True):
+        with pytest.raises(OverflowError, match="pass int64"):
+            list(store._blocks([left], [right], brackets))
+
+
+@pytest.mark.parametrize("max_len, max_e", [(8, 3), (9, 3)])
+def test_element_rows_are_int64_within_the_atom_bound(max_len, max_e, basis83):
+    """A row's L1 norm is at most 2**(atoms - 1), and an element has no more
+    atoms than letters."""
+    basis = basis83 if (max_len, max_e) == (8, 3) else build_basis(Budget(max_len, max_e))
+    for element in basis.elements:
+        assert element.row.dtype == np.int64, element.text
+        norm = int(np.abs(element.row).sum())
+        assert norm <= 1 << (element.e_count + element.o_count - 1), element.text
 
 
 # sha256 over the elements in listing order of json [text, kind, order, e,
@@ -868,13 +875,21 @@ def test_sparse_solve_gives_up_after_exactly_the_budget(
         assert found == (expected if budget == visited else None), (budget, block)
 
 
-def test_unrank_follows_combinations_order():
-    for n in range(9):
-        for size in range(1, 4):
-            expected = list(combinations(range(n), size))
-            if expected:
-                ranks = np.arange(len(expected))
-                assert [tuple(row) for row in comparator._unrank(ranks, n, size).tolist()] == expected
+def test_span_candidates_follow_combinations_order(monkeypatch):
+    """With P zero every determinant vanishes, so every subset is kept: the
+    blocks hold exactly the first `total` subsets in `combinations` order,
+    across block boundaries."""
+    for block in (1, 5, 1 << 13):
+        monkeypatch.setattr(comparator, "_SUBSET_BLOCK", block)
+        for n in range(1, 9):
+            for size in range(1, min(3, n) + 1):
+                expected = list(combinations(range(n), size))
+                for total in {1, len(expected) // 2 or 1, len(expected)}:
+                    images = np.zeros((n, size + 1), dtype=np.int64)
+                    image = np.zeros(size + 1, dtype=np.int64)
+                    blocks = comparator._span_candidates(images, image, size, total)
+                    got = [tuple(row) for part in blocks for row in part.tolist()]
+                    assert got == expected[:total], (block, n, size, total)
 
 
 def test_sparse_solve_covers_targets_of_more_than_64_words():
