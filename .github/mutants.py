@@ -133,12 +133,21 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "certificate-takes-the-highest-order",
+        "certificate-needs-one-stratum",
         "src/fwforge/comparator.py",
-        "return min(basis.element(label).order for label in labels)",
-        "return max(basis.element(label).order for label in labels)",
+        "if not remainders.any():",
+        "if not remainders.all():",
         (
             "tests/test_comparator.py::test_certificate_is_the_lowest_over_the_strata",
+        ),
+    ),
+    Mutant(
+        "levels-low-to-high",
+        "src/fwforge/comparator.py",
+        "sorted({element.order for element in elements}, reverse=True)",
+        "sorted({element.order for element in elements})",
+        (
+            "tests/test_comparator.py::test_certificates_match_the_oracle_on_every_differing_class",
         ),
     ),
     Mutant(

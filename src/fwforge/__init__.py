@@ -8,23 +8,4 @@ Hamiltonian, a bracket-basis comparator, a Dirac-matrix concretizer,
 and numerical Landau-level spectra.
 """
 
-from fwforge.ncalg import (
-    AbstractExpr,
-    Budget,
-    BudgetOverflowError,
-    expand,
-    parity_and_order,
-)
-from fwforge.lang import parse_expr, format_expr
-
-__all__ = [
-    "AbstractExpr",
-    "Budget",
-    "BudgetOverflowError",
-    "expand",
-    "parity_and_order",
-    "parse_expr",
-    "format_expr",
-]
-
 __version__ = "0.1.0"

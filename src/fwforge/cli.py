@@ -18,13 +18,13 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Callable
+from functools import partial
 from pathlib import Path
 
 # Each command imports the layers it runs inside its handler, so that
 # `concretize`, `expand` and `derive eriksen` load neither numpy nor the
-# comparator.  ncalg and lang load with the package itself.
-from .lang import ExprSyntaxError, format_expr, parse_expr
-from .ncalg import Budget, BudgetOverflowError, expand
+# comparator, and `spectra` loads neither ncalg nor lang.
 
 PROG = "fwforge"
 
@@ -354,13 +354,19 @@ def _generic_text(report: dict) -> str:
     return "\n".join(_text_block(report)) + "\n"
 
 
-def _write_outputs(values: dict, command: str, json_text: str, text_text: str) -> None:
+def _ended(text: str) -> str:
+    return text if text.endswith("\n") else text + "\n"
+
+
+def _write_outputs(
+    values: dict, command: str, json_text: str, render_text: Callable[[], str]
+) -> None:
+    """Write the report in the chosen format, and the manifest.  The text
+    report is rendered only when it is written."""
     fmt = values.get("format", "json")
     out = values.get("out")
-    if not json_text.endswith("\n"):
-        json_text += "\n"
-    if not text_text.endswith("\n"):
-        text_text += "\n"
+    json_text = _ended(json_text)
+    text_text = None if fmt == "json" else _ended(render_text())
     if out:
         out_path = Path(out)
         if fmt == "json":
@@ -389,9 +395,14 @@ def _write_outputs(values: dict, command: str, json_text: str, text_text: str) -
 
 
 # -- command implementations ----------------------------------------------------------------
+#
+# Each handler returns the JSON report, a function that renders the text
+# report, and whether every check passed.
 
 
-def _cmd_derive(args, values) -> tuple[str, str, bool]:
+def _cmd_derive(args, values) -> tuple[str, Callable[[], str], bool]:
+    from .ncalg import Budget
+
     budget = Budget(values["max_len"], values["max_e"])
     if args.target == "eriksen":
         from . import eriksen
@@ -405,20 +416,21 @@ def _cmd_derive(args, values) -> tuple[str, str, bool]:
         else:
             _, report = stepwise.derive_second_step(budget)
     ok = report["status"] == "pass"
-    return json.dumps(report, indent=2), _generic_text(report), ok
+    return json.dumps(report, indent=2), partial(_generic_text, report), ok
 
 
-def _cmd_compare(args, values) -> tuple[str, str, bool]:
+def _cmd_compare(args, values) -> tuple[str, Callable[[], str], bool]:
     from . import comparator, eriksen, stepwise
+    from .ncalg import Budget
 
     budget = Budget(values["max_len"], values["max_e"])
     direct = eriksen.run_pipeline(budget).H_FW
     iterative = stepwise.expand_static(stepwise.build_iterative(), budget)
     report = comparator.diff_report(direct, iterative, budget)
-    return report.to_json(), report.to_text(), report.clean
+    return report.to_json(), report.to_text, report.clean
 
 
-def _cmd_concretize(args, values) -> tuple[str, str, bool]:
+def _cmd_concretize(args, values) -> tuple[str, Callable[[], str], bool]:
     from . import concretizer
 
     if args.target == "electrostatic":
@@ -426,7 +438,7 @@ def _cmd_concretize(args, values) -> tuple[str, str, bool]:
     else:
         report = concretizer.verify_uniform_commutator()
     ok = report["status"] in ("pass", "match")
-    return concretizer.report_json(report), _generic_text(report), ok
+    return concretizer.report_json(report), partial(_generic_text, report), ok
 
 
 def _scan_grid(values):
@@ -490,7 +502,7 @@ def _refuse_outside_spin1_domain(values, field: float, label: str, corrected: bo
         )
 
 
-def _cmd_spectra(args, values) -> tuple[str, str, bool]:
+def _cmd_spectra(args, values) -> tuple[str, Callable[[], str], bool]:
     import numpy as np
 
     from . import spectra
@@ -556,10 +568,13 @@ def _cmd_spectra(args, values) -> tuple[str, str, bool]:
     except (FloatingPointError, OverflowError) as exc:
         raise UsageError(f"the parameters overflow floating-point arithmetic ({exc})") from exc
     ok = report["status"] == "pass"
-    return spectra.report_json(report), _generic_text(report), ok
+    return spectra.report_json(report), partial(_generic_text, report), ok
 
 
-def _cmd_expand(args, values) -> tuple[str, str, bool]:
+def _cmd_expand(args, values) -> tuple[str, Callable[[], str], bool]:
+    from .lang import ExprSyntaxError, format_expr, parse_expr
+    from .ncalg import Budget, BudgetOverflowError, expand
+
     values["expression"] = args.expression
     budget = Budget(values["max_len"], values["max_e"])
     try:
@@ -578,7 +593,7 @@ def _cmd_expand(args, values) -> tuple[str, str, bool]:
         "budget": {"max_word_len": budget.max_word_len, "max_e_count": budget.max_e_count},
         "canonical": canonical,
     }
-    return json.dumps(report, indent=2), canonical + "\n", True
+    return json.dumps(report, indent=2), lambda: canonical + "\n", True
 
 
 _HANDLERS = {
@@ -601,11 +616,11 @@ def main(argv=None) -> int:
         registry_key = f"spectra {args.target}"
     try:
         values = _effective_values(args, registries[registry_key])
-        json_text, text_text, ok = _HANDLERS[args.command](args, values)
+        json_text, render_text, ok = _HANDLERS[args.command](args, values)
     except UsageError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, BudgetOverflowError) as exc:
+    except ValueError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
@@ -617,7 +632,7 @@ def main(argv=None) -> int:
     if getattr(args, "target", None):
         command = f"{args.command} {args.target}"
     try:
-        _write_outputs(values, command, json_text, text_text)
+        _write_outputs(values, command, json_text, render_text)
     except OSError as exc:
         print(f"{PROG}: error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2

@@ -62,22 +62,21 @@ many small matrices in one call.
 A tracked elimination appends each row's combination as extra columns
 that are never pivots (the gcd spans both parts), and a rational target
 is scaled to integers once, its scale riding in those columns, so its
-remainder and weights divide back exactly.  Each class gets one echelon,
-built in one pass the first time a caller asks for that class, with its
-elements taken from high nominal order to low; it tracks no
-combinations: certification needs none.
+remainder and weights divide back exactly.  Certification tracks no
+combinations: it only asks whether a remainder is left.
 
 Projection.  `diff_report` explains every difference in brackets, for
 `compare` and both stepwise reports: per differing class it projects at
 the caller's order, or else certifies and projects at the certified one,
 which keeps low-order spellings out of a difference that certifies
 higher.  A class is split into (beta, m) strata, rational vectors over
-its words.  Certification is one reduction per stratum against the class
-echelon.  Because its rows were inserted from high order to low, the
-label of the last row the reduction uses carries a nonzero weight and no
-later label carries any, so that label's order is the stratum's
-certificate, and the lowest over the strata is the certified minimum
-order.  Projection spells a stratum in as few elements as it can,
+its words.  Certification takes the class's elements one order level at
+a time, highest first: one elimination of the echelon so far and that
+level's rows, with every stratum below them as a row that is only
+reduced.  After the level of order h the echelon spans exactly the
+elements of order >= h, so the first level that leaves no stratum a
+remainder is the certified order, and None follows the lowest level.
+Projection spells a stratum in as few elements as it can,
 preferring low order first, then the listing order: it visits the
 subsets of up to three columns in `combinations` order, under a budget.
 A subset S can span the target t only when the rows of [S; t] are
@@ -259,7 +258,7 @@ def _magnitude(array: np.ndarray) -> int:
 
 def _eliminate(
     matrix: np.ndarray, pivot_rows: int | None = None, pivot_cols: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Fraction-free row echelon of an integer matrix, or of a batch of them.
 
     `matrix` is (n, c), or (b, n, c) for b independent matrices, of int64
@@ -274,9 +273,8 @@ def _eliminate(
     columns are only reduced: targets, and tracked combinations.
 
     Returns the reduced matrix (object dtype once a step could reach
-    _INT64_BOUND), each row's pivot column (-1 for a row that did not
-    become an echelon row) and the index of the last echelon row that
-    reduced it (-1 for none).
+    _INT64_BOUND) and each row's pivot column (-1 for a row that did not
+    become an echelon row).
     """
     block = _primitive_rows((matrix[None] if matrix.ndim == 2 else matrix).copy())
     count, n, width = block.shape
@@ -284,7 +282,6 @@ def _eliminate(
     pivot_cols = width if pivot_cols is None else pivot_cols
     live = (block[:, :, :pivot_cols] != 0).any(axis=2)
     pivots = np.full((count, n), -1)
-    last = np.full((count, n), -1)
     everything = np.arange(n)
     while True:
         eligible = live[:, :pivot_rows]
@@ -315,12 +312,11 @@ def _eliminate(
         new *= p[:, None]
         new -= a[:, None] * by
         block[where] = _primitive_rows(new)
-        last[where] = at[hit]
         gone = ~(new[:, :pivot_cols] != 0).any(axis=1)
         live[batch[hit][gone], targets[gone]] = False
     if matrix.ndim == 2:
-        return block[0], pivots[0], last[0]
-    return block, pivots, last
+        return block[0], pivots[0]
+    return block, pivots
 
 
 def _solve(
@@ -340,7 +336,7 @@ def _solve(
     tracked[count:, :width] = targets
     tracked[np.arange(count), width + np.arange(count)] = 1
     tracked[count:, -1] = scales
-    reduced, _, _ = _eliminate(tracked, pivot_rows=count, pivot_cols=width)
+    reduced, _ = _eliminate(tracked, pivot_rows=count, pivot_cols=width)
     solutions = []
     for final in reduced[count:]:
         scale = int(final[-1])
@@ -349,32 +345,6 @@ def _solve(
         }
         solutions.append((remainder, [Fraction(-int(value), scale) for value in final[width:-1]]))
     return solutions
-
-
-@dataclass(frozen=True)
-class _ClassEchelon:
-    """A class's echelon, rows in insertion order.
-
-    Row i is a primitive integer vector over the columns of `index`; its
-    least nonzero word is in column pivots[i], and it reduces the vector
-    of the element labels[i] against the rows before it.
-    """
-
-    index: dict[str, int]
-    rows: np.ndarray
-    pivots: np.ndarray
-    labels: tuple[str, ...]
-
-    def last_used(self, vectors: Sequence[dict[str, int]]) -> list[str | None]:
-        """Per integer vector, the label of the last row its reduction
-        uses, or None when a remainder is left."""
-        count = len(self.rows)
-        stacked = np.concatenate([self.rows, _word_matrix(vectors, self.index)])
-        reduced, _, last = _eliminate(stacked, pivot_rows=count)
-        return [
-            None if (reduced[count + i] != 0).any() else self.labels[last[count + i]]
-            for i in range(len(vectors))
-        ]
 
 
 def _word_rows(
@@ -388,7 +358,9 @@ def _word_rows(
 
 
 class BracketBasis:
-    """Ordered admitted elements; per-class echelons are built on first use.
+    """Ordered admitted elements, found by class or by text.  It keeps no
+    echelon: `min_hbar_order` eliminates a class's rows level by level on
+    each call, and `project` its preferred columns.
 
     `classes` are the classes the basis was built for (None: every class
     in the budget).  Asking about a class outside their sub-class closure
@@ -406,7 +378,6 @@ class BracketBasis:
         self._built_for = None if classes is None else tuple(sorted(set(classes)))
         self._by_class: dict[tuple[int, int], list[BasisElement]] = {}
         self._by_text: dict[str, BasisElement] = {}
-        self._echelons: dict[tuple[int, int], _ClassEchelon] = {}
         for element in self.elements:
             self._by_class.setdefault((element.e_count, element.o_count), []).append(element)
             self._by_text[element.text] = element
@@ -417,28 +388,6 @@ class BracketBasis:
                 f"class {klass} lies outside the classes {list(self._built_for)} "
                 "this basis was built for"
             )
-
-    def _insertion_order(self, klass: tuple[int, int]) -> list[BasisElement]:
-        """High order to low, then commutators before powers before
-        anticommutators, then text."""
-        return sorted(
-            self.class_elements(*klass),
-            key=lambda el: (-el.order, el.kind, el.text),
-        )
-
-    def echelon(self, klass: tuple[int, int]) -> _ClassEchelon:
-        """The class echelon (untracked), built on first use in one pass."""
-        self._require(klass)
-        echelon = self._echelons.get(klass)
-        if echelon is None:
-            order = self._insertion_order(klass)
-            index, matrix = _word_rows(klass, order)
-            reduced, pivots, _ = _eliminate(matrix)
-            kept = np.flatnonzero(pivots >= 0)
-            echelon = self._echelons[klass] = _ClassEchelon(
-                index, reduced[kept], pivots[kept], tuple(order[i].text for i in kept)
-            )
-        return echelon
 
     def class_elements(self, e_count: int, o_count: int) -> tuple[BasisElement, ...]:
         self._require((e_count, o_count))
@@ -1017,7 +966,7 @@ def _screen(subsets: np.ndarray, columns: np.ndarray, target: np.ndarray) -> tup
         stacked = np.concatenate(
             [columns[part], np.broadcast_to(target, (len(part), 1, len(target)))], axis=1
         )
-        reduced, pivots, _ = _eliminate(stacked, pivot_rows=size)
+        reduced, pivots = _eliminate(stacked, pivot_rows=size)
         passed = (pivots[:, :size] >= 0).all(axis=1) & ~(reduced[:, size] != 0).any(axis=1)
         if passed.any():
             return tuple(int(column) for column in part[passed.argmax()])
@@ -1099,22 +1048,28 @@ def project(piece: AbstractExpr, basis: BracketBasis, min_order: int) -> Project
 def min_hbar_order(piece: AbstractExpr, basis: BracketBasis) -> int | None:
     """Largest h with the whole piece inside span(elements of order >= h).
 
-    One untracked reduction per stratum against the class echelon.  Its
-    rows went in from high order to low, and each row is its label's
-    vector plus earlier labels only.  So the label of the last row the
-    reduction uses gets that row's nonzero factor as its weight, no later
-    label gets any, and no earlier label has a lower order: the stratum's
-    certificate is that label's order.  The weights themselves are never
-    formed.  None when some stratum is not even in the full admitted span.
+    The class's elements go in one order level at a time, highest first:
+    each level is one elimination of the echelon so far, then that level's
+    rows, then every (beta, m) stratum as a row that is only reduced.  The
+    first level at which no stratum keeps a remainder is the certificate.
+    None when some stratum is not even in the full admitted span.
     """
     if piece.is_zero():
         return None
-    labels = basis.echelon(_single_class(piece, "certification")).last_used(
-        [_integral(vector)[0] for vector in _strata(piece).values()]
-    )
-    if None in labels:
-        return None
-    return min(basis.element(label).order for label in labels)
+    klass = _single_class(piece, "certification")
+    elements = basis.class_elements(*klass)
+    index = _class_index(klass)
+    echelon = np.zeros((0, len(index)), dtype=np.int64)
+    targets = _word_matrix([_integral(vector)[0] for vector in _strata(piece).values()], index)
+    for order in sorted({element.order for element in elements}, reverse=True):
+        _, rows = _word_rows(klass, [el for el in elements if el.order == order])
+        count = len(echelon) + len(rows)
+        reduced, pivots = _eliminate(np.concatenate([echelon, rows, targets]), pivot_rows=count)
+        remainders = (reduced[count:] != 0).any(axis=1)
+        if not remainders.any():
+            return order
+        echelon, targets = reduced[:count][pivots[:count] >= 0], reduced[count:]
+    return None
 
 
 @dataclass(frozen=True)

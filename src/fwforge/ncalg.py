@@ -274,7 +274,7 @@ class Budget:
             raise ValueError("budget bounds must be non-negative")
 
 
-class BudgetOverflowError(Exception):
+class BudgetOverflowError(ValueError):
     def __init__(self, path: str, count: int, cap: int):
         super().__init__(
             f"term count {count} exceeds cap {cap} at node {path or '<root>'}"

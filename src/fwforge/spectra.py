@@ -461,19 +461,28 @@ def _window_width(model: SpectralModel) -> int:
     return 3 + max(SPIN_LOWERING[model.particle])
 
 
+def _runs(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The start of each run of equal entries in a sorted array, and the
+    run lengths.  (np.unique gives the same, but imports numpy.ma.)"""
+    change = np.ones(len(ordered), dtype=bool)
+    change[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(change)
+    return starts, np.diff(starts, append=len(ordered))
+
+
 def _block_groups(model: SpectralModel, labels: np.ndarray, keep: np.ndarray | None = None):
     """The conserved blocks, of every state or only of the states ``keep``
     marks, grouped by size.  Each group is (states, starts): the basis
     indices of each block's states, in basis order, and the first level of
     the window that holds the block."""
     order = np.argsort(labels, kind="stable")
-    _, first, sizes = np.unique(labels[order], return_index=True, return_counts=True)
+    first, sizes = _runs(labels[order])
     # Within a label, basis order is level order: the first state is lowest.
     lowest = order[first] // model.internal_dim
     starts = np.clip(lowest - 1, 0, model.N - _window_width(model))
     chosen = np.ones(len(first), dtype=bool) if keep is None else keep[order[first]]
     groups = []
-    for size in np.unique(sizes[chosen]):
+    for size in sorted(set(sizes[chosen].tolist())):
         pick = chosen & (sizes == size)
         groups.append((order[first[pick, None] + np.arange(size)], starts[pick]))
     return groups
@@ -580,8 +589,9 @@ def _nearest(values: np.ndarray, energies: np.ndarray) -> np.ndarray:
     in table order, as ``min`` over the table picks it."""
     order = np.argsort(energies, kind="stable")
     # Each distinct energy, ascending, and the first table index holding it.
-    distinct, at = np.unique(energies[order], return_index=True)
-    first = order[at]
+    ordered = energies[order]
+    at, _ = _runs(ordered)
+    distinct, first = ordered[at], order[at]
     # The nearest distinct energy is one of the two around the insertion point.
     upper = np.minimum(np.searchsorted(distinct, values), len(distinct) - 1)
     lower = np.maximum(upper - 1, 0)

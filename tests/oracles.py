@@ -10,8 +10,9 @@ program computes another way, or reads out what the program never needs:
   ``QQi`` matrices of those monomials (``monomial_matrix``) must agree
   with this construction entry for entry, and with ``mat_mul`` on every
   product;
-* the exact linear relation of every bracket-basis element that the
-  class echelon skips (``dependencies``);
+* the exact linear relation of every bracket-basis element that a class
+  echelon, its elements taken from high order to low, skips
+  (``dependencies``);
 * products, brackets and directions of integer word vectors held as
   ``dict[str, int]``, one term pair at a time (``word_product``,
   ``word_brackets``, ``direction``, ``combine``): the comparator builds
@@ -27,7 +28,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping
 
-from fwforge.comparator import BracketBasis, _solve, _word_rows
+from fwforge.comparator import BasisElement, BracketBasis, _eliminate, _solve, _word_rows
 from fwforge.concretizer import QQi
 from fwforge.ncalg import (
     Acomm,
@@ -175,16 +176,23 @@ class Dependency:
     members: tuple[tuple[str, Fraction], ...]
 
 
+def insertion_order(basis: BracketBasis, klass: tuple[int, int]) -> list[BasisElement]:
+    """The class elements from high order to low, then commutators before
+    powers before anticommutators, then by text."""
+    return sorted(basis.class_elements(*klass), key=lambda el: (-el.order, el.kind, el.text))
+
+
 def dependencies(basis: BracketBasis) -> tuple[Dependency, ...]:
     """Every element spanned by the higher-order ones of its class, with
-    its exact relation: each is solved over the class echelon's elements
-    (those before it carry all its weight)."""
+    its exact relation: each is solved over the elements that become rows
+    of the class echelon in `insertion_order` (those before it carry all
+    its weight)."""
     found = []
     for klass in basis.classes():
-        independent = set(basis.echelon(klass).labels)
-        order = basis._insertion_order(klass)
-        kept = [element for element in order if element.text in independent]
-        spanned = [element for element in order if element.text not in independent]
+        order = insertion_order(basis, klass)
+        _, pivots = _eliminate(_word_rows(klass, order)[1])
+        kept = [element for element, pivot in zip(order, pivots) if pivot >= 0]
+        spanned = [element for element, pivot in zip(order, pivots) if pivot < 0]
         if not spanned:
             continue
         _, rows = _word_rows(klass, kept)

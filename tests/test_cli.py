@@ -572,17 +572,21 @@ def test_symbolic_commands_do_not_import_numpy(argv, tmp_path):
 
 
 def test_spectra_commands_do_not_import_symbolic_modules(tmp_path):
-    script = (
-        "import sys\n"
-        "from fwforge import cli\n"
-        "code = cli.main(['spectra', 'relations', '--levels', '8', '--out', 'report.json'])\n"
-        "print(code, 'fwforge.concretizer' in sys.modules, 'fwforge.fseries' in sys.modules)\n"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, env=_child_env()
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["0", "False", "False"]
+    """`spectra relations` and `spectra run` load no symbolic layer, and no
+    numpy.ma (np.unique would import it)."""
+    unwanted = ["fwforge.concretizer", "fwforge.fseries", "fwforge.ncalg", "fwforge.lang", "numpy.ma"]
+    for target in ["relations", "run"]:
+        script = (
+            "import sys\n"
+            "from fwforge import cli\n"
+            f"code = cli.main(['spectra', {target!r}, '--levels', '8', '--out', 'report.json'])\n"
+            f"print(code, *[name in sys.modules for name in {unwanted!r}])\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, env=_child_env()
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["0"] + ["False"] * len(unwanted), target
 
 
 @pytest.mark.parametrize(

@@ -53,7 +53,7 @@ from fwforge.ncalg import (
 from fwforge.lang import parse_expr
 from fwforge.stepwise import DISPLAYED
 from oracles import combine as _combine
-from oracles import dependencies, direction, format_tree, restrict_class
+from oracles import dependencies, direction, format_tree, insertion_order, restrict_class
 from oracles import word_brackets as _word_brackets
 from oracles import word_product as _word_product
 
@@ -214,7 +214,6 @@ def test_partial_basis_refuses_classes_outside_its_closure():
     piece = expand(Comm(O2, Comm(O2, E)), budget)
     queries = {
         "class_elements": lambda: basis.class_elements(1, 4),
-        "echelon": lambda: basis.echelon((1, 4)),
         "min_hbar_order": lambda: min_hbar_order(piece, basis),
         "project": lambda: project(piece, basis, 2),
     }
@@ -462,8 +461,10 @@ def test_certificate_is_the_lowest_over_the_strata(basis83, budget83):
 
 def test_residual_captures_out_of_span_content(basis42):
     # A single bare word with two potential letters is not a bracket
-    # combination: everything lands in the residual, reconstruct holds.
+    # combination: it certifies at no order, everything lands in the
+    # residual, reconstruct holds.
     piece = AbstractExpr.from_terms([((0, "EE", 0), Fraction(1))])
+    assert min_hbar_order(piece, basis42) is None
     result = project(piece, basis42, 0)
     assert result.entries == ()
     assert not result.residual.is_zero()
@@ -702,11 +703,9 @@ def test_echelon_matches_rational_gauss_jordan(vectors, picks, extra, spanned):
     # The numpy kernel takes the same steps as the dict echelon.
     index = {word: col for col, word in enumerate(sorted(_WORDS))}
     matrix = _word_matrix(vectors, index)
-    reduced, pivots, _ = _eliminate(matrix)
+    reduced, pivots = _eliminate(matrix)
     kept = np.flatnonzero(pivots >= 0)
-    echelon = comparator._ClassEchelon(index, reduced[kept], pivots[kept], tuple(kept))
-    assert _kernel_rows(echelon) == _dict_rows(untracked)
-    assert echelon.last_used([scaled]) == [last]
+    assert _kernel_rows(index, reduced, pivots, range(len(vectors))) == _dict_rows(untracked)
     integral, denominator = _integral(target)
     ((kernel_remainder, kernel_weights),) = _solve(
         matrix[kept], _word_matrix([integral], index), [denominator]
@@ -716,13 +715,23 @@ def test_echelon_matches_rational_gauss_jordan(vectors, picks, extra, spanned):
     assert {int(label): w for label, w in zip(kept, kernel_weights) if w} == weights
 
 
-def _kernel_rows(echelon):
-    """(pivot word, row, label) of each row of a kernel echelon."""
-    words = list(echelon.index)
+def _kernel_rows(index, reduced, pivots, labels):
+    """(pivot word, row, label) of each echelon row of a kernel elimination."""
+    words = list(index)
     return [
         (words[pivot], {words[col]: int(row[col]) for col in np.flatnonzero(row != 0)}, label)
-        for row, pivot, label in zip(echelon.rows, echelon.pivots, echelon.labels)
+        for row, pivot, label in zip(reduced, pivots, labels)
+        if pivot >= 0
     ]
+
+
+def _class_echelon(basis, klass):
+    """The kernel's elimination of the class rows in `insertion_order`: the
+    reduced matrix and the (pivot word, row, text) of each echelon row."""
+    order = insertion_order(basis, klass)
+    index, matrix = comparator._word_rows(klass, order)
+    reduced, pivots = _eliminate(matrix)
+    return reduced, _kernel_rows(index, reduced, pivots, [element.text for element in order])
 
 
 def _dict_rows(echelon):
@@ -731,7 +740,7 @@ def _dict_rows(echelon):
 
 def _oracle_echelon(basis, klass):
     oracle = _Echelon()
-    for element in basis._insertion_order(klass):
+    for element in insertion_order(basis, klass):
         oracle.insert(element.text, element.word_vector)
     return oracle
 
@@ -741,7 +750,7 @@ def test_dependencies_match_the_tracked_dict_echelon():
     expected = {}
     for klass in basis.classes():
         oracle = _Echelon(tracked=True)
-        for element in basis._insertion_order(klass):
+        for element in insertion_order(basis, klass):
             members = oracle.insert(element.text, element.word_vector)
             if members is not None:
                 expected[element.text] = tuple(sorted(members.items()))
@@ -751,7 +760,8 @@ def test_dependencies_match_the_tracked_dict_echelon():
 
 def test_class_echelons_match_the_dict_echelon_at_8_3(basis83):
     for klass in DIFFERING_83:
-        assert _kernel_rows(basis83.echelon(klass)) == _dict_rows(_oracle_echelon(basis83, klass)), klass
+        _, rows = _class_echelon(basis83, klass)
+        assert rows == _dict_rows(_oracle_echelon(basis83, klass)), klass
 
 
 DIFFERING_93 = [(1, 4), (1, 6), (1, 8), (2, 2), (2, 4), (2, 6), (3, 2), (3, 4), (3, 6)]
@@ -760,7 +770,8 @@ DIFFERING_93 = [(1, 4), (1, 6), (1, 8), (2, 2), (2, 4), (2, 6), (3, 2), (3, 4), 
 def test_class_echelons_match_the_dict_echelon_at_9_3():
     basis = build_basis(Budget(9, 3), classes=DIFFERING_93)
     for klass in DIFFERING_93:
-        assert _kernel_rows(basis.echelon(klass)) == _dict_rows(_oracle_echelon(basis, klass)), klass
+        _, rows = _class_echelon(basis, klass)
+        assert rows == _dict_rows(_oracle_echelon(basis, klass)), klass
 
 
 def _differing_83(report83, eriksen83, static13_83):
@@ -776,16 +787,18 @@ def test_object_path_keeps_the_echelon_and_the_projection(
     monkeypatch, report83, eriksen83, static13_83, budget83
 ):
     """With the switch to Python ints forced low, the steps past it run on
-    dtype=object; rows, pivots, labels and the projection (greedy fallback
-    included) stay the same."""
+    dtype=object; the class echelon's rows, pivots and labels, the
+    certificate and the projection (greedy fallback included) stay the
+    same."""
     monkeypatch.setattr(comparator, "_INT64_BOUND", 1 << 7)
     differing = {klass: (row, delta) for klass, row, delta in _differing_83(report83, eriksen83, static13_83)}
     for klass in [(2, 4), (3, 4)]:
         basis = build_basis(budget83, classes=[klass])
-        echelon = basis.echelon(klass)
-        assert echelon.rows.dtype == object
-        assert _kernel_rows(echelon) == _dict_rows(_oracle_echelon(basis, klass)), klass
+        reduced, rows = _class_echelon(basis, klass)
+        assert reduced.dtype == object
+        assert rows == _dict_rows(_oracle_echelon(basis, klass)), klass
         row, delta = differing[klass]
+        assert min_hbar_order(delta, basis) == row.hbar_order_min, klass
         projection = project(delta, basis, min_order=row.hbar_order_min)
         assert [(e.element.text, e.weight, e.beta_exp, e.m_exp) for e in projection.entries] == [
             (e.element.text, e.weight, e.beta_exp, e.m_exp) for e in row.projection.entries
