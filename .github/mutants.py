@@ -190,6 +190,15 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "first-candidate-ignores-sequence",
+        "src/fwforge/comparator.py",
+        "earlier = held is None or (first is not None and seq < first[0])",
+        "earlier = held is None",
+        (
+            "tests/test_comparator.py::test_elements_match_the_dict_builder[6-2-None]",
+        ),
+    ),
+    Mutant(
         "nearest-tie-takes-the-later-index",
         "src/fwforge/spectra.py",
         "((above == below) & (first[upper] < first[lower]))",

@@ -32,7 +32,7 @@ PROG = "fwforge"
 _PARTICLES = ("spin0", "spin12", "spin1")
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Invalid flags, config entries, or expression text."""
 
 
@@ -438,7 +438,7 @@ def _cmd_concretize(args, values) -> tuple[str, Callable[[], str], bool]:
     else:
         report = concretizer.verify_uniform_commutator()
     ok = report["status"] in ("pass", "match")
-    return concretizer.report_json(report), partial(_generic_text, report), ok
+    return json.dumps(report, indent=2), partial(_generic_text, report), ok
 
 
 def _scan_grid(values):
@@ -617,9 +617,6 @@ def main(argv=None) -> int:
     try:
         values = _effective_values(args, registries[registry_key])
         json_text, render_text, ok = _HANDLERS[args.command](args, values)
-    except UsageError as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2

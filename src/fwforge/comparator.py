@@ -21,28 +21,30 @@ the class test decides the budget for a whole block of pairs at once.
 Word concatenation is injective, so the products of all the pairs of two
 classes are one outer product of their rows scattered through a table of
 concatenated words, and commutators and anticommutators are the
-difference and sum of the two orders.  These blocks take about 1 MiB,
-and every row is int64 by construction.  An atom's row has L1 norm 1; a
-product's norm is its factors' product, since its outer product lands on
-distinct columns, and a bracket's at most twice that.  No candidate has
-more than 23 atoms (a curated spelling 5, round 2 10, the atom layers
-13, a product 21 with its bracket, a three-factor one 23), so a row's
-norm stays below 2**22 and a block entry, at most 2 max|l| max|r|, below
-2**45.  `_Candidates._blocks` raises OverflowError past int64.  Only the
-curated spellings are parsed and go through `expand`, once each.
-Candidates that vanish are dropped; parallel candidates collapse onto
-one direction, keyed by the row over its gcd with a positive lead,
-behind its class, as bytes.  Each direction keeps one representative
-(the highest-order label wins, so the span per order cutoff is never
-understated), and the first candidate of a new direction, in the order
-the pairs are listed, feeds the next round.  Every surviving direction
-becomes a basis element that views its row in its class matrix: the
-collection is deliberately redundant, because different bracket
-spellings of the same content are exactly what the agreement narrative
-trades in.  Asked for some classes, `build_basis` skips every pair whose
-class lies outside their sub-class closure; since classes add and no
-direction crosses a class, each class it keeps gets exactly the elements
-of the full basis.  Building the basis does no elimination.
+difference and sum of the two orders.  A pass takes these blocks as
+`_pair_blocks` yields them, one class pair at a time, each about 1 MiB
+at most, and every row is int64 by construction.  An atom's row has L1
+norm 1; a product's norm is its factors' product, since its outer
+product lands on distinct columns, and a bracket's at most twice that.
+No candidate has more than 23 atoms (a curated spelling 5, round 2 10,
+the atom layers 13, a product 21 with its bracket, a three-factor one
+23), so a row's norm stays below 2**22 and a block entry, at most 2
+max|l| max|r|, below 2**45.  `_Candidates._blocks` raises OverflowError
+past int64.  Only the curated spellings are parsed and go through
+`expand`, once each.  Candidates that vanish are dropped; parallel
+candidates collapse onto one direction, keyed by the row over its gcd
+with a positive lead, behind its class, as bytes.  Each direction keeps
+one representative (the highest-order label wins, so the span per order
+cutoff is never understated), and the first candidate of a new
+direction, in the order the pairs are listed, whatever the order of the
+blocks, feeds the next round.  Every surviving direction becomes a basis
+element that views its row in its class matrix: the collection is
+deliberately redundant, because different bracket spellings of the same
+content are exactly what the agreement narrative trades in.  Asked for
+some classes, `build_basis` skips every pair whose class lies outside
+their sub-class closure; since classes add and no direction crosses a
+class, each class it keeps gets exactly the elements of the full basis.
+Building the basis does no elimination.
 
 Elimination.  One exact kernel, `_eliminate`, does every elimination in
 this module, fraction-free (integer-preserving, after E. H. Bareiss,
@@ -368,12 +370,8 @@ class BracketBasis:
     """
 
     def __init__(
-        self,
-        budget: Budget,
-        elements: Sequence[BasisElement],
-        classes: Iterable[tuple[int, int]] | None = None,
+        self, elements: Sequence[BasisElement], classes: Iterable[tuple[int, int]] | None = None
     ):
-        self.budget = budget
         self.elements = tuple(elements)
         self._built_for = None if classes is None else tuple(sorted(set(classes)))
         self._by_class: dict[tuple[int, int], list[BasisElement]] = {}
@@ -597,9 +595,8 @@ class _Candidates:
 
     def _blocks(self, lefts: Sequence[int], rights: Sequence[int], brackets: bool):
         """_pair_blocks over the pairs of lefts and rights whose class is
-        allowed, the class pairs of one sum class merged up to about
-        _BLOCK_BYTES a block: (class, positions i in lefts, positions j in
-        rights, rows)."""
+        allowed, one class pair at a time: (class, positions i in lefts,
+        positions j in rights, rows)."""
         left_groups = self._groups(lefts)
         right_groups = left_groups if lefts is rights else self._groups(rights)
         # A block entry is at most 2 max|l| max|r| (see the module docstring).
@@ -609,29 +606,16 @@ class _Candidates:
         )
         if 2 * left_max * right_max > np.iinfo(np.int64).max:
             raise OverflowError(f"bracket rows with entries {left_max} and {right_max} pass int64")
-        by_sum: dict[tuple[int, int], list] = {}
-        for left_class in left_groups:
-            for right_class in right_groups:
+        for left_class, (left_at, left_rows) in left_groups.items():
+            for right_class, (right_at, right_rows) in right_groups.items():
                 klass = (left_class[0] + right_class[0], left_class[1] + right_class[1])
-                if klass in self.allowed:
-                    by_sum.setdefault(klass, []).append((left_class, right_class))
-        for klass, class_pairs in by_sum.items():
-            parts: list = []
-            size = 0
-            for left_class, right_class in class_pairs:
-                left_at, left_rows = left_groups[left_class]
-                right_at, right_rows = right_groups[right_class]
+                if klass not in self.allowed:
+                    continue
                 for left_slice, right_slice, rows in _pair_blocks(
                     left_class, left_rows, right_class, right_rows, brackets
                 ):
                     i, j = left_at[left_slice], right_at[right_slice]
-                    parts.append((np.repeat(i, len(j)), np.tile(j, len(i)), *rows))
-                    size += rows[0].nbytes
-                    if size >= _BLOCK_BYTES:
-                        yield klass, *_merged(parts)
-                        parts, size = [], 0
-            if parts:
-                yield klass, *_merged(parts)
+                    yield klass, np.repeat(i, len(j)), np.tile(j, len(i)), *rows
 
     def brackets(
         self, lefts: Sequence[int], rights: Sequence[int], mirror: bool = False
@@ -711,13 +695,6 @@ class _Candidates:
                 if keep:
                     made.append((i[p] * len(rights) + j[p], cid))
         return [cid for _, cid in sorted(made)]
-
-
-def _merged(parts: list) -> tuple:
-    """The blocks of `parts` as one, component by component."""
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(component) for component in zip(*parts))
 
 
 def _expansion_row(expansion: AbstractExpr, text: str) -> tuple[tuple[int, int], np.ndarray]:
@@ -826,7 +803,7 @@ def build_basis(
             for c, row in zip(ids, matrix)
         )
     elements.sort(key=attrgetter("order", "e_count", "o_count", "text"))
-    return BracketBasis(budget, elements, classes=classes)
+    return BracketBasis(elements, classes=classes)
 
 
 def _strata(piece: AbstractExpr) -> dict[tuple[int, int], dict[str, Fraction]]:
@@ -1012,7 +989,6 @@ def project(piece: AbstractExpr, basis: BracketBasis, min_order: int) -> Project
     columns = _preferred_columns(basis, klass, min_order)
     index, matrix = _word_rows(klass, columns)
     words = tuple(index)
-    independent = None
 
     entries: list[ProjectionEntry] = []
     residual_terms: dict[tuple[int, str, int], Fraction] = {}
@@ -1022,10 +998,9 @@ def project(piece: AbstractExpr, basis: BracketBasis, min_order: int) -> Project
         support = _sparse_solve(target[0], matrix)
         if support is None:
             # The greedy fallback: the columns each independent of the
-            # preferred ones before it.
-            if independent is None:
-                independent = tuple(np.flatnonzero(_eliminate(matrix)[1] >= 0))
-            support = independent
+            # preferred ones before it.  Every class the program compares
+            # holds one (beta, m) stratum, so this runs once a call.
+            support = tuple(np.flatnonzero(_eliminate(matrix)[1] >= 0))
         ((remainder, weights),) = _solve(matrix[list(support)], target, [scale])
         for column, weight in zip(support, weights):
             if weight:

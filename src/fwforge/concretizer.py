@@ -40,7 +40,6 @@ are matched per symbol.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -1003,7 +1002,3 @@ def verify_uniform_commutator(anomalous: bool = True, electric: bool = True) -> 
         "expected": term_strings(target),
         "residual": term_strings(delta),
     }
-
-
-def report_json(report: dict) -> str:
-    return json.dumps(report, indent=2)

@@ -86,8 +86,6 @@ REPRESENTATIONS = {
     "spin1": ("original", "fw", "fw_corrected"),
 }
 
-INTERNAL_DIM = {"spin0": 2, "spin12": 4, "spin1": 6}
-
 # Spin projections searched by the closed-form matcher.
 LAMBDA_VALUES = {"spin0": (0,), "spin12": (-1, 1), "spin1": (-1, 0, 1)}
 
@@ -186,7 +184,7 @@ class SpectralModel:
 
     @property
     def internal_dim(self) -> int:
-        return INTERNAL_DIM[self.particle]
+        return len(SPIN_LOWERING[self.particle])
 
     def to_dict(self) -> dict:
         return {

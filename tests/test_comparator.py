@@ -376,14 +376,26 @@ _ELEMENT_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("max_len, max_e, classes", list(_ELEMENT_DIGESTS))
-def test_elements_match_the_dict_builder(max_len, max_e, classes):
-    basis = build_basis(Budget(max_len, max_e), classes=classes)
+def _element_digest(basis) -> tuple[int, str]:
     digest = hashlib.sha256()
     for el in basis.elements:
         line = [el.text, el.kind, el.order, el.e_count, el.o_count, sorted(el.word_vector.items())]
         digest.update(json.dumps(line).encode() + b"\n")
-    assert (len(basis), digest.hexdigest()) == _ELEMENT_DIGESTS[max_len, max_e, classes]
+    return len(basis), digest.hexdigest()
+
+
+@pytest.mark.parametrize("max_len, max_e, classes", list(_ELEMENT_DIGESTS))
+def test_elements_match_the_dict_builder(max_len, max_e, classes):
+    basis = build_basis(Budget(max_len, max_e), classes=classes)
+    assert _element_digest(basis) == _ELEMENT_DIGESTS[max_len, max_e, classes]
+
+
+def test_elements_do_not_depend_on_the_block_size(monkeypatch):
+    """With 64-byte blocks the pairs of most class pairs are split over
+    many blocks in every pass of the build, and the basis is the same."""
+    monkeypatch.setattr(comparator, "_BLOCK_BYTES", 64)
+    basis = build_basis(Budget(6, 2))
+    assert _element_digest(basis) == _ELEMENT_DIGESTS[6, 2, None]
 
 
 # -- projection -------------------------------------------------------------------

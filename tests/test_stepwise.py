@@ -38,6 +38,7 @@ from fwforge.stepwise import (
     ITERATIVE,
     LEADING,
     OPRIME,
+    SECOND_STEP,
     build_iterative,
     derive_second_step,
     expand_static,
@@ -115,6 +116,23 @@ def test_energy_line_matches_exact_transform(static13_83, eriksen83):
             restrict_class(eriksen83, *klass)
         ).is_zero(), klass
     assert restrict_class(static13_83, 1, 2).sub(restrict_class(eriksen83, 1, 2)).is_zero()
+
+
+def test_each_class_holds_one_beta_m_stratum(eriksen83, static13_83, budget83):
+    """Every term of H = beta m + E + O and of what its transforms give has
+    mass dimension one, so m^(1 - len(word)), and is even under (m, beta)
+    -> (-m, -beta), so beta^((1 - len(word)) mod 2): each class of every
+    operator the program compares is one (beta, m) stratum."""
+    operators = {
+        "H_FW": eriksen83,
+        "ITERATIVE": static13_83,
+        "DISPLAYED": expand(parse_expr(DISPLAYED), budget83),
+        "SECOND_STEP": expand(parse_expr(SECOND_STEP), budget83),
+    }
+    for name, operator in operators.items():
+        for (beta_exp, word, m_exp), _ in operator.terms():
+            assert m_exp == 1 - len(word), (name, word)
+            assert beta_exp == m_exp % 2, (name, word)
 
 
 # -- displayed static series (incomplete by construction) -------------------------
