@@ -114,6 +114,34 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "electrostatic-swap-sign",
+        "src/fwforge/concretizer.py",
+        "coeff * QQi.of(0, -1),",
+        "coeff * QQi.of(0, 1),",
+        (
+            "tests/test_concretizer.py::test_spin_orbit_and_darwin_block",
+            "tests/test_concretizer.py::test_electrostatic_derivation_passes",
+        ),
+    ),
+    Mutant(
+        "uniform-swap-sign",
+        "src/fwforge/concretizer.py",
+        "coeff * QQi.of(0, 1),",
+        "coeff * QQi.of(0, -1),",
+        (
+            "tests/test_concretizer.py::test_uniform_commutator_closes_on_three_channels",
+        ),
+    ),
+    Mutant(
+        "magnetic-swap-sign",
+        "src/fwforge/concretizer.py",
+        "coeff * QQi.of(0, sign),",
+        "coeff * QQi.of(0, -sign),",
+        (
+            "tests/test_concretizer.py::test_kinetic_momenta_do_not_commute_in_uniform_mode",
+        ),
+    ),
+    Mutant(
         "stepwise-always-explained",
         "src/fwforge/stepwise.py",
         '"status": "explained" if explained else "unexplained",',

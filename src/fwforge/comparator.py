@@ -1146,16 +1146,15 @@ def diff_report(
     h_first: AbstractExpr,
     h_second: AbstractExpr,
     budget: Budget,
-    basis: BracketBasis | None = None,
     min_order: int | None = None,
 ) -> DiffReport:
     """Per-class comparison of two even expansions (first minus second).
 
-    Each differing class is spelled in brackets of order >= min_order
-    when one is given, and is then not certified (its `hbar_order_min`
-    is None).  Otherwise it is certified and spelled at its certified
-    order, or at 0 when it is outside the span.  Without a basis, one is
-    built for the differing classes only.
+    The bracket basis is built for the differing classes only.  Each
+    differing class is spelled in brackets of order >= min_order when one
+    is given, and is then not certified (its `hbar_order_min` is None).
+    Otherwise it is certified and spelled at its certified order, or at 0
+    when it is outside the span.
     """
     first_parts = h_first.classify()
     second_parts = h_second.classify()
@@ -1163,9 +1162,8 @@ def diff_report(
         klass: first_parts.get(klass, _ZERO).sub(second_parts.get(klass, _ZERO))
         for klass in sorted(set(first_parts) | set(second_parts))
     }
-    if basis is None:
-        differing = [klass for klass, delta in deltas.items() if not delta.is_zero()]
-        basis = build_basis(budget, classes=differing)
+    differing = [klass for klass, delta in deltas.items() if not delta.is_zero()]
+    basis = build_basis(budget, classes=differing)
     rows = []
     for (e_count, o_count), delta in deltas.items():
         certified = projection = None

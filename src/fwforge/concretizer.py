@@ -430,20 +430,16 @@ class ConcreteExpr:
 
     # normal ordering ---------------------------------------------------------------
 
-    def normal_order(self, zero_derivatives: bool = False) -> "ConcreteExpr":
+    def normal_order(self) -> "ConcreteExpr":
         """Rewrite every word into the canonical form: field functions on
         the left (sorted by derivative multi-index), momenta on the right
         (sorted by axis).  Each momentum-past-function swap emits one
         power of hbar times the derivative; in uniform mode momentum
-        reorderings emit the magnetic central terms.  With
-        ``zero_derivatives`` all field derivatives are treated as zero
-        (a constant potential), so swaps are exact.
+        reorderings emit the magnetic central terms.
         """
         out: dict[TermKey, QQi] = {}
         for (matrix, eps, scalars, word), coeff in self._terms.items():
-            for extra_coeff, extra_scalars, canonical in _normalize_word(
-                self.mode, word, zero_derivatives
-            ):
+            for extra_coeff, extra_scalars, canonical in _normalize_word(self.mode, word):
                 key = (matrix, eps, _scalar_merge(scalars, extra_scalars), canonical)
                 _accumulate(out, key, coeff * extra_coeff)
         return ConcreteExpr(self.mode, out)
@@ -459,21 +455,6 @@ class ConcreteExpr:
             target[key] = coeff
         return ConcreteExpr(self.mode, low), ConcreteExpr(self.mode, high)
 
-    def truncate_hbar(self, max_power: int) -> "ConcreteExpr":
-        return self.split_hbar(max_power)[0]
-
-    def drop_scalars(self, *names: str) -> "ConcreteExpr":
-        """Set the named central scalar symbols to zero."""
-        banned = set(names)
-        return ConcreteExpr(
-            self.mode,
-            {
-                key: coeff
-                for key, coeff in self._terms.items()
-                if not any(name in banned for name, _ in key[2])
-            },
-        )
-
     def _check_mode(self, other: "ConcreteExpr") -> None:
         if self.mode != other.mode:
             raise ValueError(f"mode mismatch: {self.mode} vs {other.mode}")
@@ -484,18 +465,11 @@ def _term_sort_key(key: TermKey) -> tuple:
     return (_LABEL_ORDER[matrix], eps, scalars, word)
 
 
-def _normalize_word(
-    mode: str, word: Word, zero_derivatives: bool
-) -> list[tuple[QQi, ScalarKey, Word]]:
+def _normalize_word(mode: str, word: Word) -> list[tuple[QQi, ScalarKey, Word]]:
     results: dict[tuple[ScalarKey, Word], QQi] = {}
     stack: list[tuple[QQi, ScalarKey, Word]] = [(_ONE, (), tuple(word))]
     while stack:
         coeff, scalars, current = stack.pop()
-        if zero_derivatives and any(
-            kind == "f" and sum(payload) for kind, payload in current
-        ):
-            # a constant potential has no surviving derivative factors
-            continue
         index = _first_inversion(current)
         if index is None:
             _accumulate(results, (scalars, current), coeff)
@@ -509,8 +483,6 @@ def _normalize_word(
         swapped = head + (right, left) + tail
         if left[0] == "p" and right[0] == "f":
             stack.append((coeff, scalars, swapped))
-            if zero_derivatives:
-                continue
             axis = left[1]
             if mode == ELECTROSTATIC:
                 multi = list(right[1])
@@ -865,7 +837,11 @@ def _term_dicts(expr: ConcreteExpr) -> list[dict]:
     ]
 
 
-def derive_electrostatic(hbar_max: int = 2, constant_potential: bool = False) -> dict:
+#: The electrostatic blocks are compared through this power of hbar.
+HBAR_MAX = 2
+
+
+def derive_electrostatic() -> dict:
     """Re-derive the electrostatic Hamiltonian from the bracket interiors.
 
     The odd input is alpha . p and the even input is e Phi.  Each of the
@@ -873,7 +849,7 @@ def derive_electrostatic(hbar_max: int = 2, constant_potential: bool = False) ->
     is evaluated from its text in the concrete algebra, normal ordered at
     every bracket and power, and compared -- per opaque kinetic-energy
     prefactor symbol -- against the encoded displayed form, exactly, for
-    all terms with hbar power <= hbar_max.  Any deeper remainder is pure
+    all terms with hbar power <= ``HBAR_MAX``.  Any deeper remainder is pure
     operator-ordering content of the displayed directional-curvature
     term; it is reported, never compared.
     """
@@ -885,12 +861,10 @@ def derive_electrostatic(hbar_max: int = 2, constant_potential: bool = False) ->
     blocks = []
     status = "pass"
     for prefactor, weight, beta_power, interior in ORDER2_BLOCKS:
-        derived = evaluate(
-            parse_expr(interior), letters, lambda x: x.normal_order(constant_potential)
-        )
-        target = encoded[prefactor].normal_order(constant_potential)
+        derived = evaluate(parse_expr(interior), letters, ConcreteExpr.normal_order)
+        target = encoded[prefactor].normal_order()
         delta = derived.sub(target)
-        compared, deeper = delta.split_hbar(hbar_max)
+        compared, deeper = delta.split_hbar(HBAR_MAX)
         block_status = "match" if compared.is_zero() else "mismatch"
         if block_status != "match":
             status = "fail"
@@ -901,15 +875,15 @@ def derive_electrostatic(hbar_max: int = 2, constant_potential: bool = False) ->
                 "beta": beta_power,
                 "source": interior,
                 "status": block_status,
-                "terms": _term_dicts(derived.truncate_hbar(hbar_max)),
+                "terms": _term_dicts(derived.split_hbar(HBAR_MAX)[0]),
                 "residual": term_strings(compared),
                 "higher_order": term_strings(deeper),
             }
         )
     return {
         "mode": mode,
-        "hbar_max": hbar_max,
-        "constant_potential": constant_potential,
+        "hbar_max": HBAR_MAX,
+        "constant_potential": False,
         "inputs": {"O": "alpha . p", "E": "e Phi"},
         "leading": ["beta f(eps)", "e Phi"],
         "status": status,
@@ -920,61 +894,54 @@ def derive_electrostatic(hbar_max: int = 2, constant_potential: bool = False) ->
 # -- the uniform-field commutator -------------------------------------------------------
 
 
-def _uniform_even(anomalous: bool) -> ConcreteExpr:
+def _uniform_even() -> ConcreteExpr:
     mode = UNIFORM
     even = field_factor(mode).scalar_mul(e=1)
-    if anomalous:
-        for axis in _AXES:
-            even = even.sub(
-                matrix_factor(mode, f"Pi_{axis}").scalar_mul(
-                    mu_prime=1, **{f"B_{axis}": 1}
-                )
-            )
+    for axis in _AXES:
+        even = even.sub(
+            matrix_factor(mode, f"Pi_{axis}").scalar_mul(mu_prime=1, **{f"B_{axis}": 1})
+        )
     return even
 
 
-def _uniform_odd(anomalous: bool, electric: bool) -> ConcreteExpr:
+def _uniform_odd() -> ConcreteExpr:
     mode = UNIFORM
     odd = _alpha_dot_p(mode)
-    if anomalous and electric:
-        for axis in _AXES:
-            odd = odd.add(
-                matrix_factor(mode, f"gamma_{axis}")
-                .scalar_mul(mu_prime=1, **{f"E_{axis}": 1})
-                .scale(_I)
-            )
+    for axis in _AXES:
+        odd = odd.add(
+            matrix_factor(mode, f"gamma_{axis}")
+            .scalar_mul(mu_prime=1, **{f"E_{axis}": 1})
+            .scale(_I)
+        )
     return odd
 
 
-def _uniform_target(anomalous: bool, electric: bool) -> ConcreteExpr:
+def _uniform_target() -> ConcreteExpr:
     mode = UNIFORM
     total = ConcreteExpr.zero(mode)
-    if electric:
-        for axis in _AXES:
-            total = total.add(
-                matrix_factor(mode, f"alpha_{axis}")
-                .scalar_mul(e=1, hbar=1, **{f"E_{axis}": 1})
-                .scale(_I)
-            )
-    if anomalous:
-        for index, axis in enumerate(_AXES):
-            total = total.sub(
-                matrix_factor(mode, "beta_gamma5")
-                .mul(momentum(mode, index))
-                .scalar_mul(mu_prime=1, **{f"B_{axis}": 1})
-                .scale(Fraction(2))
-            )
-        if electric:
-            for axis in _AXES:
-                total = total.sub(
-                    matrix_factor(mode, "gamma5")
-                    .scalar_mul(mu_prime=2, **{f"E_{axis}": 1, f"B_{axis}": 1})
-                    .scale(QQi.of(0, 2))
-                )
+    for axis in _AXES:
+        total = total.add(
+            matrix_factor(mode, f"alpha_{axis}")
+            .scalar_mul(e=1, hbar=1, **{f"E_{axis}": 1})
+            .scale(_I)
+        )
+    for index, axis in enumerate(_AXES):
+        total = total.sub(
+            matrix_factor(mode, "beta_gamma5")
+            .mul(momentum(mode, index))
+            .scalar_mul(mu_prime=1, **{f"B_{axis}": 1})
+            .scale(Fraction(2))
+        )
+    for axis in _AXES:
+        total = total.sub(
+            matrix_factor(mode, "gamma5")
+            .scalar_mul(mu_prime=2, **{f"E_{axis}": 1, f"B_{axis}": 1})
+            .scale(QQi.of(0, 2))
+        )
     return total
 
 
-def verify_uniform_commutator(anomalous: bool = True, electric: bool = True) -> dict:
+def verify_uniform_commutator() -> dict:
     """Check the uniform-field commutator of the odd and even inputs.
 
     For a spin-1/2 particle with charge e and anomalous moment mu' in
@@ -982,21 +949,16 @@ def verify_uniform_commutator(anomalous: bool = True, electric: bool = True) -> 
     exactly three matrix channels: i e hbar alpha.E from the momentum
     acting on the potential, -2 beta gamma5 mu' pi.B from the matrix
     noncommutativity (itself proportional to hbar through mu'), and
-    -2 i gamma5 mu'^2 E.B.  ``anomalous=False`` drops the mu' pieces of
-    the inputs; ``electric=False`` sets the electric field to zero.
+    -2 i gamma5 mu'^2 E.B.
     """
     _require_matrices()
-    odd = _uniform_odd(anomalous, electric)
-    even = _uniform_even(anomalous)
-    bracket = odd.commutator(even).normal_order()
-    if not electric:
-        bracket = bracket.drop_scalars("E_x", "E_y", "E_z")
-    target = _uniform_target(anomalous, electric)
+    bracket = _uniform_odd().commutator(_uniform_even()).normal_order()
+    target = _uniform_target()
     delta = bracket.sub(target)
     return {
         "mode": UNIFORM,
-        "anomalous": anomalous,
-        "electric": electric,
+        "anomalous": True,
+        "electric": True,
         "status": "match" if delta.is_zero() else "mismatch",
         "commutator": term_strings(bracket),
         "expected": term_strings(target),

@@ -7,8 +7,7 @@ under a truncation budget, so each identity below is checked as exact
 cancellation of rational coefficients, not numerically.
 
 `reference_target` encodes the closed-form even series this pipeline is
-compared against: "full" carries every bracket through nominal
-hbar-order 3, "order2" drops the order-3 brackets.
+compared against, every bracket through nominal hbar-order 3.
 """
 
 from __future__ import annotations
@@ -32,8 +31,6 @@ def in_reference_scope(e: int, o: int) -> bool:
 @dataclass(frozen=True)
 class PipelineState:
     budget: Budget
-    include_even: bool
-    include_odd: bool
     H: AbstractExpr
     H2: AbstractExpr
     x_series: AbstractExpr
@@ -44,9 +41,7 @@ class PipelineState:
     H_FW: AbstractExpr
 
 
-def run_pipeline(
-    budget: Budget, include_even: bool = True, include_odd: bool = True
-) -> PipelineState:
+def run_pipeline(budget: Budget) -> PipelineState:
     """Build every intermediate of the one-step transformation.
 
     Each intermediate is held to budget.term_cap; an overflow raises
@@ -58,11 +53,8 @@ def run_pipeline(
     def capped(stage: str, expr: AbstractExpr) -> AbstractExpr:
         return check_term_cap(expr, budget, f"run_pipeline.{stage}")
 
-    hamiltonian = AbstractExpr.beta().shift_m(1)
-    if include_even:
-        hamiltonian = hamiltonian.add(AbstractExpr.generator("E"))
-    if include_odd:
-        hamiltonian = hamiltonian.add(AbstractExpr.generator("O"))
+    letters = AbstractExpr.generator("E").add(AbstractExpr.generator("O"))
+    hamiltonian = AbstractExpr.beta().shift_m(1).add(letters)
 
     h_squared = capped("H2", hamiltonian.mul(hamiltonian, budget))
     # X = (H^2 - m^2)/m^2 has no constant part, so binomial series apply.
@@ -98,8 +90,6 @@ def run_pipeline(
     h_fw = capped("H_FW", capped("UH", u_op.mul(hamiltonian, budget)).mul(u_dag, budget))
     return PipelineState(
         budget=budget,
-        include_even=include_even,
-        include_odd=include_odd,
         H=hamiltonian,
         H2=h_squared,
         x_series=x_series,
@@ -192,34 +182,23 @@ CLOSED_FORM_ORDER3 = (
     " + 9/2 comm(comm(O, comm(O, comm(pow(O, 2), E))), E)"
     " + 5/2 comm(pow(O, 2), comm(O, comm(comm(O, E), E))))"
 )
-REFERENCE_TEXTS = {
-    "full": CLOSED_FORM_ORDER2 + CLOSED_FORM_ORDER3,
-    "order2": CLOSED_FORM_ORDER2,
-}
 
 
-def reference_target(name: str) -> BracketExpr:
-    """Structured encoding of the closed-form even series.
-
-    "full": every bracket through nominal order 3.  "order2": the same
-    with the five order-3 brackets removed.
-    """
-    if name not in REFERENCE_TEXTS:
-        raise ValueError(f"unknown reference target {name!r}")
-    return parse_expr(REFERENCE_TEXTS[name])
+def reference_target() -> BracketExpr:
+    """Structured encoding of the closed-form even series: every bracket
+    through nominal order 3."""
+    return parse_expr(CLOSED_FORM_ORDER2 + CLOSED_FORM_ORDER3)
 
 
-def compare_to_reference(budget: Budget | None = None) -> dict:
+def compare_to_reference(budget: Budget) -> dict:
     """Class-by-class equality of the pipeline output and the closed form.
 
     Equality is demanded only where the closed form is complete
     (2e + o <= 8, e <= 3); anything the pipeline produces outside that
     scope is reported verbatim as extra, not failed.
     """
-    if budget is None:
-        budget = Budget(8, 3)
     derived = run_pipeline(budget).H_FW
-    target = expand(reference_target("full"), budget)
+    target = expand(reference_target(), budget)
     classes = residual_classes(derived.sub(target))
     in_scope = [row for row in classes if in_reference_scope(row["e"], row["o"])]
     return {

@@ -403,23 +403,19 @@ def _expand_at(tree, budget: Budget, path: str) -> AbstractExpr:
         if tree.n < 0:
             raise ValueError("PowN exponent must be non-negative")
         base = _expand_at(tree.base, budget, path + ".Pow.base")
+        # Over-budget words span a two-sided ideal, so the truncated product
+        # is associative and the power squares: about two products per bit
+        # of n, each some base^k with k <= n.
         acc = ONE
-        if all(not word for (_, word, _), _ in base.terms()):
-            # Terms without letters (beta, m^k, rationals) commute, so the
-            # power squares: about two products per bit of n, not n.
-            n = tree.n
-            while n:
-                if n & 1:
-                    acc = check_term_cap(acc.mul(base, budget), budget, path + ".Pow")
-                n >>= 1
-                if n:
-                    base = check_term_cap(base.mul(base, budget), budget, path + ".Pow")
-            return acc
-        for _ in range(tree.n):
-            acc = acc.mul(base, budget)
-            check_term_cap(acc, budget, path + ".Pow")
-            if acc.is_zero():  # every further power vanishes too
-                break
+        n = tree.n
+        while n:
+            if n & 1:
+                acc = check_term_cap(acc.mul(base, budget), budget, path + ".Pow")
+            n >>= 1
+            if n:
+                base = check_term_cap(base.mul(base, budget), budget, path + ".Pow")
+                if base.is_zero():  # every further power vanishes too
+                    return base
         return acc
     raise TypeError(f"not a BracketExpr node: {tree!r}")
 

@@ -101,6 +101,9 @@ RELATION_TOL = 1e-8
 #: Windows built at once, so memory stays linear in the number of levels.
 WINDOW_CHUNK = 64
 
+#: Lowest positive interior levels compared at each point of a scan.
+SCAN_LEVELS = 4
+
 
 class InvalidModelError(ValueError):
     """Raised when a spectral model's fields are inconsistent."""
@@ -531,14 +534,14 @@ def interior_spectrum(model: SpectralModel) -> np.ndarray:
     return values.real[interior]
 
 
-def _interior_positive(model: SpectralModel, levels: int) -> list[float]:
+def _interior_positive(model: SpectralModel) -> list[float]:
     values = [v for v in interior_spectrum(model) if v > 0]
-    if len(values) < levels:
+    if len(values) < SCAN_LEVELS:
         raise InsufficientInteriorError(
             f"only {len(values)} positive interior eigenvalues at N={model.N}; "
             "increase N"
         )
-    return values[:levels]
+    return values[:SCAN_LEVELS]
 
 
 # -- closed-form levels ---------------------------------------------------------------
@@ -667,15 +670,14 @@ def amm_linearity_scan(
     e: float = 1.0,
     m: float = 1.0,
     hbar: float = 1.0,
-    levels: int = 4,
 ) -> dict:
     """Residual of the six-component spin-1 spectrum against the closed-form
     anomalous-moment formula, scanned over the anomaly g - 2.
 
-    For each g the lowest positive interior eigenvalues are matched to the
-    nearest closed-form level and the largest absolute residual is recorded;
-    the report carries the fitted log-log slope against g - 2 together with
-    the stated expectation window [1.8, 2.2].
+    For each g the lowest ``SCAN_LEVELS`` positive interior eigenvalues are
+    matched to the nearest closed-form level and the largest absolute
+    residual is recorded; the report carries the fitted log-log slope
+    against g - 2 together with the stated expectation window [1.8, 2.2].
     """
     g_values = [float(g) for g in g_values]
     if any(g == 2.0 for g in g_values):
@@ -685,7 +687,7 @@ def amm_linearity_scan(
     residuals = []
     for g in g_values:
         model = dataclasses.replace(base, g=g)
-        lowest = np.array(_interior_positive(model, levels))
+        lowest = np.array(_interior_positive(model))
         energies = _closed_form_table(model, model.N)[:, 0]
         energies = energies[energies > 0]
         worst = float(np.abs(lowest - energies[_nearest(lowest, energies)]).max(initial=0.0))
@@ -703,7 +705,7 @@ def amm_linearity_scan(
             "residuals": residuals,
             "fitted_slope": slope,
         },
-        "levels": int(levels),
+        "levels": SCAN_LEVELS,
         "slope_window": list(window),
         "status": status,
     }
@@ -717,14 +719,14 @@ def correction_residual_scan(
     e: float = 1.0,
     m: float = 1.0,
     hbar: float = 1.0,
-    levels: int = 4,
 ) -> dict:
     """Residual of the corrected block-diagonal spin-1 spectrum against the
     exact six-component spectrum, scanned over the field strength.
 
     The corrected form keeps all terms through the third power of the field,
-    so the matched-level residual is expected to fall off with log-log slope
-    greater than 3.5 across the scan.
+    so the residual over the lowest ``SCAN_LEVELS`` positive interior levels
+    is expected to fall off with log-log slope greater than 3.5 across the
+    scan.
     """
     if g == 2.0:
         raise InvalidModelError(
@@ -738,8 +740,8 @@ def correction_residual_scan(
     for B in B_values:
         corrected = dataclasses.replace(base, B=B)
         reference = dataclasses.replace(corrected, representation="original")
-        ref_levels = _interior_positive(reference, levels)
-        corr_levels = _interior_positive(corrected, levels)
+        ref_levels = _interior_positive(reference)
+        corr_levels = _interior_positive(corrected)
         worst = max(
             abs(a - b) for a, b in zip(ref_levels, corr_levels)
         )
@@ -757,7 +759,7 @@ def correction_residual_scan(
             "residuals": residuals,
             "fitted_slope": slope,
         },
-        "levels": int(levels),
+        "levels": SCAN_LEVELS,
         "slope_threshold": threshold,
         "status": status,
     }

@@ -41,5 +41,5 @@ def basis42():
 
 
 @pytest.fixture(scope="session")
-def report83(eriksen83, static13_83, budget83, basis83):
-    return diff_report(eriksen83, static13_83, budget83, basis83)
+def report83(eriksen83, static13_83, budget83):
+    return diff_report(eriksen83, static13_83, budget83)

@@ -34,7 +34,7 @@ from fwforge.comparator import (
     min_hbar_order,
     project,
 )
-from fwforge.eriksen import reference_target
+from fwforge.eriksen import CLOSED_FORM_ORDER2
 from fwforge.ncalg import (
     AbstractExpr,
     Acomm,
@@ -428,7 +428,7 @@ def test_project_rejects_mixed_classes(basis83, budget83):
 def test_quartic_display_difference_projects_onto_three_brackets(basis83, budget83):
     """The two displayed quartic-class blocks differ by an exact
     three-bracket combination with zero residual."""
-    mine = restrict_class(expand(reference_target("order2"), budget83), 2, 4)
+    mine = restrict_class(expand(parse_expr(CLOSED_FORM_ORDER2), budget83), 2, 4)
     other = restrict_class(expand(parse_expr(DISPLAYED), budget83), 2, 4)
     result = project(mine.sub(other), basis83, 2)
     assert [(e.element.text, e.weight, e.beta_exp, e.m_exp) for e in result.entries] == [
@@ -1151,9 +1151,9 @@ def test_report_text_rendering(report83):
     assert "comm(comm(pow(O, 2), E), E)" in text
 
 
-def test_report_on_equal_inputs(basis42):
+def test_report_on_equal_inputs():
     budget = Budget(4, 2)
     same = expand(Sum((sc(Fraction(1, 2), Comm(O, Comm(O, E))), E)), budget)
-    report = diff_report(same, same, budget, basis42)
+    report = diff_report(same, same, budget)
     assert all(row.status == "identical" for row in report.classes)
     assert report.clean

@@ -6,9 +6,9 @@ Each file under tests/golden/ is the output of
 
 with the JSON report in NAME.json and the text report renamed to
 NAME.txt.  The symbolic commands promise deterministic output, so any
-change to a report shows here first.  The (8,3) comparison reuses the
-session fixture instead of running the command again, and once more
-without a basis, as the command does.  epsfun_series.json holds, for
+change to a report shows here first.  The (8,3) comparison is checked
+twice: from the session fixture, and from the command at its default
+budget.  epsfun_series.json holds, for
 each registry name and each max length L from 0 to 15, the canonical
 text that `fwforge expand "epsfun(NAME)" --max-len L --max-e 0` prints.
 """
@@ -19,7 +19,6 @@ from pathlib import Path
 import pytest
 
 from fwforge import cli
-from fwforge.comparator import diff_report
 from fwforge.fseries import REGISTRY
 from fwforge.lang import format_expr
 from fwforge.ncalg import Budget, EpsFun, expand
@@ -42,12 +41,12 @@ def test_compare_83_matches_golden(report83):
     assert (report83.to_text() + "\n").encode() == (GOLDEN / "compare_8_3.txt").read_bytes()
 
 
-def test_compare_83_without_a_basis_matches_golden(eriksen83, static13_83, budget83):
-    """As the CLI calls it: the report builds a basis for its differing
-    classes only."""
-    report = diff_report(eriksen83, static13_83, budget83)
-    assert (report.to_json() + "\n").encode() == (GOLDEN / "compare_8_3.json").read_bytes()
-    assert (report.to_text() + "\n").encode() == (GOLDEN / "compare_8_3.txt").read_bytes()
+def test_compare_83_without_a_basis_matches_golden(tmp_path):
+    """The command at its default budget, (8,3), writes the same bytes."""
+    out = tmp_path / "report.json"
+    cli.main(["compare", "--format", "both", "--out", str(out)])
+    assert out.read_bytes() == (GOLDEN / "compare_8_3.json").read_bytes()
+    assert (tmp_path / "report.json.txt").read_bytes() == (GOLDEN / "compare_8_3.txt").read_bytes()
 
 
 @pytest.mark.parametrize(

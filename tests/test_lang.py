@@ -208,7 +208,8 @@ def test_epsilon_function_round_trip():
 # -- closed forms --------------------------------------------------------------
 
 CLOSED_FORMS = {
-    **{f"eriksen {name}": text for name, text in eriksen.REFERENCE_TEXTS.items()},
+    "eriksen full": eriksen.CLOSED_FORM_ORDER2 + eriksen.CLOSED_FORM_ORDER3,
+    "eriksen order2": eriksen.CLOSED_FORM_ORDER2,
     "leading": stepwise.LEADING,
     "iterative": stepwise.ITERATIVE,
     "classical": stepwise.CLASSICAL,

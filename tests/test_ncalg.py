@@ -10,6 +10,7 @@ and frozen.
 import importlib
 import pkgutil
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -312,12 +313,23 @@ def test_pow_stops_once_the_power_vanishes(monkeypatch):
 
     monkeypatch.setattr(AbstractExpr, "mul", counted)
     assert expand(PowN(Gen("E"), 10**20), Budget(2, 1)).is_zero()
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def test_pow_of_a_lettered_base_that_never_vanishes():
+    """(beta + O)^2 = 1 + O^2, so (beta + O)^(2k) is the binomial series of
+    (1 + O^2)^k, cut at word length 8; k is far past any loop over units."""
+    budget = Budget(8, 3)
+    k = 5 * 10**19
+    base = Sum((BetaF(), Gen("O")))
+    even = Sum(tuple(Prod((Rat(Fraction(comb(k, j))), PowN(Gen("O"), 2 * j))) for j in range(5)))
+    assert expand(PowN(base, 2 * k), budget) == expand(even, budget)
+    assert expand(PowN(base, 2 * k + 1), budget) == expand(Prod((even, base)), budget)
 
 
 def test_pow_of_letterless_terms_squares(monkeypatch):
-    """beta, m^k and rationals commute, so their powers square: about two
-    products per bit of the exponent, not one per unit."""
+    """Powers square: about two products per bit of the exponent, not one
+    per unit."""
     calls = []
     mul = AbstractExpr.mul
 

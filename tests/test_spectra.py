@@ -521,9 +521,10 @@ def test_amm_scan_rejects_zero_anomaly():
         amm_linearity_scan([2.0, 2.1], 0.1, N=32)
 
 
-def test_amm_scan_insufficient_interior_levels():
+def test_amm_scan_insufficient_interior_levels(monkeypatch):
+    monkeypatch.setattr(spectra, "SCAN_LEVELS", 40)
     with pytest.raises(InsufficientInteriorError, match="increase N"):
-        amm_linearity_scan([2.1], 0.1, N=8, levels=40)
+        amm_linearity_scan([2.1], 0.1, N=8)
 
 
 # -- corrected block-diagonal residual scan ----------------------------------------------
