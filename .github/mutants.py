@@ -181,11 +181,30 @@ MUTANTS = (
     Mutant(
         "beta-moves-without-sign",
         "src/fwforge/ncalg.py",
-        "                if b2 and odd1:\n",
-        "                if b2 and not odd1:\n",
+        "right = flipped if odd1 else plain",
+        "right = plain if odd1 else flipped",
         (
             "tests/test_ncalg.py::test_beta_squares_to_one",
             "tests/test_ncalg.py::test_beta_commutes_with_e_anticommutes_with_o",
+        ),
+    ),
+    Mutant(
+        "class-pair-budget-off-by-one",
+        "src/fwforge/ncalg.py",
+        "(l1 + l2 > max_len or e1 + e2 > max_e)",
+        "(l1 + l2 >= max_len or e1 + e2 > max_e)",
+        (
+            "tests/test_golden.py::test_report_matches_golden[argv12-derive_eriksen_10_4]",
+            "tests/test_golden.py::test_report_matches_golden[argv2-derive_eriksen_8_3]",
+        ),
+    ),
+    Mutant(
+        "lowest-terms-skipped",
+        "src/fwforge/ncalg.py",
+        "    if g != 1:\n",
+        "    if False:\n",
+        (
+            "tests/test_ncalg.py::test_normal_form_is_unique",
         ),
     ),
     Mutant(

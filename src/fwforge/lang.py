@@ -13,6 +13,10 @@ juxtaposition ("1/16 m^-3 beta O E O"), which is how the canonical
 serializer writes terms; '*' is never required there.  Juxtaposition is
 not available elsewhere, so "comm(O E)" is a missing-comma error rather
 than a product.
+
+Brackets ('(', comm, acomm, pow) nest at most MAX_NESTING levels deep;
+deeper input is a syntax error, which also bounds the recursion of every
+function that walks the parsed tree.
 """
 
 from __future__ import annotations
@@ -56,6 +60,8 @@ _TOKEN_RE = re.compile(
 
 _KEYWORDS = {"beta", "E", "O", "comm", "acomm", "pow", "epsfun", "m"}
 
+MAX_NESTING = 100
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
@@ -76,6 +82,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
     # -- token helpers -------------------------------------------------
 
@@ -97,6 +104,13 @@ class _Parser:
     def at_symbol(self, *symbols: str) -> bool:
         kind, value, _ = self.peek()
         return kind == "symbol" and value in symbols
+
+    def enter(self, offset: int) -> None:
+        """Open one bracket level at `offset`; the caller closes it with
+        self.depth -= 1."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprSyntaxError(f"nested deeper than {MAX_NESTING} levels", offset)
 
     # -- grammar -------------------------------------------------------
 
@@ -152,9 +166,11 @@ class _Parser:
             self.advance()
             return Rat(number)
         if kind == "symbol" and value == "(":
+            self.enter(offset)
             self.advance()
             node = self.parse_expr()
             self.expect_symbol(")", "closing parenthesis")
+            self.depth -= 1
             return node
         if kind == "name":
             return self.parse_named()
@@ -172,18 +188,22 @@ class _Parser:
             self.expect_symbol("^", "power of m")
             return MPow(self.parse_int())
         if value in ("comm", "acomm"):
+            self.enter(offset)
             self.expect_symbol("(", f"arguments of {value}")
             left = self.parse_expr()
             self.expect_symbol(",", "comma between arguments")
             right = self.parse_expr()
             self.expect_symbol(")", f"closing {value}")
+            self.depth -= 1
             return Comm(left, right) if value == "comm" else Acomm(left, right)
         if value == "pow":
+            self.enter(offset)
             self.expect_symbol("(", "arguments of pow")
             base = self.parse_expr()
             self.expect_symbol(",", "comma between arguments")
             exponent = self.parse_nat()
             self.expect_symbol(")", "closing pow")
+            self.depth -= 1
             return PowN(base, exponent)
         # epsfun
         self.expect_symbol("(", "arguments of epsfun")

@@ -4,7 +4,13 @@ Elements are finite sums of terms  c * m^k * beta^b * w  where c is an
 exact rational, k an integer power of the mass symbol, b in {0, 1}, and
 w a word over the alphabet {E, O}.  beta commutes with E and m and
 anticommutes with O; beta^2 = 1.  Normalizing beta to the left of every
-term makes the form unique, so equality is term-list equality.
+term makes the form unique.
+
+An expression stores its coefficients as integer numerators over one
+positive denominator, in lowest terms: gcd(denominator, *numerators) is
+1, and zero has denominator 1.  That normal form is unique, so equality
+is equality of the denominator and the numerator map.  Coefficients go
+in and come out as Fraction; the arithmetic in between is on integers.
 
 Structured expressions (sums, products, commutators, anticommutators,
 integer powers, central functions of eps = sqrt(m^2 + O^2)) live in a
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping
 
 # A term key is (betaExp, word, mExp); the coefficient lives in the map.
@@ -36,28 +43,47 @@ def _term_sort_key(key: TermKey) -> tuple:
     return (beta_exp, (len(word), word), m_exp)
 
 
+def _expr(terms: dict[TermKey, int], den: int) -> "AbstractExpr":
+    """An expression over numerators already in lowest terms with `den`."""
+    out = AbstractExpr.__new__(AbstractExpr)
+    out._terms = terms
+    out._den = den
+    return out
+
+
+def _reduced(terms: dict[TermKey, int], den: int) -> "AbstractExpr":
+    """An expression over nonzero numerators, brought to lowest terms."""
+    g = gcd(den, *terms.values())
+    if g != 1:
+        terms = {key: c // g for key, c in terms.items()}
+        den //= g
+    return _expr(terms, den)
+
+
 class AbstractExpr:
     """Canonical sum of beta-graded words with exact rational coefficients.
 
-    Instances are immutable by convention: every operation returns a new
-    expression.  Zero-coefficient terms are never stored.
+    `_terms` maps each term key to a nonzero integer numerator and `_den`
+    is their common positive denominator, with no factor shared by all of
+    them.  Instances are immutable by convention: every operation returns
+    a new expression.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Mapping[TermKey, Fraction] | None = None):
-        clean: dict[TermKey, Fraction] = {}
-        if terms:
-            for key, coeff in terms.items():
-                if coeff:
-                    clean[key] = Fraction(coeff)
-        self._terms = clean
+        coeffs = {key: Fraction(c) for key, c in terms.items() if c} if terms else {}
+        # Over the lcm of lowest-terms denominators the numerators share
+        # no factor with it, so the result is already in lowest terms.
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        self._terms = {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}
+        self._den = den
 
     # -- construction -------------------------------------------------
 
     @staticmethod
     def zero() -> "AbstractExpr":
-        return AbstractExpr()
+        return _expr({}, 1)
 
     @staticmethod
     def rational(value) -> "AbstractExpr":
@@ -67,35 +93,35 @@ class AbstractExpr:
     def generator(letter: str) -> "AbstractExpr":
         if letter not in _LETTERS:
             raise ValueError(f"unknown generator {letter!r}")
-        return AbstractExpr({(0, letter, 0): Fraction(1)})
+        return _expr({(0, letter, 0): 1}, 1)
 
     @staticmethod
     def beta() -> "AbstractExpr":
-        return AbstractExpr({(1, "", 0): Fraction(1)})
+        return _expr({(1, "", 0): 1}, 1)
 
     @staticmethod
     def m_power(k: int) -> "AbstractExpr":
-        return AbstractExpr({(0, "", k): Fraction(1)})
+        return _expr({(0, "", k): 1}, 1)
 
     @staticmethod
     def from_terms(items: Iterable[tuple[TermKey, Fraction]]) -> "AbstractExpr":
         acc: dict[TermKey, Fraction] = {}
         for key, coeff in items:
-            new = acc.get(key, _ZERO_FRACTION) + coeff
-            if new:
-                acc[key] = new
-            else:
-                acc.pop(key, None)
+            acc[key] = acc.get(key, 0) + coeff
         return AbstractExpr(acc)
 
     # -- inspection ----------------------------------------------------
 
     def terms(self) -> list[tuple[TermKey, Fraction]]:
         """Terms in canonical order (betaExp, (len(word), word), mExp)."""
-        return sorted(self._terms.items(), key=lambda kv: _term_sort_key(kv[0]))
+        den = self._den
+        return sorted(
+            ((key, Fraction(c, den)) for key, c in self._terms.items()),
+            key=lambda kv: _term_sort_key(kv[0]),
+        )
 
     def coefficient(self, beta_exp: int, word: str, m_exp: int) -> Fraction:
-        return self._terms.get((beta_exp, word, m_exp), _ZERO_FRACTION)
+        return Fraction(self._terms.get((beta_exp, word, m_exp), 0), self._den)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -109,10 +135,10 @@ class AbstractExpr:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AbstractExpr):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
         from fwforge.lang import format_expr
@@ -121,82 +147,94 @@ class AbstractExpr:
 
     # -- linear structure ----------------------------------------------
 
+    def _combine(self, other: "AbstractExpr", sign: int) -> "AbstractExpr":
+        """self + sign * other over the lcm of the two denominators."""
+        den = lcm(self._den, other._den)
+        f1, f2 = den // self._den, sign * (den // other._den)
+        acc = {key: c * f1 for key, c in self._terms.items()}
+        for key, c in other._terms.items():
+            new = acc.get(key, 0) + c * f2
+            if new:
+                acc[key] = new
+            else:
+                del acc[key]
+        return _reduced(acc, den)
+
     def add(self, other: "AbstractExpr") -> "AbstractExpr":
         if not self._terms:
             return other
         if not other._terms:
             return self
-        acc = dict(self._terms)
-        for key, coeff in other._terms.items():
-            new = acc.get(key, _ZERO_FRACTION) + coeff
-            if new:
-                acc[key] = new
-            else:
-                del acc[key]
-        out = AbstractExpr.__new__(AbstractExpr)
-        out._terms = acc
-        return out
-
-    def neg(self) -> "AbstractExpr":
-        return self.scale(-1)
+        return self._combine(other, 1)
 
     def sub(self, other: "AbstractExpr") -> "AbstractExpr":
-        return self.add(other.neg())
+        return self._combine(other, -1)
 
     def scale(self, factor) -> "AbstractExpr":
         factor = Fraction(factor)
         if not factor:
-            return AbstractExpr()
-        out = AbstractExpr.__new__(AbstractExpr)
-        out._terms = {key: coeff * factor for key, coeff in self._terms.items()}
-        return out
+            return AbstractExpr.zero()
+        num = factor.numerator
+        return _reduced(
+            {key: c * num for key, c in self._terms.items()}, self._den * factor.denominator
+        )
 
     def shift_m(self, delta: int) -> "AbstractExpr":
         """Multiply by the central factor m^delta."""
-        out = AbstractExpr.__new__(AbstractExpr)
-        out._terms = {
-            (b, w, k + delta): coeff for (b, w, k), coeff in self._terms.items()
-        }
-        return out
+        return _expr(
+            {(b, w, k + delta): c for (b, w, k), c in self._terms.items()}, self._den
+        )
 
     # -- multiplicative structure ---------------------------------------
+
+    def _classes(self) -> dict[tuple[int, int], list[tuple[int, str, int, int]]]:
+        """Terms as (beta, word, m, numerator), grouped by (len(word), eCount)."""
+        groups: dict[tuple[int, int], list[tuple[int, str, int, int]]] = {}
+        for (b, w, k), c in self._terms.items():
+            klass = (len(w), w.count("E"))
+            group = groups.get(klass)
+            if group is None:
+                groups[klass] = group = []
+            group.append((b, w, k, c))
+        return groups
 
     def mul(self, other: "AbstractExpr", budget: "Budget | None" = None) -> "AbstractExpr":
         """Product with beta normalized leftward.
 
         Moving beta^b2 of a right term across the left word w1 costs the
-        sign (-1)^(b2 * oCount(w1)).  Under a budget, any pair whose
-        concatenated word violates (maxWordLen, maxECount) is skipped;
-        letters only accumulate under multiplication, so this equals
-        filtering after full distribution and kept coefficients are exact.
+        sign (-1)^(b2 * oCount(w1)).  Each operand's terms are grouped by
+        (word length, E count) once.  Both counts of a concatenated word
+        are the sums of its parts' counts, so under a budget a whole class
+        pair is kept when l1 + l2 <= maxWordLen and e1 + e2 <= maxECount,
+        and skipped otherwise, without visiting its term pairs.  Letters
+        only accumulate under multiplication, so this equals filtering
+        after full distribution and kept coefficients are exact.  The
+        numerators multiply as integers over the denominator d1 * d2,
+        reduced once at the end.
         """
         if not self._terms or not other._terms:
-            return AbstractExpr()
+            return AbstractExpr.zero()
         max_len = budget.max_word_len if budget is not None else None
         max_e = budget.max_e_count if budget is not None else None
-        acc: dict[TermKey, Fraction] = {}
-        right = other._terms.items()
-        for (b1, w1, k1), c1 in self._terms.items():
-            odd1 = o_count(w1) & 1
-            e1 = len(w1) - o_count(w1)
-            for (b2, w2, k2), c2 in right:
-                if max_len is not None:
-                    if len(w1) + len(w2) > max_len:
-                        continue
-                    if e1 + (len(w2) - o_count(w2)) > max_e:
-                        continue
-                coeff = c1 * c2
-                if b2 and odd1:
-                    coeff = -coeff
-                key = ((b1 + b2) & 1, w1 + w2, k1 + k2)
-                new = acc.get(key, _ZERO_FRACTION) + coeff
-                if new:
-                    acc[key] = new
-                else:
-                    del acc[key]
-        out = AbstractExpr.__new__(AbstractExpr)
-        out._terms = acc
-        return out
+        # A right class is kept twice: as it is, and with the sign a beta
+        # takes crossing a left word of odd O count.
+        rights = [
+            (l2, e2, terms, [(b, w, k, -c if b else c) for b, w, k, c in terms])
+            for (l2, e2), terms in other._classes().items()
+        ]
+        acc: dict[TermKey, int] = {}
+        get = acc.get
+        for (l1, e1), left in self._classes().items():
+            odd1 = (l1 - e1) & 1
+            for l2, e2, plain, flipped in rights:
+                if max_len is not None and (l1 + l2 > max_len or e1 + e2 > max_e):
+                    continue
+                right = flipped if odd1 else plain
+                for b1, w1, k1, c1 in left:
+                    for b2, w2, k2, c2 in right:
+                        key = (b1 ^ b2, w1 + w2, k1 + k2)
+                        acc[key] = get(key, 0) + c1 * c2
+        return _reduced({key: c for key, c in acc.items() if c}, self._den * other._den)
 
     def adjoint(self) -> "AbstractExpr":
         """Hermitian adjoint: E, O, beta, m self-adjoint, words reverse.
@@ -204,14 +242,13 @@ class AbstractExpr:
         (beta^b m^k w)^+ = m^k reverse(w) beta^b, and normalizing beta
         back to the left costs (-1)^(b * oCount(w)).
         """
-        acc: dict[TermKey, Fraction] = {}
-        for (b, w, k), coeff in self._terms.items():
-            if b and (o_count(w) & 1):
-                coeff = -coeff
-            acc[(b, w[::-1], k)] = coeff
-        out = AbstractExpr.__new__(AbstractExpr)
-        out._terms = acc
-        return out
+        return _expr(
+            {
+                (b, w[::-1], k): -c if b and (o_count(w) & 1) else c
+                for (b, w, k), c in self._terms.items()
+            },
+            self._den,
+        )
 
     def commutator(self, other: "AbstractExpr", budget: "Budget | None" = None) -> "AbstractExpr":
         return self.mul(other, budget).sub(other.mul(self, budget))
@@ -221,32 +258,25 @@ class AbstractExpr:
 
     def filtered(self, budget: "Budget") -> "AbstractExpr":
         """Drop terms whose word violates the budget."""
-        acc = {
-            key: coeff
-            for key, coeff in self._terms.items()
-            if len(key[1]) <= budget.max_word_len
-            and len(key[1]) - o_count(key[1]) <= budget.max_e_count
-        }
-        out = AbstractExpr.__new__(AbstractExpr)
-        out._terms = acc
-        return out
+        return _reduced(
+            {
+                key: c
+                for key, c in self._terms.items()
+                if len(key[1]) <= budget.max_word_len
+                and len(key[1]) - o_count(key[1]) <= budget.max_e_count
+            },
+            self._den,
+        )
 
     def classify(self) -> dict[tuple[int, int], "AbstractExpr"]:
         """Partition terms by (eCount, oCount); the union reconstitutes self."""
-        buckets: dict[tuple[int, int], dict[TermKey, Fraction]] = {}
-        for key, coeff in self._terms.items():
+        buckets: dict[tuple[int, int], dict[TermKey, int]] = {}
+        for key, c in self._terms.items():
             word = key[1]
             oc = o_count(word)
-            buckets.setdefault((len(word) - oc, oc), {})[key] = coeff
-        out = {}
-        for klass, terms in buckets.items():
-            expr = AbstractExpr.__new__(AbstractExpr)
-            expr._terms = terms
-            out[klass] = expr
-        return out
+            buckets.setdefault((len(word) - oc, oc), {})[key] = c
+        return {klass: _reduced(terms, self._den) for klass, terms in buckets.items()}
 
-
-_ZERO_FRACTION = Fraction(0)
 
 ONE = AbstractExpr.rational(1)
 BETA = AbstractExpr.beta()

@@ -18,7 +18,11 @@ program computes another way, or reads out what the program never needs:
   ``word_brackets``, ``direction``, ``combine``): the comparator builds
   them as batched rows over the class words;
 * mini-language text for a bracket tree (``format_tree``);
-* the part of an expression in one letter class (``restrict_class``).
+* the part of an expression in one letter class (``restrict_class``);
+* the product of two expressions held as ``Fraction`` coefficient dicts,
+  one term pair at a time (``fraction_mul``): ``AbstractExpr.mul``
+  multiplies integer numerators over one denominator and skips whole
+  over-budget classes of terms.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from fwforge.ncalg import (
     Prod,
     Rat,
     Sum,
+    TermKey,
     o_count,
 )
 
@@ -324,3 +329,30 @@ def restrict_class(expr: AbstractExpr, e: int, o: int) -> AbstractExpr:
             if o_count(key[1]) == o and len(key[1]) - o_count(key[1]) == e
         }
     )
+
+
+# -- Fraction coefficient dicts --------------------------------------------------
+
+
+def fraction_mul(
+    left: Mapping[TermKey, Fraction], right: Mapping[TermKey, Fraction], budget=None
+) -> dict[TermKey, Fraction]:
+    """The product of two coefficient dicts, beta normalized leftward.
+
+    Every term pair is visited; a pair whose concatenated word breaks the
+    budget (max_word_len, max_e_count) is skipped.  Moving beta^b2 across
+    the left word w1 costs (-1)^(b2 * oCount(w1)).
+    """
+    acc: dict[TermKey, Fraction] = {}
+    for (b1, w1, k1), c1 in left.items():
+        for (b2, w2, k2), c2 in right.items():
+            word = w1 + w2
+            if budget is not None and (
+                len(word) > budget.max_word_len
+                or len(word) - o_count(word) > budget.max_e_count
+            ):
+                continue
+            coeff = -c1 * c2 if b2 and o_count(w1) & 1 else c1 * c2
+            key = ((b1 + b2) & 1, word, k1 + k2)
+            acc[key] = acc.get(key, 0) + coeff
+    return {key: coeff for key, coeff in acc.items() if coeff}

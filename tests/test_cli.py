@@ -58,6 +58,37 @@ def test_expand_zero_denominator_is_usage_error(capsys):
     assert "zero denominator at offset 0" in err
 
 
+@pytest.mark.parametrize(
+    "text, offset",
+    [("(" * 500 + "O" + ")" * 500, 100), ("comm(O, " * 300 + "O" + ")" * 300, 800)],
+    ids=["parentheses-500", "comm-300"],
+)
+def test_expand_nested_too_deep_is_usage_error(text, offset, tmp_path):
+    """Input nested past the parser's limit is one error line, not a
+    RecursionError traceback."""
+    result = subprocess.run(
+        [sys.executable, "-m", "fwforge.cli", "expand", text],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=_child_env(),
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.splitlines() == [
+        f"fwforge: error: cannot parse expression: nested deeper than 100 levels at offset {offset}"
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, canonical",
+    [("(" * 100 + "O" + ")" * 100, "1 O"), ("comm(O, " * 100 + "E" + ")" * 100, "0")],
+    ids=["parentheses-100", "comm-100"],
+)
+def test_expand_nested_at_the_limit_runs(text, canonical, capsys):
+    assert cli.main(["expand", text, "--format", "text"]) == 0
+    assert capsys.readouterr().out == canonical + "\n"
+
+
 # -- compare -----------------------------------------------------------------------------
 
 

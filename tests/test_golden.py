@@ -64,6 +64,11 @@ def test_compare_83_without_a_basis_matches_golden(tmp_path):
         (["derive", "stepwise", "--max-len", "8", "--max-e", "3"], "derive_stepwise_8_3"),
         (["derive", "second-step", "--max-len", "8", "--max-e", "3"], "derive_second_step_8_3"),
         (["derive", "stepwise", "--max-len", "10", "--max-e", "4"], "derive_stepwise_10_4"),
+        (["derive", "eriksen", "--max-len", "10", "--max-e", "4"], "derive_eriksen_10_4"),
+        (
+            ["expand", "pow(beta * m^1 + E + O, 14)", "--max-len", "10", "--max-e", "4"],
+            "expand_pow14_10_4",
+        ),
     ],
 )
 def test_report_matches_golden(argv, name, tmp_path):

@@ -10,7 +10,7 @@ and frozen.
 import importlib
 import pkgutil
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +36,7 @@ from fwforge.ncalg import (
 )
 from fwforge.lang import parse_expr
 from fwforge.stepwise import ORDER2_BLOCKS
+from oracles import fraction_mul
 
 BIG = Budget(64, 64)
 
@@ -97,7 +98,7 @@ coefficients = st.fractions(
 
 
 @st.composite
-def abstract_exprs(draw, max_terms=4, max_word=4):
+def coefficient_dicts(draw, max_terms=4, max_word=4):
     n = draw(st.integers(0, max_terms))
     terms = {}
     for _ in range(n):
@@ -105,7 +106,11 @@ def abstract_exprs(draw, max_terms=4, max_word=4):
         word = "".join(draw(st.lists(st.sampled_from("EO"), max_size=max_word)))
         m_exp = draw(st.integers(-3, 3))
         terms[(beta_exp, word, m_exp)] = draw(coefficients)
-    return AbstractExpr(terms)
+    return terms
+
+
+def abstract_exprs(max_terms=4, max_word=4):
+    return coefficient_dicts(max_terms, max_word).map(AbstractExpr)
 
 
 leaf_nodes = st.one_of(
@@ -167,6 +172,116 @@ def test_term_order_is_beta_then_wordlen_then_word_then_mexp():
         (0, "OO", 0),
         (1, "E", 0),
     ]
+
+
+# -- integer numerators over one denominator ----------------------------------
+
+
+def assert_lowest_terms(expr: AbstractExpr):
+    """Nonzero integer numerators over a positive denominator, sharing no
+    factor with it; zero has denominator 1."""
+    den, numerators = expr._den, list(expr._terms.values())
+    assert type(den) is int and den > 0
+    assert all(type(c) is int and c for c in numerators)
+    assert gcd(den, *numerators) == 1
+
+
+def fits(word: str, budget: Budget) -> bool:
+    return len(word) <= budget.max_word_len and word.count("E") <= budget.max_e_count
+
+
+def dict_sum(x: dict, y: dict, sign: int = 1) -> dict:
+    acc = dict(x)
+    for key, coeff in y.items():
+        acc[key] = acc.get(key, 0) + sign * coeff
+    return {key: coeff for key, coeff in acc.items() if coeff}
+
+
+def in_canonical_order(terms: dict) -> list:
+    return sorted(terms.items(), key=lambda kv: (kv[0][0], (len(kv[0][1]), kv[0][1]), kv[0][2]))
+
+
+fractional = st.fractions(
+    min_value=Fraction(-8), max_value=Fraction(8), max_denominator=64
+).filter(lambda f: f.denominator > 1)
+
+
+@given(
+    coefficient_dicts(),
+    coefficient_dicts(),
+    st.sampled_from([None, Budget(3, 2), Budget(5, 1), Budget(2, 0), Budget(0, 0)]),
+    fractional,
+    st.integers(-3, 3),
+)
+@settings(max_examples=300)
+def test_operations_match_fraction_dicts(fx, fy, budget, factor, delta):
+    """Every operation of the integer kernel gives the coefficients the
+    same operation gives on Fraction dicts, in lowest terms."""
+    x, y = AbstractExpr(fx), AbstractExpr(fy)
+
+    def check(expr: AbstractExpr, want: dict):
+        assert_lowest_terms(expr)
+        assert expr.terms() == in_canonical_order(want)
+        assert expr == AbstractExpr(want) and hash(expr) == hash(AbstractExpr(want))
+
+    check(x, fx)
+    check(x.mul(y), fraction_mul(fx, fy))
+    check(x.mul(y, budget), fraction_mul(fx, fy, budget))
+    check(x.add(y), dict_sum(fx, fy))
+    check(x.sub(y), dict_sum(fx, fy, -1))
+    check(x.scale(factor), {key: c * factor for key, c in fx.items()})
+    check(x.shift_m(delta), {(b, w, k + delta): c for (b, w, k), c in fx.items()})
+    check(
+        x.adjoint(),
+        {(b, w[::-1], k): -c if b and w.count("O") % 2 else c for (b, w, k), c in fx.items()},
+    )
+    if budget is not None:
+        check(x.filtered(budget), {key: c for key, c in fx.items() if fits(key[1], budget)})
+    parts = x.classify()
+    want_parts: dict = {}
+    for key, c in fx.items():
+        want_parts.setdefault((key[1].count("E"), key[1].count("O")), {})[key] = c
+    assert set(parts) == set(want_parts)
+    for klass, part in parts.items():
+        check(part, want_parts[klass])
+    for key, c in fx.items():
+        assert x.coefficient(*key) == c
+    assert x.coefficient(0, "EEEEEEE", 9) == 0
+    assert all(type(c) is Fraction for _, c in x.terms())
+
+
+def test_normal_form_is_unique():
+    x = AbstractExpr(
+        {
+            (0, "O", 0): Fraction(2, 3),
+            (1, "EO", -1): Fraction(-5, 6),
+            (0, "", 2): Fraction(4),
+        }
+    )
+    y = AbstractExpr({(0, "O", 0): Fraction(1, 3), (0, "E", 0): Fraction(7, 10)})
+    assert (x._den, x._terms) == (6, {(0, "O", 0): 4, (1, "EO", -1): -5, (0, "", 2): 24})
+    for same in (x.scale(Fraction(1, 3)).scale(3), x.add(y).sub(y), x.scale(6).scale(Fraction(1, 6))):
+        assert same == x and hash(same) == hash(x)
+        assert (same._den, same._terms) == (x._den, x._terms)
+    # Dropping terms can leave a factor common to the rest.
+    parts = x.classify()
+    assert (parts[(0, 1)]._den, parts[(0, 1)]._terms) == (3, {(0, "O", 0): 2})
+    assert (parts[(0, 0)]._den, parts[(0, 0)]._terms) == (1, {(0, "", 2): 4})
+    kept = x.filtered(Budget(1, 0))
+    assert (kept._den, kept._terms) == (3, {(0, "O", 0): 2, (0, "", 2): 12})
+    for part in (*parts.values(), kept):
+        assert_lowest_terms(part)
+    # Zero, however it comes about, has denominator 1.
+    zeros = (
+        x.sub(x),
+        x.filtered(Budget(0, 0)).sub(AbstractExpr.m_power(2).scale(4)),
+        x.scale(0),
+        x.mul(AbstractExpr.generator("E"), Budget(1, 0)),
+        AbstractExpr.zero(),
+    )
+    for zero in zeros:
+        assert zero.is_zero() and (zero._den, zero._terms) == (1, {})
+        assert zero == AbstractExpr() and hash(zero) == hash(AbstractExpr())
 
 
 # -- multiplication against the rewriting oracle ------------------------------
