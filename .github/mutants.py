@@ -181,8 +181,8 @@ MUTANTS = (
     Mutant(
         "beta-moves-without-sign",
         "src/fwforge/ncalg.py",
-        "right = flipped if odd1 else plain",
-        "right = plain if odd1 else flipped",
+        "sign = -1 if odd1 and b2 else 1",
+        "sign = -1 if b2 and not odd1 else 1",
         (
             "tests/test_ncalg.py::test_beta_squares_to_one",
             "tests/test_ncalg.py::test_beta_commutes_with_e_anticommutes_with_o",
@@ -195,6 +195,16 @@ MUTANTS = (
         "(l1 + l2 >= max_len or e1 + e2 > max_e)",
         (
             "tests/test_golden.py::test_report_matches_golden[argv12-derive_eriksen_10_4]",
+            "tests/test_golden.py::test_report_matches_golden[argv2-derive_eriksen_8_3]",
+        ),
+    ),
+    Mutant(
+        "product-group-drops-right-m-power",
+        "src/fwforge/ncalg.py",
+        "key = (l1 + l2, e1 + e2, b1 ^ b2, k1 + k2)",
+        "key = (l1 + l2, e1 + e2, b1 ^ b2, k1)",
+        (
+            "tests/test_ncalg.py::test_one_word_under_two_beta_m_pairs",
             "tests/test_golden.py::test_report_matches_golden[argv2-derive_eriksen_8_3]",
         ),
     ),

@@ -36,6 +36,17 @@ class UsageError(ValueError):
     """Invalid flags, config entries, or expression text."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Every fwforge flag is spelled with "--", except -h.  So an argument
+    with one leading "-" is a value, such as the expression "-O", which
+    argparse would otherwise take for an unknown option."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[1:2] != "-" and arg_string != "-h":
+            return None
+        return super()._parse_optional(arg_string)
+
+
 # -- flag declarations -----------------------------------------------------------------
 #
 # Flags are declared with explicit defaults so that --help shows them and so
@@ -155,7 +166,7 @@ def _scan_flags(parser, registry, *, what):
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog=PROG,
         description="Symbolic and numerical checks for block-diagonalizing "
         "relativistic Hamiltonians.",

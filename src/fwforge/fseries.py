@@ -49,11 +49,10 @@ def nc_binomial_power(
     if budget is None:
         raise ValueError("nc_binomial_power requires a truncation budget")
     q = Fraction(q)
-    for (beta_exp, word, m_exp), _ in x_expr.terms():
-        if not word:
-            raise ValueError(
-                f"binomial base has a constant term (beta^{beta_exp} m^{m_exp})"
-            )
+    constants = x_expr.constants()
+    if constants:
+        (beta_exp, _, m_exp), _ = constants[0]
+        raise ValueError(f"binomial base has a constant term (beta^{beta_exp} m^{m_exp})")
     acc = AbstractExpr.rational(1)
     power = AbstractExpr.rational(1)
     k = 0
@@ -74,7 +73,7 @@ def central_power(series: AbstractExpr, q, budget) -> AbstractExpr:
     fractional q needs c to be the square of a rational and qk an integer.
     """
     q = Fraction(q)
-    constants = [(key, c) for key, c in series.terms() if not key[1]]
+    constants = series.constants()
     if not constants:
         raise SingularSeriesError("power of a series without a constant term")
     if len(constants) > 1:
@@ -93,7 +92,7 @@ def central_power(series: AbstractExpr, q, budget) -> AbstractExpr:
         raise ValueError(f"exponent {q} is neither an integer nor a half-integer")
     if (q * k).denominator != 1:
         raise ValueError(f"m^{k} to the power {q} is not an integer power of m")
-    x_expr = AbstractExpr({key: coeff / c for key, coeff in series.terms() if key[1]})
+    x_expr = series.scale(1 / c).sub(AbstractExpr.m_power(k))
     return nc_binomial_power(x_expr.shift_m(-k), q, budget).scale(factor).shift_m(int(q * k))
 
 

@@ -6,11 +6,16 @@ w a word over the alphabet {E, O}.  beta commutes with E and m and
 anticommutes with O; beta^2 = 1.  Normalizing beta to the left of every
 term makes the form unique.
 
-An expression stores its coefficients as integer numerators over one
-positive denominator, in lowest terms: gcd(denominator, *numerators) is
-1, and zero has denominator 1.  That normal form is unique, so equality
-is equality of the denominator and the numerator map.  Coefficients go
-in and come out as Fraction; the arithmetic in between is on integers.
+An expression stores its terms in groups keyed by (word length, E count,
+beta, m power); each group maps its words to integer numerators over one
+positive denominator for the whole expression.  The normal form is
+unique: no group is empty, every numerator is nonzero, gcd(denominator,
+*numerators) is 1, and zero is no groups over denominator 1.  So
+equality is equality of the denominator and the groups.  A group key is
+what the product needs of a term: both counts of a concatenated word are
+sums of its parts' counts, and the sign beta takes crossing a word reads
+its O count, so `mul` works a group pair at a time.  Coefficients go in
+and come out as Fraction; the arithmetic in between is on integers.
 
 Structured expressions (sums, products, commutators, anticommutators,
 integer powers, central functions of eps = sqrt(m^2 + O^2)) live in a
@@ -25,17 +30,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping
 
 # A term key is (betaExp, word, mExp); the coefficient lives in the map.
 TermKey = tuple[int, str, int]
+# A group key is (len(word), eCount, betaExp, mExp).
+GroupKey = tuple[int, int, int, int]
+Groups = dict[GroupKey, dict[str, int]]
 
 _LETTERS = ("E", "O")
-
-
-def o_count(word: str) -> int:
-    return word.count("O")
 
 
 def _term_sort_key(key: TermKey) -> tuple:
@@ -43,40 +48,52 @@ def _term_sort_key(key: TermKey) -> tuple:
     return (beta_exp, (len(word), word), m_exp)
 
 
-def _expr(terms: dict[TermKey, int], den: int) -> "AbstractExpr":
-    """An expression over numerators already in lowest terms with `den`."""
+def _expr(groups: Groups, den: int) -> "AbstractExpr":
+    """An expression over groups already in normal form with `den`."""
     out = AbstractExpr.__new__(AbstractExpr)
-    out._terms = terms
+    out._groups = groups
     out._den = den
     return out
 
 
-def _reduced(terms: dict[TermKey, int], den: int) -> "AbstractExpr":
-    """An expression over nonzero numerators, brought to lowest terms."""
-    g = gcd(den, *terms.values())
+def _reduced(groups: Groups, den: int) -> "AbstractExpr":
+    """An expression over nonempty groups of nonzero numerators, brought
+    to lowest terms."""
+    g = gcd(den, *chain.from_iterable(group.values() for group in groups.values()))
     if g != 1:
-        terms = {key: c // g for key, c in terms.items()}
+        groups = {
+            key: {w: c // g for w, c in group.items()} for key, group in groups.items()
+        }
         den //= g
-    return _expr(terms, den)
+    return _expr(groups, den)
 
 
 class AbstractExpr:
     """Canonical sum of beta-graded words with exact rational coefficients.
 
-    `_terms` maps each term key to a nonzero integer numerator and `_den`
-    is their common positive denominator, with no factor shared by all of
-    them.  Instances are immutable by convention: every operation returns
-    a new expression.
+    `_groups` maps each (len(word), eCount, betaExp, mExp) to a nonempty
+    map from word to nonzero integer numerator, and `_den` is the common
+    positive denominator of all of them, with no factor shared by all the
+    numerators.  Instances are immutable by convention, their groups
+    included (an operation may share a group between expressions): every
+    operation returns a new expression.
     """
 
-    __slots__ = ("_terms", "_den")
+    __slots__ = ("_groups", "_den")
 
     def __init__(self, terms: Mapping[TermKey, Fraction] | None = None):
         coeffs = {key: Fraction(c) for key, c in terms.items() if c} if terms else {}
         # Over the lcm of lowest-terms denominators the numerators share
         # no factor with it, so the result is already in lowest terms.
         den = lcm(*(c.denominator for c in coeffs.values()))
-        self._terms = {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}
+        groups: Groups = {}
+        for (b, w, k), c in coeffs.items():
+            key = (len(w), w.count("E"), b, k)
+            group = groups.get(key)
+            if group is None:
+                groups[key] = group = {}
+            group[w] = c.numerator * (den // c.denominator)
+        self._groups = groups
         self._den = den
 
     # -- construction -------------------------------------------------
@@ -93,15 +110,15 @@ class AbstractExpr:
     def generator(letter: str) -> "AbstractExpr":
         if letter not in _LETTERS:
             raise ValueError(f"unknown generator {letter!r}")
-        return _expr({(0, letter, 0): 1}, 1)
+        return _expr({(1, int(letter == "E"), 0, 0): {letter: 1}}, 1)
 
     @staticmethod
     def beta() -> "AbstractExpr":
-        return _expr({(1, "", 0): 1}, 1)
+        return _expr({(0, 0, 1, 0): {"": 1}}, 1)
 
     @staticmethod
     def m_power(k: int) -> "AbstractExpr":
-        return _expr({(0, "", k): 1}, 1)
+        return _expr({(0, 0, 0, k): {"": 1}}, 1)
 
     @staticmethod
     def from_terms(items: Iterable[tuple[TermKey, Fraction]]) -> "AbstractExpr":
@@ -116,18 +133,32 @@ class AbstractExpr:
         """Terms in canonical order (betaExp, (len(word), word), mExp)."""
         den = self._den
         return sorted(
-            ((key, Fraction(c, den)) for key, c in self._terms.items()),
+            (
+                ((b, w, k), Fraction(c, den))
+                for (_, _, b, k), group in self._groups.items()
+                for w, c in group.items()
+            ),
             key=lambda kv: _term_sort_key(kv[0]),
         )
 
+    def constants(self) -> list[tuple[TermKey, Fraction]]:
+        """The terms without letters, in canonical order."""
+        den = self._den
+        return sorted(
+            ((b, "", k), Fraction(group[""], den))
+            for (length, _, b, k), group in self._groups.items()
+            if not length
+        )
+
     def coefficient(self, beta_exp: int, word: str, m_exp: int) -> Fraction:
-        return Fraction(self._terms.get((beta_exp, word, m_exp), 0), self._den)
+        group = self._groups.get((len(word), word.count("E"), beta_exp, m_exp))
+        return Fraction(group.get(word, 0) if group else 0, self._den)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._groups
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return sum(map(len, self._groups.values()))
 
     def __iter__(self) -> Iterator[tuple[TermKey, Fraction]]:
         return iter(self.terms())
@@ -135,10 +166,15 @@ class AbstractExpr:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AbstractExpr):
             return NotImplemented
-        return self._den == other._den and self._terms == other._terms
+        return self._den == other._den and self._groups == other._groups
 
     def __hash__(self):
-        return hash((self._den, frozenset(self._terms.items())))
+        return hash(
+            (
+                self._den,
+                frozenset((key, frozenset(group.items())) for key, group in self._groups.items()),
+            )
+        )
 
     def __repr__(self) -> str:
         from fwforge.lang import format_expr
@@ -151,19 +187,28 @@ class AbstractExpr:
         """self + sign * other over the lcm of the two denominators."""
         den = lcm(self._den, other._den)
         f1, f2 = den // self._den, sign * (den // other._den)
-        acc = {key: c * f1 for key, c in self._terms.items()}
-        for key, c in other._terms.items():
-            new = acc.get(key, 0) + c * f2
-            if new:
-                acc[key] = new
-            else:
-                del acc[key]
-        return _reduced(acc, den)
+        groups = {
+            key: {w: c * f1 for w, c in group.items()} for key, group in self._groups.items()
+        }
+        for key, group2 in other._groups.items():
+            acc = groups.get(key)
+            if acc is None:
+                groups[key] = {w: c * f2 for w, c in group2.items()}
+                continue
+            for w, c in group2.items():
+                new = acc.get(w, 0) + c * f2
+                if new:
+                    acc[w] = new
+                else:
+                    del acc[w]
+            if not acc:
+                del groups[key]
+        return _reduced(groups, den)
 
     def add(self, other: "AbstractExpr") -> "AbstractExpr":
-        if not self._terms:
+        if not self._groups:
             return other
-        if not other._terms:
+        if not other._groups:
             return self
         return self._combine(other, 1)
 
@@ -176,76 +221,71 @@ class AbstractExpr:
             return AbstractExpr.zero()
         num = factor.numerator
         return _reduced(
-            {key: c * num for key, c in self._terms.items()}, self._den * factor.denominator
+            {key: {w: c * num for w, c in group.items()} for key, group in self._groups.items()},
+            self._den * factor.denominator,
         )
 
     def shift_m(self, delta: int) -> "AbstractExpr":
         """Multiply by the central factor m^delta."""
         return _expr(
-            {(b, w, k + delta): c for (b, w, k), c in self._terms.items()}, self._den
+            {(l, e, b, k + delta): group for (l, e, b, k), group in self._groups.items()},
+            self._den,
         )
 
     # -- multiplicative structure ---------------------------------------
 
-    def _classes(self) -> dict[tuple[int, int], list[tuple[int, str, int, int]]]:
-        """Terms as (beta, word, m, numerator), grouped by (len(word), eCount)."""
-        groups: dict[tuple[int, int], list[tuple[int, str, int, int]]] = {}
-        for (b, w, k), c in self._terms.items():
-            klass = (len(w), w.count("E"))
-            group = groups.get(klass)
-            if group is None:
-                groups[klass] = group = []
-            group.append((b, w, k, c))
-        return groups
-
     def mul(self, other: "AbstractExpr", budget: "Budget | None" = None) -> "AbstractExpr":
-        """Product with beta normalized leftward.
+        """Product with beta normalized leftward, one group pair at a time.
 
         Moving beta^b2 of a right term across the left word w1 costs the
-        sign (-1)^(b2 * oCount(w1)).  Each operand's terms are grouped by
-        (word length, E count) once.  Both counts of a concatenated word
-        are the sums of its parts' counts, so under a budget a whole class
-        pair is kept when l1 + l2 <= maxWordLen and e1 + e2 <= maxECount,
-        and skipped otherwise, without visiting its term pairs.  Letters
-        only accumulate under multiplication, so this equals filtering
-        after full distribution and kept coefficients are exact.  The
-        numerators multiply as integers over the denominator d1 * d2,
-        reduced once at the end.
+        sign (-1)^(b2 * oCount(w1)), one sign per group pair.  Both counts
+        of a concatenated word are the sums of its parts' counts, so a
+        group pair lands in the one group (l1 + l2, e1 + e2, b1 ^ b2,
+        k1 + k2), and under a budget it is kept when l1 + l2 <= maxWordLen
+        and e1 + e2 <= maxECount and skipped otherwise, without visiting
+        its term pairs.  Letters only accumulate under multiplication, so
+        this equals filtering after full distribution and kept
+        coefficients are exact.  The numerators multiply as integers over
+        the denominator d1 * d2, reduced once at the end.
         """
-        if not self._terms or not other._terms:
+        if not self._groups or not other._groups:
             return AbstractExpr.zero()
         max_len = budget.max_word_len if budget is not None else None
         max_e = budget.max_e_count if budget is not None else None
-        # A right class is kept twice: as it is, and with the sign a beta
-        # takes crossing a left word of odd O count.
-        rights = [
-            (l2, e2, terms, [(b, w, k, -c if b else c) for b, w, k, c in terms])
-            for (l2, e2), terms in other._classes().items()
-        ]
-        acc: dict[TermKey, int] = {}
-        get = acc.get
-        for (l1, e1), left in self._classes().items():
+        out: Groups = {}
+        for (l1, e1, b1, k1), left in self._groups.items():
             odd1 = (l1 - e1) & 1
-            for l2, e2, plain, flipped in rights:
+            for (l2, e2, b2, k2), right in other._groups.items():
                 if max_len is not None and (l1 + l2 > max_len or e1 + e2 > max_e):
                     continue
-                right = flipped if odd1 else plain
-                for b1, w1, k1, c1 in left:
-                    for b2, w2, k2, c2 in right:
-                        key = (b1 ^ b2, w1 + w2, k1 + k2)
-                        acc[key] = get(key, 0) + c1 * c2
-        return _reduced({key: c for key, c in acc.items() if c}, self._den * other._den)
+                key = (l1 + l2, e1 + e2, b1 ^ b2, k1 + k2)
+                acc = out.get(key)
+                if acc is None:
+                    out[key] = acc = {}
+                get = acc.get
+                sign = -1 if odd1 and b2 else 1
+                for w1, c1 in left.items():
+                    c1 *= sign
+                    for w2, c2 in right.items():
+                        w = w1 + w2
+                        acc[w] = get(w, 0) + c1 * c2
+        groups: Groups = {}
+        for key, acc in out.items():
+            kept = {w: c for w, c in acc.items() if c}
+            if kept:
+                groups[key] = kept
+        return _reduced(groups, self._den * other._den)
 
     def adjoint(self) -> "AbstractExpr":
         """Hermitian adjoint: E, O, beta, m self-adjoint, words reverse.
 
         (beta^b m^k w)^+ = m^k reverse(w) beta^b, and normalizing beta
-        back to the left costs (-1)^(b * oCount(w)).
+        back to the left costs (-1)^(b * oCount(w)), one sign per group.
         """
         return _expr(
             {
-                (b, w[::-1], k): -c if b and (o_count(w) & 1) else c
-                for (b, w, k), c in self._terms.items()
+                (l, e, b, k): {w[::-1]: -c if b and (l - e) & 1 else c for w, c in group.items()}
+                for (l, e, b, k), group in self._groups.items()
             },
             self._den,
         )
@@ -257,25 +297,23 @@ class AbstractExpr:
         return self.mul(other, budget).add(other.mul(self, budget))
 
     def filtered(self, budget: "Budget") -> "AbstractExpr":
-        """Drop terms whose word violates the budget."""
+        """Drop the groups whose words violate the budget."""
         return _reduced(
             {
-                key: c
-                for key, c in self._terms.items()
-                if len(key[1]) <= budget.max_word_len
-                and len(key[1]) - o_count(key[1]) <= budget.max_e_count
+                key: group
+                for key, group in self._groups.items()
+                if key[0] <= budget.max_word_len and key[1] <= budget.max_e_count
             },
             self._den,
         )
 
     def classify(self) -> dict[tuple[int, int], "AbstractExpr"]:
         """Partition terms by (eCount, oCount); the union reconstitutes self."""
-        buckets: dict[tuple[int, int], dict[TermKey, int]] = {}
-        for key, c in self._terms.items():
-            word = key[1]
-            oc = o_count(word)
-            buckets.setdefault((len(word) - oc, oc), {})[key] = c
-        return {klass: _reduced(terms, self._den) for klass, terms in buckets.items()}
+        buckets: dict[tuple[int, int], Groups] = {}
+        for key, group in self._groups.items():
+            length, e_count = key[0], key[1]
+            buckets.setdefault((e_count, length - e_count), {})[key] = group
+        return {klass: _reduced(groups, self._den) for klass, groups in buckets.items()}
 
 
 ONE = AbstractExpr.rational(1)

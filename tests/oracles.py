@@ -48,7 +48,6 @@ from fwforge.ncalg import (
     Rat,
     Sum,
     TermKey,
-    o_count,
 )
 
 # -- 4x4 matrices with QQi entries ---------------------------------------------
@@ -326,7 +325,7 @@ def restrict_class(expr: AbstractExpr, e: int, o: int) -> AbstractExpr:
         {
             key: coeff
             for key, coeff in expr.terms()
-            if o_count(key[1]) == o and len(key[1]) - o_count(key[1]) == e
+            if key[1].count("O") == o and key[1].count("E") == e
         }
     )
 
@@ -349,10 +348,10 @@ def fraction_mul(
             word = w1 + w2
             if budget is not None and (
                 len(word) > budget.max_word_len
-                or len(word) - o_count(word) > budget.max_e_count
+                or word.count("E") > budget.max_e_count
             ):
                 continue
-            coeff = -c1 * c2 if b2 and o_count(w1) & 1 else c1 * c2
+            coeff = -c1 * c2 if b2 and w1.count("O") & 1 else c1 * c2
             key = ((b1 + b2) & 1, word, k1 + k2)
             acc[key] = acc.get(key, 0) + coeff
     return {key: coeff for key, coeff in acc.items() if coeff}

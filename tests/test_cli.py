@@ -89,6 +89,21 @@ def test_expand_nested_at_the_limit_runs(text, canonical, capsys):
     assert capsys.readouterr().out == canonical + "\n"
 
 
+def test_expand_expression_with_a_leading_minus(capsys):
+    """"-O" is expression text, not an unknown option."""
+    assert cli.main(["expand", "-O", "--max-len", "4", "--max-e", "2"]) == 0
+    minus_o = _json_out(capsys)
+    assert cli.main(["expand", "- O", "--max-len", "4", "--max-e", "2"]) == 0
+    spaced = _json_out(capsys)
+    assert minus_o["canonical"] == spaced["canonical"] == "-1 O"
+
+
+def test_expand_misspelt_flag_is_one_error_line(capsys):
+    assert cli.main(["expand", "-O", "--max-lenn", "3"]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == ["fwforge: error: unrecognized arguments: --max-lenn 3"]
+
+
 # -- compare -----------------------------------------------------------------------------
 
 

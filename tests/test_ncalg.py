@@ -177,13 +177,28 @@ def test_term_order_is_beta_then_wordlen_then_word_then_mexp():
 # -- integer numerators over one denominator ----------------------------------
 
 
+def stored(expr: AbstractExpr) -> dict:
+    """The stored numerators, flattened to {(beta, word, m): numerator}."""
+    return {
+        (b, w, k): c for (_, _, b, k), group in expr._groups.items() for w, c in group.items()
+    }
+
+
 def assert_lowest_terms(expr: AbstractExpr):
     """Nonzero integer numerators over a positive denominator, sharing no
     factor with it; zero has denominator 1."""
-    den, numerators = expr._den, list(expr._terms.values())
+    den, numerators = expr._den, list(stored(expr).values())
     assert type(den) is int and den > 0
     assert all(type(c) is int and c for c in numerators)
     assert gcd(den, *numerators) == 1
+
+
+def assert_grouped(expr: AbstractExpr):
+    """No group is empty, and every word lies in its own group's
+    (length, E count)."""
+    for (length, e_count, beta_exp, _), group in expr._groups.items():
+        assert group and beta_exp in (0, 1)
+        assert all(len(w) == length and w.count("E") == e_count for w in group)
 
 
 def fits(word: str, budget: Budget) -> bool:
@@ -221,6 +236,7 @@ def test_operations_match_fraction_dicts(fx, fy, budget, factor, delta):
 
     def check(expr: AbstractExpr, want: dict):
         assert_lowest_terms(expr)
+        assert_grouped(expr)
         assert expr.terms() == in_canonical_order(want)
         assert expr == AbstractExpr(want) and hash(expr) == hash(AbstractExpr(want))
 
@@ -259,16 +275,16 @@ def test_normal_form_is_unique():
         }
     )
     y = AbstractExpr({(0, "O", 0): Fraction(1, 3), (0, "E", 0): Fraction(7, 10)})
-    assert (x._den, x._terms) == (6, {(0, "O", 0): 4, (1, "EO", -1): -5, (0, "", 2): 24})
+    assert (x._den, stored(x)) == (6, {(0, "O", 0): 4, (1, "EO", -1): -5, (0, "", 2): 24})
     for same in (x.scale(Fraction(1, 3)).scale(3), x.add(y).sub(y), x.scale(6).scale(Fraction(1, 6))):
         assert same == x and hash(same) == hash(x)
-        assert (same._den, same._terms) == (x._den, x._terms)
+        assert (same._den, stored(same)) == (x._den, stored(x))
     # Dropping terms can leave a factor common to the rest.
     parts = x.classify()
-    assert (parts[(0, 1)]._den, parts[(0, 1)]._terms) == (3, {(0, "O", 0): 2})
-    assert (parts[(0, 0)]._den, parts[(0, 0)]._terms) == (1, {(0, "", 2): 4})
+    assert (parts[(0, 1)]._den, stored(parts[(0, 1)])) == (3, {(0, "O", 0): 2})
+    assert (parts[(0, 0)]._den, stored(parts[(0, 0)])) == (1, {(0, "", 2): 4})
     kept = x.filtered(Budget(1, 0))
-    assert (kept._den, kept._terms) == (3, {(0, "O", 0): 2, (0, "", 2): 12})
+    assert (kept._den, stored(kept)) == (3, {(0, "O", 0): 2, (0, "", 2): 12})
     for part in (*parts.values(), kept):
         assert_lowest_terms(part)
     # Zero, however it comes about, has denominator 1.
@@ -280,8 +296,51 @@ def test_normal_form_is_unique():
         AbstractExpr.zero(),
     )
     for zero in zeros:
-        assert zero.is_zero() and (zero._den, zero._terms) == (1, {})
+        assert zero.is_zero() and (zero._den, zero._groups) == (1, {})
         assert zero == AbstractExpr() and hash(zero) == hash(AbstractExpr())
+
+
+def test_one_word_under_two_beta_m_pairs():
+    """A word stored in several groups, one per (beta, m): every operation
+    matches the Fraction dicts, and the order the terms come in does not
+    change the expression or its hash."""
+    fx = {
+        (0, "EO", 0): Fraction(1, 2),
+        (1, "EO", 0): Fraction(-2, 3),
+        (0, "EO", 1): Fraction(3),
+        (1, "O", -1): Fraction(5, 4),
+        (0, "OE", 0): Fraction(1, 6),
+    }
+    fy = {
+        (1, "O", 0): Fraction(1),
+        (0, "O", 0): Fraction(2, 5),
+        (1, "E", 2): Fraction(-1, 3),
+        (0, "EO", 0): Fraction(-1, 2),
+    }
+    x, y = AbstractExpr(fx), AbstractExpr(fy)
+    assert len(x._groups) == 4 and len(x._groups[(2, 1, 0, 0)]) == 2
+    for expr, want in (
+        (x.mul(y), fraction_mul(fx, fy)),
+        (y.mul(x), fraction_mul(fy, fx)),
+        (x.mul(y, Budget(3, 1)), fraction_mul(fx, fy, Budget(3, 1))),
+        (x.add(y), dict_sum(fx, fy)),
+        (x.sub(y), dict_sum(fx, fy, -1)),
+        (
+            x.adjoint(),
+            {(b, w[::-1], k): -c if b and w.count("O") % 2 else c for (b, w, k), c in fx.items()},
+        ),
+    ):
+        assert_lowest_terms(expr)
+        assert_grouped(expr)
+        assert expr.terms() == in_canonical_order(want)
+    parts = x.classify()
+    assert sorted(parts) == [(0, 1), (1, 1)]
+    assert parts[(1, 1)] == AbstractExpr({key: c for key, c in fx.items() if len(key[1]) == 2})
+    assert parts[(0, 1)].terms() == [((1, "O", -1), Fraction(5, 4))]
+    for items in (reversed(list(fx.items())), sorted(fx.items(), key=lambda kv: kv[0][2])):
+        same = AbstractExpr.from_terms(items)
+        assert same == x and hash(same) == hash(x)
+        assert (same._den, stored(same)) == (x._den, stored(x))
 
 
 # -- multiplication against the rewriting oracle ------------------------------
