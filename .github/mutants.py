@@ -161,19 +161,29 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "certificate-needs-one-stratum",
+        "stratum-refusal-off",
         "src/fwforge/comparator.py",
-        "if not remainders.any():",
-        "if not remainders.all():",
+        "    if len(strata) != 1:\n",
+        "    if False:\n",
         (
             "tests/test_comparator.py::test_certificate_is_the_lowest_over_the_strata",
         ),
     ),
     Mutant(
+        "projection-suffix-off-by-one",
+        "src/fwforge/comparator.py",
+        'bisect_left(elements, min_order, key=attrgetter("order"))',
+        'bisect_left(elements, min_order + 1, key=attrgetter("order"))',
+        (
+            "tests/test_comparator.py::test_min_order_filter_restricts_vocabulary",
+            "tests/test_golden.py::test_report_matches_golden[argv0-compare_6_2]",
+        ),
+    ),
+    Mutant(
         "levels-low-to-high",
         "src/fwforge/comparator.py",
-        "sorted({element.order for element in elements}, reverse=True)",
-        "sorted({element.order for element in elements})",
+        "sorted(set(orders), reverse=True)",
+        "sorted(set(orders))",
         (
             "tests/test_comparator.py::test_certificates_match_the_oracle_on_every_differing_class",
         ),

@@ -28,8 +28,10 @@ from pathlib import Path
 
 PROG = "fwforge"
 
-# spectra.PARTICLES, written out so that building the parser imports no numpy.
+# spectra.PARTICLES and every representation in spectra.REPRESENTATIONS,
+# written out so that building the parser imports no numpy.
 _PARTICLES = ("spin0", "spin12", "spin1")
+_REPRESENTATIONS = ("original", "fw", "fw_corrected")
 
 
 class UsageError(ValueError):
@@ -232,7 +234,7 @@ def _build_parser():
         "--representation",
         kind=str,
         default="fw",
-        choices=("original", "fw", "fw_corrected"),
+        choices=_REPRESENTATIONS,
         help_text="Hamiltonian representation",
     )
     _numeric_flags(run, registries["spectra run"], B_default=0.5, g_default=2.0, levels_default=64)

@@ -71,38 +71,44 @@ Projection.  `diff_report` explains every difference in brackets, for
 `compare` and both stepwise reports: per differing class it projects at
 the caller's order, or else certifies and projects at the certified one,
 which keeps low-order spellings out of a difference that certifies
-higher.  A class is split into (beta, m) strata, rational vectors over
-its words.  Certification takes the class's elements one order level at
-a time, highest first: one elimination of the echelon so far and that
-level's rows, with every stratum below them as a row that is only
-reduced.  After the level of order h the echelon spans exactly the
-elements of order >= h, so the first level that leaves no stratum a
-remainder is the certified order, and None follows the lowest level.
-Projection spells a stratum in as few elements as it can,
-preferring low order first, then the listing order: it visits the
-subsets of up to three columns in `combinations` order, under a budget.
+higher.  A compared class is one (beta, m) stratum, a rational vector
+over its words: the mass dimension fixes m^(1 - len w), and the
+(m, beta) -> (-m, -beta) symmetry of H = beta m + E + O fixes beta.  So
+`project` and `min_hbar_order` refuse, with ValueError, a piece of two
+classes or two strata.  `build_basis` stores each class's elements in
+projection order (lower order first, then the curated spellings, then
+the kind rank and the text) and their rows as one matrix in that order.
+Certification takes the class's order levels, highest first, each a mask
+of that matrix: one elimination of the echelon so far and that level's
+rows, with the target as a row that is only reduced.  After the level of
+order h the echelon spans exactly the elements of order >= h, so the
+first level that leaves the target no remainder is the certified order,
+and None follows the lowest level.  Projection takes the suffix of the
+matrix at or above its order and spells the target in as few of those
+elements as it can, preferring the earlier ones: it visits the subsets
+of up to three columns in `combinations` order, under a budget.
 A subset S can span the target t only when the rows of [S; t] are
 dependent, and then det([S; t] P) = 0 for every integer matrix P.  So,
 with one fixed P of small entries, a subset whose determinant is nonzero
 is dropped, exactly.  The determinant is linear in a subset's last
 column, so a block of subsets that share their other columns is one
 integer matrix product.  The few subsets left are screened by batched
-eliminations, in order.  When no small subset spans a stratum, one
-untracked pass over the preference-ordered columns picks the
-greedy-independent ones, and one tracked elimination over those alone
-gives the weights.  Whatever cannot be expressed is returned verbatim as
-a residual, and reconstruction (entries plus residual) is exact by
-construction.
+eliminations, in order.  When no small subset spans the target, one
+untracked pass over the suffix picks the greedy-independent columns, and
+one tracked elimination over those alone gives the weights.  Whatever
+cannot be expressed is returned verbatim as a residual, and
+reconstruction (entries plus residual) is exact by construction.
 
-Beta and mass bookkeeping: basis expansions are pure words.  The beta
-and m content of the projected operator is uniform within a stratum, so
-it is factored out and reported per combination entry rather than being
-folded into the basis.
+Beta and mass bookkeeping: basis expansions are pure words.  A compared
+piece's beta and m powers are those of its one stratum, so they are
+factored out before the solve and reported on every combination entry
+rather than being folded into the basis.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import combinations, islice, permutations
@@ -349,20 +355,13 @@ def _solve(
     return solutions
 
 
-def _word_rows(
-    klass: tuple[int, int], elements: Sequence[BasisElement]
-) -> tuple[dict[str, int], np.ndarray]:
-    """The class words, sorted, as column indices, and the stored rows of
-    `elements` (of that class) gathered into one matrix over them."""
-    index = _class_index(klass)
-    rows = np.array([element.row for element in elements], dtype=np.int64)
-    return index, rows.reshape(len(elements), len(index))
-
-
 class BracketBasis:
-    """Ordered admitted elements, found by class or by text.  It keeps no
-    echelon: `min_hbar_order` eliminates a class's rows level by level on
-    each call, and `project` its preferred columns.
+    """The admitted elements, found by class or by text.  A class holds its
+    elements in projection order (lower order first, then the curated
+    spellings, then the kind rank and the text), and `class_rows` their
+    rows in that order as one read-only int64 matrix, which the elements'
+    rows view.  It keeps no echelon: `min_hbar_order` eliminates a class's
+    rows level by level on each call, and `project` a suffix of them.
 
     `classes` are the classes the basis was built for (None: every class
     in the budget).  Asking about a class outside their sub-class closure
@@ -370,26 +369,34 @@ class BracketBasis:
     """
 
     def __init__(
-        self, elements: Sequence[BasisElement], classes: Iterable[tuple[int, int]] | None = None
+        self,
+        by_class: dict[tuple[int, int], tuple[tuple[BasisElement, ...], np.ndarray]],
+        classes: Iterable[tuple[int, int]] | None = None,
     ):
-        self.elements = tuple(elements)
+        self._by_class = by_class
         self._built_for = None if classes is None else tuple(sorted(set(classes)))
-        self._by_class: dict[tuple[int, int], list[BasisElement]] = {}
-        self._by_text: dict[str, BasisElement] = {}
-        for element in self.elements:
-            self._by_class.setdefault((element.e_count, element.o_count), []).append(element)
-            self._by_text[element.text] = element
+        self.elements = tuple(
+            sorted(
+                (element for elements, _ in by_class.values() for element in elements),
+                key=attrgetter("order", "e_count", "o_count", "text"),
+            )
+        )
+        self._by_text = {element.text: element for element in self.elements}
 
-    def _require(self, klass: tuple[int, int]) -> None:
+    def _class(self, klass: tuple[int, int]) -> tuple[tuple[BasisElement, ...], np.ndarray]:
         if not _in_closure(klass, self._built_for):
             raise ValueError(
                 f"class {klass} lies outside the classes {list(self._built_for)} "
                 "this basis was built for"
             )
+        empty = ((), np.zeros((0, len(_class_words(klass))), dtype=np.int64))
+        return self._by_class.get(klass, empty)
 
     def class_elements(self, e_count: int, o_count: int) -> tuple[BasisElement, ...]:
-        self._require((e_count, o_count))
-        return tuple(self._by_class.get((e_count, o_count), ()))
+        return self._class((e_count, o_count))[0]
+
+    def class_rows(self, klass: tuple[int, int]) -> np.ndarray:
+        return self._class(klass)[1]
 
     def element(self, text: str) -> BasisElement:
         return self._by_text[text]
@@ -787,30 +794,28 @@ def build_basis(
     store.products(small, products, keep=False)
 
     # Every representative becomes an element: the basis is deliberately
-    # overcomplete (see the module docstring).  Each class's rows go into
-    # one read-only matrix that the elements view, and the class's
-    # candidates go.
+    # overcomplete (see the module docstring).  Each class's
+    # representatives go in projection order, their rows into one
+    # read-only matrix in that order that the elements view, and the
+    # class's candidates go.
     by_class: dict[tuple[int, int], list[int]] = {}
     for cid in store.best.values():
         by_class.setdefault(store.classes[cid], []).append(cid)
-    elements = []
+    texts, kinds, orders = store.texts, store.kinds, store.orders
+    held = {}
     for (e_count, o_count), ids in by_class.items():
+        ids.sort(key=lambda c: (orders[c], texts[c] not in _CURATED_TEXTS, kinds[c], texts[c]))
         matrix = store.rows((e_count, o_count), ids)
         del store.matrices[e_count, o_count]
         matrix.flags.writeable = False
-        elements.extend(
-            BasisElement(store.texts[c], store.kinds[c], store.orders[c], e_count, o_count, row)
-            for c, row in zip(ids, matrix)
+        held[e_count, o_count] = (
+            tuple(
+                BasisElement(texts[c], kinds[c], orders[c], e_count, o_count, row)
+                for c, row in zip(ids, matrix)
+            ),
+            matrix,
         )
-    elements.sort(key=attrgetter("order", "e_count", "o_count", "text"))
-    return BracketBasis(elements, classes=classes)
-
-
-def _strata(piece: AbstractExpr) -> dict[tuple[int, int], dict[str, Fraction]]:
-    strata: dict[tuple[int, int], dict[str, Fraction]] = {}
-    for (beta_exp, word, m_exp), coeff in piece.terms():
-        strata.setdefault((beta_exp, m_exp), {})[word] = coeff
-    return strata
+    return BracketBasis(held, classes=classes)
 
 
 _SPARSE_LIMIT = 3
@@ -950,100 +955,86 @@ def _screen(subsets: np.ndarray, columns: np.ndarray, target: np.ndarray) -> tup
     return None
 
 
-def _preferred_columns(
-    basis: BracketBasis, klass: tuple[int, int], min_order: int
-) -> list[BasisElement]:
-    """The class elements of order >= min_order: lower order first, then
-    the narrative's display vocabulary, then the kind rank and the text."""
-    return sorted(
-        (element for element in basis.class_elements(*klass) if element.order >= min_order),
-        key=lambda el: (el.order, el.text not in _CURATED_TEXTS, el.kind, el.text),
-    )
-
-
-def _single_class(piece: AbstractExpr, what: str) -> tuple[int, int]:
-    """The one class of a piece; ValueError naming `what` otherwise."""
-    classes = piece.classify()
+def _stratum(piece: AbstractExpr) -> tuple[tuple[int, int], int, int, dict[str, Fraction]]:
+    """The class, beta power, m power and word vector of a nonzero piece in
+    one class and one (beta, m) stratum; ValueError otherwise."""
+    terms = piece.terms()
+    classes = {(word.count("E"), word.count("O")) for (_, word, _), _ in terms}
     if len(classes) != 1:
-        raise ValueError(f"{what} wants a single class, got {sorted(classes)}")
+        raise ValueError(f"a compared piece wants one class, got {sorted(classes)}")
+    strata = {(beta_exp, m_exp) for (beta_exp, _, m_exp), _ in terms}
+    if len(strata) != 1:
+        raise ValueError(f"a compared piece wants one (beta, m) stratum, got {sorted(strata)}")
     (klass,) = classes
-    return klass
+    (beta_exp, _, m_exp), _ = terms[0]
+    return klass, beta_exp, m_exp, {word: coeff for (_, word, _), coeff in terms}
 
 
 def project(piece: AbstractExpr, basis: BracketBasis, min_order: int) -> Projection:
-    """Express a single-class operator over the basis elements of grading
-    order >= min_order.
+    """Express a piece of one class and one (beta, m) stratum over the
+    basis elements of grading order >= min_order.
 
     The solve aims for the fewest elements: subsets of up to three
     columns are tried exhaustively, because the narrative names a
-    difference with as few brackets as it can.  Ties resolve toward
-    lower order, then toward the narrative's own display vocabulary,
-    then earlier listing.  When no small support exists, a greedy exact
-    reduction over the preference-ordered columns decides, and whatever
-    the span cannot reach is returned verbatim as residual.  Entries
-    plus residual always reconstruct the input exactly.
+    difference with as few brackets as it can.  The columns are the
+    suffix of the class's rows at or above min_order, so ties resolve in
+    projection order: toward lower order, then toward the narrative's
+    own display vocabulary, then the kind rank and the text.  When no
+    small support exists, a greedy exact reduction over those columns
+    decides, and whatever the span cannot reach is returned verbatim as
+    residual.  Entries plus residual always reconstruct the input
+    exactly.
     """
     if piece.is_zero():
         return Projection(entries=(), residual=AbstractExpr.zero())
-    klass = _single_class(piece, "projection")
-    columns = _preferred_columns(basis, klass, min_order)
-    index, matrix = _word_rows(klass, columns)
-    words = tuple(index)
-
-    entries: list[ProjectionEntry] = []
-    residual_terms: dict[tuple[int, str, int], Fraction] = {}
-    for (beta_exp, m_exp), vector in sorted(_strata(piece).items()):
-        scaled, scale = _integral(vector)
-        target = _word_matrix([scaled], index)
-        support = _sparse_solve(target[0], matrix)
-        if support is None:
-            # The greedy fallback: the columns each independent of the
-            # preferred ones before it.  Every class the program compares
-            # holds one (beta, m) stratum, so this runs once a call.
-            support = tuple(np.flatnonzero(_eliminate(matrix)[1] >= 0))
-        ((remainder, weights),) = _solve(matrix[list(support)], target, [scale])
-        for column, weight in zip(support, weights):
-            if weight:
-                entries.append(
-                    ProjectionEntry(
-                        element=columns[column],
-                        weight=weight,
-                        beta_exp=beta_exp,
-                        m_exp=m_exp,
-                    )
-                )
-        for col, coeff in remainder.items():
-            residual_terms[(beta_exp, words[col], m_exp)] = coeff
+    klass, beta_exp, m_exp, vector = _stratum(piece)
+    elements = basis.class_elements(*klass)
+    start = bisect_left(elements, min_order, key=attrgetter("order"))
+    columns, matrix = elements[start:], basis.class_rows(klass)[start:]
+    scaled, scale = _integral(vector)
+    target = _word_matrix([scaled], _class_index(klass))
+    support = _sparse_solve(target[0], matrix)
+    if support is None:
+        # The greedy fallback: the columns each independent of those before it.
+        support = tuple(np.flatnonzero(_eliminate(matrix)[1] >= 0))
+    ((remainder, weights),) = _solve(matrix[list(support)], target, [scale])
+    words = _class_words(klass)
     return Projection(
-        entries=tuple(entries),
-        residual=AbstractExpr.from_terms(residual_terms.items()),
+        entries=tuple(
+            ProjectionEntry(columns[column], weight, beta_exp, m_exp)
+            for column, weight in zip(support, weights)
+            if weight
+        ),
+        residual=AbstractExpr.from_terms(
+            ((beta_exp, words[col], m_exp), coeff) for col, coeff in remainder.items()
+        ),
     )
 
 
 def min_hbar_order(piece: AbstractExpr, basis: BracketBasis) -> int | None:
-    """Largest h with the whole piece inside span(elements of order >= h).
+    """Largest h with the piece inside span(elements of order >= h).
 
-    The class's elements go in one order level at a time, highest first:
-    each level is one elimination of the echelon so far, then that level's
-    rows, then every (beta, m) stratum as a row that is only reduced.  The
-    first level at which no stratum keeps a remainder is the certificate.
-    None when some stratum is not even in the full admitted span.
+    The piece is one class and one (beta, m) stratum.  The class's order
+    levels go in highest first, each a mask of its rows: one elimination
+    of the echelon so far, then that level's rows, then the piece's word
+    vector as a row that is only reduced.  The first level that leaves it
+    no remainder is the certificate; None when it is not even in the full
+    admitted span.
     """
     if piece.is_zero():
         return None
-    klass = _single_class(piece, "certification")
-    elements = basis.class_elements(*klass)
-    index = _class_index(klass)
-    echelon = np.zeros((0, len(index)), dtype=np.int64)
-    targets = _word_matrix([_integral(vector)[0] for vector in _strata(piece).values()], index)
-    for order in sorted({element.order for element in elements}, reverse=True):
-        _, rows = _word_rows(klass, [el for el in elements if el.order == order])
-        count = len(echelon) + len(rows)
-        reduced, pivots = _eliminate(np.concatenate([echelon, rows, targets]), pivot_rows=count)
-        remainders = (reduced[count:] != 0).any(axis=1)
-        if not remainders.any():
+    klass, _, _, vector = _stratum(piece)
+    orders = [element.order for element in basis.class_elements(*klass)]
+    rows, levels = basis.class_rows(klass), np.array(orders)
+    echelon = rows[:0]
+    target = _word_matrix([_integral(vector)[0]], _class_index(klass))
+    for order in sorted(set(orders), reverse=True):
+        level = rows[levels == order]
+        count = len(echelon) + len(level)
+        reduced, pivots = _eliminate(np.concatenate([echelon, level, target]), pivot_rows=count)
+        if not (reduced[count] != 0).any():
             return order
-        echelon, targets = reduced[:count][pivots[:count] >= 0], reduced[count:]
+        echelon, target = reduced[:count][pivots[:count] >= 0], reduced[count:]
     return None
 
 

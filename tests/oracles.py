@@ -32,7 +32,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping
 
-from fwforge.comparator import BasisElement, BracketBasis, _eliminate, _solve, _word_rows
+import numpy as np
+
+from fwforge.comparator import BasisElement, BracketBasis, _eliminate, _solve
 from fwforge.concretizer import QQi
 from fwforge.ncalg import (
     Acomm,
@@ -186,6 +188,15 @@ def insertion_order(basis: BracketBasis, klass: tuple[int, int]) -> list[BasisEl
     return sorted(basis.class_elements(*klass), key=lambda el: (-el.order, el.kind, el.text))
 
 
+def class_rows(
+    basis: BracketBasis, klass: tuple[int, int], elements: list[BasisElement]
+) -> np.ndarray:
+    """The rows of `elements`, all of that class, in the order given, taken
+    from `basis.class_rows`."""
+    at = {element.text: row for row, element in enumerate(basis.class_elements(*klass))}
+    return basis.class_rows(klass)[[at[element.text] for element in elements]]
+
+
 def dependencies(basis: BracketBasis) -> tuple[Dependency, ...]:
     """Every element spanned by the higher-order ones of its class, with
     its exact relation: each is solved over the elements that become rows
@@ -194,13 +205,12 @@ def dependencies(basis: BracketBasis) -> tuple[Dependency, ...]:
     found = []
     for klass in basis.classes():
         order = insertion_order(basis, klass)
-        _, pivots = _eliminate(_word_rows(klass, order)[1])
+        _, pivots = _eliminate(class_rows(basis, klass, order))
         kept = [element for element, pivot in zip(order, pivots) if pivot >= 0]
         spanned = [element for element, pivot in zip(order, pivots) if pivot < 0]
         if not spanned:
             continue
-        _, rows = _word_rows(klass, kept)
-        _, targets = _word_rows(klass, spanned)
+        rows, targets = class_rows(basis, klass, kept), class_rows(basis, klass, spanned)
         solutions = _solve(rows, targets, [1] * len(spanned))
         for element, (_, weights) in zip(spanned, solutions):
             found.append(

@@ -638,6 +638,29 @@ def test_spectra_commands_do_not_import_symbolic_modules(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["compare", "--max-len", "6", "--max-e", "2"],
+        ["derive", "stepwise", "--max-len", "6", "--max-e", "2"],
+    ],
+)
+def test_comparator_commands_do_not_import_numpy_ma(argv, tmp_path):
+    """The comparator takes its order levels without np.unique, which would
+    import numpy.ma."""
+    script = (
+        "import sys\n"
+        "from fwforge import cli\n"
+        f"code = cli.main({argv!r} + ['--out', 'report.json'])\n"
+        "print(code, 'fwforge.comparator' in sys.modules, 'numpy.ma' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, env=_child_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", "True", "False"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["correction-scan", "--scan-to", "1e200", "--scan-points", "2"],
         ["relations", "--B", "1e100"],
         ["run", "--particle", "spin1", "--representation", "fw_corrected", "--g", "1e200"],
@@ -665,3 +688,4 @@ def test_particle_choices_are_the_spectra_particles():
     from fwforge import spectra
 
     assert cli._PARTICLES == spectra.PARTICLES
+    assert set(cli._REPRESENTATIONS) == set().union(*spectra.REPRESENTATIONS.values())

@@ -24,10 +24,8 @@ from fwforge.comparator import (
     _SUBSET_BUDGET,
     _eliminate,
     _integral,
-    _preferred_columns,
     _solve,
     _sparse_solve,
-    _strata,
     _word_matrix,
     build_basis,
     diff_report,
@@ -52,6 +50,7 @@ from fwforge.ncalg import (
 )
 from fwforge.lang import parse_expr
 from fwforge.stepwise import DISPLAYED
+from oracles import class_rows
 from oracles import combine as _combine
 from oracles import dependencies, direction, format_tree, insertion_order, restrict_class
 from oracles import word_brackets as _word_brackets
@@ -224,6 +223,22 @@ def test_partial_basis_refuses_classes_outside_its_closure():
         basis.class_elements(2, 1)
     # A full basis still answers every class, inside the budget or not.
     assert build_basis(Budget(3, 1)).class_elements(2, 4) == ()
+
+
+def test_class_rows_hold_the_elements_in_projection_order(basis83):
+    """A class's elements run lower order first, then the curated
+    spellings, then the kind rank and the text, and `class_rows` is the one
+    read-only int64 matrix, in that order, that their rows view."""
+    for klass in basis83.classes():
+        elements = basis83.class_elements(*klass)
+        assert list(elements) == sorted(
+            elements, key=lambda el: (el.order, el.text not in _CURATED_TEXTS, el.kind, el.text)
+        ), klass
+        rows = basis83.class_rows(klass)
+        assert rows.dtype == np.int64 and not rows.flags.writeable
+        assert rows.shape == (len(elements), len(comparator._class_words(klass)))
+        for element, row in zip(elements, rows):
+            assert element.row.base is rows and (element.row == row).all(), element.text
 
 
 @st.composite
@@ -460,15 +475,37 @@ def test_certification_of_simple_brackets(basis83, budget83):
     )
 
 
+def _strata(piece):
+    """The piece's (beta, m) strata, each as an expression, by (beta, m)."""
+    strata = {}
+    for (beta_exp, word, m_exp), coeff in piece.terms():
+        strata.setdefault((beta_exp, m_exp), []).append(((beta_exp, word, m_exp), coeff))
+    return {stratum: AbstractExpr.from_terms(terms) for stratum, terms in sorted(strata.items())}
+
+
 def test_certificate_is_the_lowest_over_the_strata(basis83, budget83):
-    """Each (beta, m) stratum certifies on its own, and the piece takes the
-    lowest of their orders."""
+    """Each (beta, m) stratum certifies on its own, and the lowest of their
+    orders is the caller's to take: a piece of two strata is refused by
+    both queries, with its strata named."""
     low = expand(Acomm(E, Comm(O, Comm(O, E))), budget83)
     high = expand(Comm(Comm(O2, E), E), budget83).shift_m(-2)
     assert min_hbar_order(low, basis83) == 1
     assert min_hbar_order(high, basis83) == 2
-    assert min_hbar_order(low.add(high), basis83) == 1
-    assert min_hbar_order(high.add(high.shift_m(-1)), basis83) == 2
+    mixed = {
+        r"\[\(0, -2\), \(0, 0\)\]": (low.add(high), 1),
+        r"\[\(0, -3\), \(0, -2\)\]": (high.add(high.shift_m(-1)), 2),
+    }
+    for strata, (piece, lowest) in mixed.items():
+        parts = _strata(piece).values()
+        assert len(parts) == 2
+        assert min(min_hbar_order(part, basis83) for part in parts) == lowest
+        for query in (lambda: min_hbar_order(piece, basis83), lambda: project(piece, basis83, 0)):
+            with pytest.raises(ValueError, match=r"one \(beta, m\) stratum, got " + strata):
+                query()
+    two_classes = low.add(expand(Comm(O, E), budget83))
+    for query in (min_hbar_order, lambda piece, basis: project(piece, basis, 0)):
+        with pytest.raises(ValueError, match=r"one class, got \[\(1, 1\), \(2, 2\)\]"):
+            query(two_classes, basis83)
 
 
 def test_residual_captures_out_of_span_content(basis42):
@@ -514,12 +551,17 @@ def test_projection_reconstructs_arbitrary_span_members(basis42, combo):
         piece = piece.add(element.expansion.scale(Fraction(weight)).shift_m(m_shift))
     if piece.is_zero():
         return
-    result = project(piece, basis42, min_order=0)
-    assert result.residual.is_zero()
-    assert result.reconstruct().sub(piece).is_zero()
-    certified = min_hbar_order(piece, basis42)
-    assert certified is not None
-    assert certified >= min(chosen_orders)
+    rebuilt, certified = AbstractExpr.zero(), []
+    for part in _strata(piece).values():
+        result = project(part, basis42, min_order=0)
+        assert result.residual.is_zero()
+        assert result.reconstruct().sub(part).is_zero()
+        rebuilt = rebuilt.add(result.reconstruct())
+        order = min_hbar_order(part, basis42)
+        assert order is not None
+        certified.append(order)
+    assert rebuilt.sub(piece).is_zero()
+    assert min(certified) >= min(chosen_orders)
 
 
 # -- elimination kernel against the dict echelon and a rational oracle ------------
@@ -741,8 +783,8 @@ def _class_echelon(basis, klass):
     """The kernel's elimination of the class rows in `insertion_order`: the
     reduced matrix and the (pivot word, row, text) of each echelon row."""
     order = insertion_order(basis, klass)
-    index, matrix = comparator._word_rows(klass, order)
-    reduced, pivots = _eliminate(matrix)
+    reduced, pivots = _eliminate(class_rows(basis, klass, order))
+    index = comparator._class_index(klass)
     return reduced, _kernel_rows(index, reduced, pivots, [element.text for element in order])
 
 
@@ -851,6 +893,15 @@ def _subset_scan(vector, col_vectors):
     return None, visited
 
 
+def _projection_columns(basis, klass, min_order):
+    """The class elements of order >= min_order, the class words as column
+    indices, and those elements' rows: what `project` solves over."""
+    elements = basis.class_elements(*klass)
+    kept = [at for at, element in enumerate(elements) if element.order >= min_order]
+    columns = [elements[at] for at in kept]
+    return columns, comparator._class_index(klass), basis.class_rows(klass)[kept]
+
+
 def _kernel_solve(vector, index, matrix):
     """_sparse_solve's subset with its weights, or None."""
     integral, scale = _integral(vector)
@@ -868,13 +919,12 @@ def test_sparse_solve_matches_the_subset_scan_on_every_stratum_at_8_3(
 ):
     exhausted = []
     for klass, row, delta in _differing_83(report83, eriksen83, static13_83):
-        columns = _preferred_columns(basis83, klass, row.hbar_order_min)
-        index, matrix = comparator._word_rows(klass, columns)
-        for stratum, vector in _strata(delta).items():
-            expected, visited = _subset_scan(vector, [el.word_vector for el in columns])
-            assert _kernel_solve(vector, index, matrix) == expected, (klass, stratum)
-            if expected is None:
-                exhausted.append((klass, visited))
+        columns, index, matrix = _projection_columns(basis83, klass, row.hbar_order_min)
+        _, beta_exp, m_exp, vector = comparator._stratum(delta)
+        expected, visited = _subset_scan(vector, [el.word_vector for el in columns])
+        assert _kernel_solve(vector, index, matrix) == expected, (klass, beta_exp, m_exp)
+        if expected is None:
+            exhausted.append((klass, visited))
     # (2, 6) runs out of its budget; (3, 4) tries every subset of its 76
     # columns, 76 + 2850 + 70300 of them.
     assert exhausted == [((2, 6), _SUBSET_BUDGET), ((3, 4), 73226)]
@@ -888,9 +938,8 @@ def test_sparse_solve_gives_up_after_exactly_the_budget(
     klass, row, delta = next(
         entry for entry in _differing_83(report83, eriksen83, static13_83) if entry[0] == (2, 4)
     )
-    columns = _preferred_columns(basis83, klass, row.hbar_order_min)
-    index, matrix = comparator._word_rows(klass, columns)
-    (vector,) = _strata(delta).values()
+    columns, index, matrix = _projection_columns(basis83, klass, row.hbar_order_min)
+    *_, vector = comparator._stratum(delta)
     expected, visited = _subset_scan(vector, [el.word_vector for el in columns])
     assert expected is not None and visited > 1000
     for budget, block in [(visited, 1 << 13), (visited, 100), (visited - 1, 1 << 13), (visited - 1, 100)]:
@@ -944,11 +993,10 @@ def subset_scans_83(report83, eriksen83, static13_83, basis83):
     scan's answer) of every stratum at (8,3)."""
     scans = []
     for klass, row, delta in _differing_83(report83, eriksen83, static13_83):
-        columns = _preferred_columns(basis83, klass, row.hbar_order_min)
-        index, matrix = comparator._word_rows(klass, columns)
-        for stratum, vector in _strata(delta).items():
-            expected, _ = _subset_scan(vector, [el.word_vector for el in columns])
-            scans.append((klass, stratum, vector, index, matrix, expected))
+        columns, index, matrix = _projection_columns(basis83, klass, row.hbar_order_min)
+        _, beta_exp, m_exp, vector = comparator._stratum(delta)
+        expected, _ = _subset_scan(vector, [el.word_vector for el in columns])
+        scans.append((klass, (beta_exp, m_exp), vector, index, matrix, expected))
     return scans
 
 
