@@ -284,6 +284,24 @@ MUTANTS = (
             "tests/test_spectra.py::test_closed_form_energy_domain_guard",
         ),
     ),
+    Mutant(
+        "config-beats-command-line",
+        "src/fwforge/cli.py",
+        "        if raw is None and dest in config:\n",
+        "        if dest in config:\n",
+        (
+            "tests/test_cli.py::test_flag_overrides_config_value",
+        ),
+    ),
+    Mutant(
+        "config-key-scope-off",
+        "src/fwforge/cli.py",
+        'accepted = {_dest(row[0]) for row in _COMMANDS[key][2]} - {"config"}',
+        "accepted = {_dest(row[0]) for _, _, rows in _COMMANDS.values() for row in rows}",
+        (
+            "tests/test_cli.py::test_unknown_config_key_is_usage_error",
+        ),
+    ),
 )
 
 

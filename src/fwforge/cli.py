@@ -8,6 +8,8 @@ mini-language expressions into canonical word sums.
 Exit codes: 0 when every check in the requested report passes, 1 when any
 check fails (the failing items are in the report), 2 on usage errors and
 when the report or the manifest cannot be written.
+A key = value config file (--config) supplies defaults for the flags of the
+command being run; any other key, `config` itself included, is a usage error.
 Every run writes a manifest file echoing the full effective configuration,
 and symbolic commands produce byte-identical output across runs.
 """
@@ -49,122 +51,101 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-# -- flag declarations -----------------------------------------------------------------
+# -- command table ---------------------------------------------------------------------
 #
-# Flags are declared with explicit defaults so that --help shows them and so
-# that a key = value config file can supply any of them; precedence is
-# command line > config file > default.
+# Each command is declared once, here: its help, its positional argument
+# (dest, choices, help) or None, and its flag rows (flag, type, default, help,
+# choices).  The rows build the parser, read the config file and fill the
+# manifest.  Every flag has an explicit default so that --help shows it; a
+# key = value config file supplies defaults for the command's own flags, and
+# any other key is an error.  Precedence is command line > config file >
+# default.
 
-_ALL_DESTS: dict[str, None] = {}
-
-
-def _add_flag(parser, registry, flag, *, kind, default, help_text, choices=None):
-    dest = flag.lstrip("-").replace("-", "_")
-    shown = ", ".join(str(c) for c in choices) if choices else None
-    suffix = f" (choices: {shown}; default: {default})" if shown else f" (default: {default})"
-    parser.add_argument(
-        flag,
-        dest=dest,
-        type=kind,
-        default=None,
-        choices=choices,
-        help=help_text + suffix,
-    )
-    registry[dest] = (kind, default, choices)
-    _ALL_DESTS[dest] = None
+_OUTPUT = (
+    ("--out", str, None, "report file path; without it the report prints to standard output", None),
+    ("--format", str, "json", "report format", ("json", "text", "both")),
+    ("--config", str, None, "key = value file supplying defaults for any flag", None),
+)
+_BUDGET = (
+    ("--max-len", int, 8, "maximum word length kept by the expansion budget", None),
+    ("--max-e", int, 3, "maximum count of the even letter kept by the budget", None),
+)
 
 
-def _output_flags(parser, registry):
-    _add_flag(
-        parser,
-        registry,
-        "--out",
-        kind=str,
-        default=None,
-        help_text="report file path; without it the report prints to standard output",
-    )
-    _add_flag(
-        parser,
-        registry,
-        "--format",
-        kind=str,
-        default="json",
-        choices=("json", "text", "both"),
-        help_text="report format",
-    )
-    _add_flag(
-        parser,
-        registry,
-        "--config",
-        kind=str,
-        default=None,
-        help_text="key = value file supplying defaults for any flag",
-    )
-
-
-def _budget_flags(parser, registry):
-    _add_flag(
-        parser,
-        registry,
-        "--max-len",
-        kind=int,
-        default=8,
-        help_text="maximum word length kept by the expansion budget",
-    )
-    _add_flag(
-        parser,
-        registry,
-        "--max-e",
-        kind=int,
-        default=3,
-        help_text="maximum count of the even letter kept by the budget",
-    )
-
-
-def _numeric_flags(parser, registry, *, levels_default, B_default=None, g_default=None):
+def _numeric(levels, B=None, g=None):
     # A scan sets the field or anomaly it scans, so it declares no flag for it.
-    _add_flag(parser, registry, "--m", kind=float, default=1.0, help_text="mass")
-    _add_flag(parser, registry, "--hbar", kind=float, default=1.0, help_text="Planck constant")
-    _add_flag(parser, registry, "--e", kind=float, default=1.0, help_text="signed charge")
-    if B_default is not None:
-        _add_flag(parser, registry, "--B", kind=float, default=B_default, help_text="field strength along z")
-    if g_default is not None:
-        _add_flag(parser, registry, "--g", kind=float, default=g_default, help_text="gyromagnetic factor")
-    _add_flag(
-        parser,
-        registry,
-        "--levels",
-        kind=int,
-        default=levels_default,
-        help_text="Landau levels kept in the truncated basis",
+    return (
+        ("--m", float, 1.0, "mass", None),
+        ("--hbar", float, 1.0, "Planck constant", None),
+        ("--e", float, 1.0, "signed charge", None),
+        *([("--B", float, B, "field strength along z", None)] if B is not None else []),
+        *([("--g", float, g, "gyromagnetic factor", None)] if g is not None else []),
+        ("--levels", int, levels, "Landau levels kept in the truncated basis", None),
     )
 
 
-def _scan_flags(parser, registry, *, what):
-    _add_flag(
-        parser,
-        registry,
-        "--scan-from",
-        kind=float,
-        default=1e-3,
-        help_text=f"smallest {what} in the logarithmic scan",
+def _scan(what):
+    return (
+        ("--scan-from", float, 1e-3, f"smallest {what} in the logarithmic scan", None),
+        ("--scan-to", float, 1e-1, f"largest {what} in the logarithmic scan", None),
+        ("--scan-points", int, 7, "number of scan points", None),
     )
-    _add_flag(
-        parser,
-        registry,
-        "--scan-to",
-        kind=float,
-        default=1e-1,
-        help_text=f"largest {what} in the logarithmic scan",
-    )
-    _add_flag(
-        parser,
-        registry,
-        "--scan-points",
-        kind=int,
-        default=7,
-        help_text="number of scan points",
-    )
+
+
+_COMMANDS = {
+    "derive": (
+        "run a derivation and compare it with its closed-form reference",
+        ("target", ("eriksen", "stepwise", "second-step"), "which derivation to run"),
+        _BUDGET + _OUTPUT,
+    ),
+    "compare": (
+        "class-by-class difference of the direct and iterative methods",
+        None,
+        _BUDGET + _OUTPUT,
+    ),
+    "concretize": (
+        "verify the symbolic results on explicit Dirac matrices and fields",
+        ("target", ("electrostatic", "uniform-field"), "which concretization to verify"),
+        _OUTPUT,
+    ),
+    "spectra run": (
+        "diagonalize one model and match the closed-form levels",
+        None,
+        (
+            ("--particle", str, "spin12", "particle kind", _PARTICLES),
+            ("--representation", str, "fw", "Hamiltonian representation", _REPRESENTATIONS),
+        )
+        + _numeric(64, B=0.5, g=2.0)
+        + _OUTPUT,
+    ),
+    "spectra amm-scan": (
+        "residual of the six-component spectrum against the closed "
+        "anomalous-moment formula, scanned over the anomaly g - 2",
+        None,
+        _numeric(64, B=0.1) + _scan("anomaly g - 2") + _OUTPUT,
+    ),
+    "spectra correction-scan": (
+        "residual of the corrected block-diagonal spectrum against the "
+        "six-component spectrum, scanned over the field strength",
+        None,
+        _numeric(64, g=2.5) + _scan("field strength") + _OUTPUT,
+    ),
+    "spectra relations": (
+        "operator relations between the odd and even parts of the "
+        "six-component Hamiltonian",
+        None,
+        _numeric(32, B=0.3, g=2.7) + _OUTPUT,
+    ),
+    "expand": (
+        "expand a mini-language expression into canonical words",
+        ("expression", None, 'expression text, e.g. "comm(O, E)"'),
+        _BUDGET + _OUTPUT,
+    ),
+}
+
+
+def _dest(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
 
 
 def _build_parser():
@@ -173,125 +154,42 @@ def _build_parser():
         description="Symbolic and numerical checks for block-diagonalizing "
         "relativistic Hamiltonians.",
     )
-    registries: dict[str, dict] = {}
     sub = parser.add_subparsers(dest="command", required=True)
-
-    derive = sub.add_parser(
-        "derive",
-        help="run a derivation and compare it with its closed-form reference",
-    )
-    derive.add_argument(
-        "target",
-        choices=("eriksen", "stepwise", "second-step"),
-        help="which derivation to run",
-    )
-    registries["derive"] = {}
-    _budget_flags(derive, registries["derive"])
-    _output_flags(derive, registries["derive"])
-
-    compare = sub.add_parser(
-        "compare",
-        help="class-by-class difference of the direct and iterative methods",
-    )
-    registries["compare"] = {}
-    _budget_flags(compare, registries["compare"])
-    _output_flags(compare, registries["compare"])
-
-    concretize = sub.add_parser(
-        "concretize",
-        help="verify the symbolic results on explicit Dirac matrices and fields",
-    )
-    concretize.add_argument(
-        "target",
-        choices=("electrostatic", "uniform-field"),
-        help="which concretization to verify",
-    )
-    registries["concretize"] = {}
-    _output_flags(concretize, registries["concretize"])
-
-    spectra_cmd = sub.add_parser(
-        "spectra",
-        help="numerical Landau-level spectra, scans, and operator relations",
-    )
-    spectra_sub = spectra_cmd.add_subparsers(dest="target", required=True)
-
-    run = spectra_sub.add_parser(
-        "run", help="diagonalize one model and match the closed-form levels"
-    )
-    registries["spectra run"] = {}
-    _add_flag(
-        run,
-        registries["spectra run"],
-        "--particle",
-        kind=str,
-        default="spin12",
-        choices=_PARTICLES,
-        help_text="particle kind",
-    )
-    _add_flag(
-        run,
-        registries["spectra run"],
-        "--representation",
-        kind=str,
-        default="fw",
-        choices=_REPRESENTATIONS,
-        help_text="Hamiltonian representation",
-    )
-    _numeric_flags(run, registries["spectra run"], B_default=0.5, g_default=2.0, levels_default=64)
-    _output_flags(run, registries["spectra run"])
-
-    amm = spectra_sub.add_parser(
-        "amm-scan",
-        help="residual of the six-component spectrum against the closed "
-        "anomalous-moment formula, scanned over the anomaly g - 2",
-    )
-    registries["spectra amm-scan"] = {}
-    _numeric_flags(amm, registries["spectra amm-scan"], B_default=0.1, levels_default=64)
-    _scan_flags(amm, registries["spectra amm-scan"], what="anomaly g - 2")
-    _output_flags(amm, registries["spectra amm-scan"])
-
-    correction = spectra_sub.add_parser(
-        "correction-scan",
-        help="residual of the corrected block-diagonal spectrum against the "
-        "six-component spectrum, scanned over the field strength",
-    )
-    registries["spectra correction-scan"] = {}
-    _numeric_flags(
-        correction, registries["spectra correction-scan"], g_default=2.5, levels_default=64
-    )
-    _scan_flags(correction, registries["spectra correction-scan"], what="field strength")
-    _output_flags(correction, registries["spectra correction-scan"])
-
-    relations = spectra_sub.add_parser(
-        "relations",
-        help="operator relations between the odd and even parts of the "
-        "six-component Hamiltonian",
-    )
-    registries["spectra relations"] = {}
-    _numeric_flags(
-        relations,
-        registries["spectra relations"],
-        B_default=0.3,
-        g_default=2.7,
-        levels_default=32,
-    )
-    _output_flags(relations, registries["spectra relations"])
-
-    expand_cmd = sub.add_parser(
-        "expand", help="expand a mini-language expression into canonical words"
-    )
-    expand_cmd.add_argument("expression", help="expression text, e.g. \"comm(O, E)\"")
-    registries["expand"] = {}
-    _budget_flags(expand_cmd, registries["expand"])
-    _output_flags(expand_cmd, registries["expand"])
-
-    return parser, registries
+    spectra = None
+    for key, (help_text, positional, rows) in _COMMANDS.items():
+        if key.startswith("spectra "):
+            if spectra is None:
+                spectra = sub.add_parser(
+                    "spectra",
+                    help="numerical Landau-level spectra, scans, and operator relations",
+                ).add_subparsers(dest="target", required=True)
+            command = spectra.add_parser(key.split(" ", 1)[1], help=help_text)
+        else:
+            command = sub.add_parser(key, help=help_text)
+        if positional:
+            dest, choices, positional_help = positional
+            command.add_argument(dest, choices=choices, help=positional_help)
+        for flag, kind, default, flag_help, choices in rows:
+            shown = f"choices: {', '.join(map(str, choices))}; " if choices else ""
+            command.add_argument(
+                flag,
+                dest=_dest(flag),
+                type=kind,
+                default=None,
+                choices=choices,
+                help=f"{flag_help} ({shown}default: {default})",
+            )
+    return parser
 
 
 # -- config files ----------------------------------------------------------------------
 
 
-def _load_config(path: str) -> dict[str, str]:
+def _load_config(path: str, key: str) -> dict[str, str]:
+    """The config file's values for the flags of command `key`.  Nested
+    config files are not read, so `config` is refused with any other key
+    that is not one of the command's flags."""
+    accepted = {_dest(row[0]) for row in _COMMANDS[key][2]} - {"config"}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -303,22 +201,21 @@ def _load_config(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise UsageError(f"{path}:{number}: expected 'key = value', got {raw_line!r}")
-        key, _, value = line.partition("=")
-        dest = key.strip().replace("-", "_")
-        if dest not in _ALL_DESTS:
-            raise UsageError(f"{path}:{number}: unknown config key {key.strip()!r}")
+        name, _, value = line.partition("=")
+        dest = name.strip().replace("-", "_")
+        if dest not in accepted:
+            raise UsageError(f"{path}:{number}: unknown config key {name.strip()!r} for {key}")
         mapping[dest] = value.strip()
     return mapping
 
 
-def _effective_values(args, registry) -> dict:
-    config: dict[str, str] = {}
-    if getattr(args, "config", None):
-        config = _load_config(args.config)
+def _effective_values(args, key: str) -> dict:
+    config = _load_config(args.config, key) if args.config else {}
     values = {}
-    for dest, (kind, default, choices) in registry.items():
-        raw = getattr(args, dest, None)
-        if raw is None and dest in config and dest != "config":
+    for flag, kind, default, _, choices in _COMMANDS[key][2]:
+        dest = _dest(flag)
+        raw = getattr(args, dest)
+        if raw is None and dest in config:
             text = config[dest]
             try:
                 raw = kind(text)
@@ -328,11 +225,7 @@ def _effective_values(args, registry) -> dict:
                 raise UsageError(
                     f"config key {dest}: {raw!r} is not one of {', '.join(map(str, choices))}"
                 )
-        if raw is None:
-            raw = default
-        values[dest] = raw
-    if getattr(args, "config", None):
-        values["config"] = args.config
+        values[dest] = default if raw is None else raw
     return values
 
 
@@ -376,29 +269,21 @@ def _write_outputs(
 ) -> None:
     """Write the report in the chosen format, and the manifest.  The text
     report is rendered only when it is written."""
-    fmt = values.get("format", "json")
-    out = values.get("out")
-    json_text = _ended(json_text)
-    text_text = None if fmt == "json" else _ended(render_text())
-    if out:
-        out_path = Path(out)
-        if fmt == "json":
-            out_path.write_text(json_text)
-        elif fmt == "text":
-            out_path.write_text(text_text)
-        else:
-            out_path.write_text(json_text)
-            out_path.with_name(out_path.name + ".txt").write_text(text_text)
+    fmt = values["format"]
+    texts = [] if fmt == "text" else [_ended(json_text)]
+    if fmt != "json":
+        texts.append(_ended(render_text()))
+    if values["out"]:
+        # The first text goes to --out; with --format both, the text report
+        # goes next to the JSON.
+        out_path = Path(values["out"])
+        out_path.write_text(texts[0])
+        for text in texts[1:]:
+            out_path.with_name(out_path.name + ".txt").write_text(text)
         manifest_path = out_path.with_name(out_path.name + ".manifest.json")
     else:
-        if fmt == "json":
-            sys.stdout.write(json_text)
-        elif fmt == "text":
-            sys.stdout.write(text_text)
-        else:
-            sys.stdout.write(text_text)
-            sys.stdout.write("----\n")
-            sys.stdout.write(json_text)
+        # Standard output shows the text report above the JSON.
+        sys.stdout.write("----\n".join(reversed(texts)))
         manifest_path = Path(f"{PROG}-manifest.json")
     manifest = {
         "command": command,
@@ -535,46 +420,30 @@ def _cmd_spectra(args, values) -> tuple[str, Callable[[], str], bool]:
     if args.target == "correction-scan":
         field = float(grid.max())
         _refuse_outside_spin1_domain(values, field, "the largest scanned B", corrected=True)
+    constants = {name: values[name] for name in ("e", "m", "hbar")}
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             if args.target == "run":
                 model = spectra.SpectralModel(
                     values["particle"],
                     values["representation"],
-                    m=values["m"],
-                    hbar=values["hbar"],
-                    e=values["e"],
                     B=values["B"],
                     g=values["g"],
                     N=values["levels"],
+                    **constants,
                 )
                 report = spectra.compare_closed_form(model)
             elif args.target == "amm-scan":
                 report = spectra.amm_linearity_scan(
-                    [2.0 + x for x in grid],
-                    values["B"],
-                    values["levels"],
-                    e=values["e"],
-                    m=values["m"],
-                    hbar=values["hbar"],
+                    [2.0 + x for x in grid], values["B"], values["levels"], **constants
                 )
             elif args.target == "correction-scan":
                 report = spectra.correction_residual_scan(
-                    values["g"],
-                    list(grid),
-                    values["levels"],
-                    e=values["e"],
-                    m=values["m"],
-                    hbar=values["hbar"],
+                    values["g"], list(grid), values["levels"], **constants
                 )
             else:
                 report = spectra.operator_relation_check(
-                    values["B"],
-                    values["g"],
-                    values["levels"],
-                    e=values["e"],
-                    m=values["m"],
-                    hbar=values["hbar"],
+                    values["B"], values["g"], values["levels"], **constants
                 )
     except (spectra.SquareRootDomainError, spectra.InsufficientInteriorError) as exc:
         report = {"status": "fail", "failure": str(exc)}
@@ -619,16 +488,14 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser, registries = _build_parser()
+    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    registry_key = args.command
-    if args.command == "spectra":
-        registry_key = f"spectra {args.target}"
+    key = f"spectra {args.target}" if args.command == "spectra" else args.command
     try:
-        values = _effective_values(args, registries[registry_key])
+        values = _effective_values(args, key)
         json_text, render_text, ok = _HANDLERS[args.command](args, values)
     except ValueError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
@@ -638,9 +505,7 @@ def main(argv=None) -> int:
         # message that names its size.
         print(f"{PROG}: error: {exc or 'out of memory'}", file=sys.stderr)
         return 2
-    command = args.command
-    if getattr(args, "target", None):
-        command = f"{args.command} {args.target}"
+    command = f"{args.command} {args.target}" if "target" in args else args.command
     try:
         _write_outputs(values, command, json_text, render_text)
     except OSError as exc:

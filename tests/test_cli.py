@@ -467,11 +467,36 @@ def test_flag_overrides_config_value(tmp_path, capsys):
     json.loads(capsys.readouterr().out)  # would raise on the text rendering
 
 
-def test_unknown_config_key_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv, line, message",
+    [
+        (["compare"], "bogus = 1", "unknown config key 'bogus' for compare"),
+        (["compare"], "levels = 10", "unknown config key 'levels' for compare"),
+        (["spectra", "run"], "max-len = 4", "unknown config key 'max-len' for spectra run"),
+        (["compare"], "config = other.cfg", "unknown config key 'config' for compare"),
+    ],
+    ids=["bogus", "levels-compare", "max-len-spectra-run", "config"],
+)
+def test_unknown_config_key_is_usage_error(argv, line, message, tmp_path, capsys):
+    """A config file takes only the flags of the command it runs, and no
+    nested config file."""
     cfg = tmp_path / "fw.cfg"
-    cfg.write_text("bogus = 1\n")
-    assert cli.main(["compare", "--config", str(cfg)]) == 2
-    assert "unknown config key" in capsys.readouterr().err
+    cfg.write_text(line + "\n")
+    assert cli.main([*argv, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"fwforge: error: {cfg}:1: {message}\n"
+    assert not (tmp_path / "fwforge-manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [(["compare"], "format = xml"), (["spectra", "run"], "particle = spin2")],
+    ids=["format", "particle"],
+)
+def test_config_value_outside_the_choices_is_usage_error(argv, line, tmp_path, capsys):
+    cfg = tmp_path / "fw.cfg"
+    cfg.write_text(line + "\n")
+    assert cli.main([*argv, "--config", str(cfg)]) == 2
+    assert "is not one of" in capsys.readouterr().err
 
 
 def test_unparseable_config_value_is_usage_error(tmp_path, capsys):
@@ -529,6 +554,74 @@ def test_manifest_echoes_every_effective_parameter(tmp_path, capsys):
     assert params["g"] == 2.0
     assert params["m"] == 1.0
     assert params["format"] == "json"
+
+
+# Every command's flags and their defaults as --help shows them, written out
+# here rather than read from the command table, so that a row declared wrong
+# fails a test.
+_OUTPUT_DEFAULTS = {"out": "None", "format": "json", "config": "None"}
+_BUDGET_DEFAULTS = {"max_len": "8", "max_e": "3"}
+_CONSTANTS = {"m": "1.0", "hbar": "1.0", "e": "1.0"}
+_SCAN_DEFAULTS = {"scan_from": "0.001", "scan_to": "0.1", "scan_points": "7"}
+_FLAG_DEFAULTS = {
+    "derive": {**_BUDGET_DEFAULTS, **_OUTPUT_DEFAULTS},
+    "compare": {**_BUDGET_DEFAULTS, **_OUTPUT_DEFAULTS},
+    "concretize": _OUTPUT_DEFAULTS,
+    "spectra run": {
+        "particle": "spin12",
+        "representation": "fw",
+        **_CONSTANTS,
+        "B": "0.5",
+        "g": "2.0",
+        "levels": "64",
+        **_OUTPUT_DEFAULTS,
+    },
+    "spectra amm-scan": {**_CONSTANTS, "B": "0.1", "levels": "64", **_SCAN_DEFAULTS, **_OUTPUT_DEFAULTS},
+    "spectra correction-scan": {
+        **_CONSTANTS,
+        "g": "2.5",
+        "levels": "64",
+        **_SCAN_DEFAULTS,
+        **_OUTPUT_DEFAULTS,
+    },
+    "spectra relations": {**_CONSTANTS, "B": "0.3", "g": "2.7", "levels": "32", **_OUTPUT_DEFAULTS},
+    "expand": {**_BUDGET_DEFAULTS, **_OUTPUT_DEFAULTS},
+}
+# A fast run of each command; spectra runs keep 16 levels.
+_FAST_ARGV = {
+    "derive": ["derive", "eriksen", "--max-len", "4", "--max-e", "2"],
+    "compare": ["compare", "--max-len", "4", "--max-e", "2"],
+    "concretize": ["concretize", "electrostatic"],
+    "spectra run": ["spectra", "run", "--levels", "16"],
+    "spectra amm-scan": ["spectra", "amm-scan", "--levels", "16"],
+    "spectra correction-scan": ["spectra", "correction-scan", "--levels", "16"],
+    "spectra relations": ["spectra", "relations", "--levels", "16"],
+    "expand": ["expand", "E", "--max-len", "4", "--max-e", "2"],
+}
+
+
+@pytest.mark.parametrize("key", list(_FLAG_DEFAULTS))
+def test_manifest_parameters_are_the_command_flags(key, tmp_path, capsys):
+    argv = _FAST_ARGV[key]
+    assert cli.main(argv) in (0, 1)
+    params = json.loads((tmp_path / "fwforge-manifest.json").read_text())["parameters"]
+    expected = set(_FLAG_DEFAULTS[key]) | ({"expression"} if key == "expand" else set())
+    assert set(params) == expected
+    given = {arg[2:].replace("-", "_") for arg in argv if arg.startswith("--")}
+    for dest, default in _FLAG_DEFAULTS[key].items():
+        if dest not in given:
+            assert str(params[dest]) == default, dest
+
+
+@pytest.mark.parametrize("key", list(_FLAG_DEFAULTS))
+def test_help_shows_each_flag_with_its_default(key, capsys):
+    assert cli.main([*key.split(), "--help"]) == 0
+    shown = " ".join(capsys.readouterr().out.split())
+    for dest, default in _FLAG_DEFAULTS[key].items():
+        flag = "--" + dest.replace("_", "-")
+        # The options list, not the usage line, where each flag is in brackets.
+        entry = shown[shown.index(f" {flag} ") :]
+        assert entry.split("default: ", 1)[1].startswith(f"{default})"), flag
 
 
 @pytest.mark.parametrize("where", ["missing/rep.json", "."], ids=["missing-dir", "a-dir"])
