@@ -201,8 +201,8 @@ MUTANTS = (
     Mutant(
         "class-pair-budget-off-by-one",
         "src/fwforge/ncalg.py",
-        "(l1 + l2 > max_len or e1 + e2 > max_e)",
-        "(l1 + l2 >= max_len or e1 + e2 > max_e)",
+        "if l1 + l2 > max_len or e1 + e2 > max_e:",
+        "if l1 + l2 >= max_len or e1 + e2 > max_e:",
         (
             "tests/test_golden.py::test_report_matches_golden[argv12-derive_eriksen_10_4]",
             "tests/test_golden.py::test_report_matches_golden[argv2-derive_eriksen_8_3]",
@@ -263,6 +263,15 @@ MUTANTS = (
         "earlier = held is None",
         (
             "tests/test_comparator.py::test_elements_match_the_dict_builder[6-2-None]",
+        ),
+    ),
+    Mutant(
+        "basis-length-counts-one-class",
+        "src/fwforge/comparator.py",
+        "return sum(len(elements) for elements, _ in self._by_class.values())",
+        "return len(next(iter(self._by_class.values()))[0])",
+        (
+            "tests/test_comparator.py::test_full_basis_shape_is_frozen",
         ),
     ),
     Mutant(

@@ -64,7 +64,7 @@ class _Parser(argparse.ArgumentParser):
 _OUTPUT = (
     ("--out", str, None, "report file path; without it the report prints to standard output", None),
     ("--format", str, "json", "report format", ("json", "text", "both")),
-    ("--config", str, None, "key = value file supplying defaults for any flag", None),
+    ("--config", str, None, "key = value file supplying defaults for this command's flags", None),
 )
 _BUDGET = (
     ("--max-len", int, 8, "maximum word length kept by the expansion budget", None),

@@ -110,7 +110,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 from itertools import combinations, islice, permutations
 from fractions import Fraction
 from math import comb, factorial, lcm
@@ -160,9 +160,9 @@ def _class_index(klass: tuple[int, int]) -> dict[str, int]:
 class BasisElement:
     """One admitted bracket monomial: its text, kind rank, grading order and
     class, and `row`, the integer coefficients of its expansion over the
-    class words in sorted order.  The row is a read-only view into one
-    matrix per class; `word_vector` and `expansion` are built from it on
-    demand."""
+    class words in sorted order (`_class_words`).  The row is a read-only
+    view into its class's matrix, `BracketBasis.class_rows`, and is the
+    element's only expansion."""
 
     text: str
     kind: int
@@ -174,17 +174,6 @@ class BasisElement:
     @property
     def klass(self) -> tuple[int, int]:
         return (self.e_count, self.o_count)
-
-    @property
-    def word_vector(self) -> dict[str, int]:
-        """The nonzero coefficients by word, words in sorted order."""
-        words = _class_words(self.klass)
-        return {words[col]: int(self.row[col]) for col in np.flatnonzero(self.row)}
-
-    @cached_property
-    def expansion(self) -> AbstractExpr:
-        """The word vector as an expression, built on first use."""
-        return AbstractExpr({(0, word, 0): coeff for word, coeff in self.word_vector.items()})
 
 
 @dataclass(frozen=True)
@@ -206,16 +195,6 @@ class Projection:
 
     entries: tuple[ProjectionEntry, ...]
     residual: AbstractExpr
-
-    def reconstruct(self) -> AbstractExpr:
-        total = self.residual
-        for entry in self.entries:
-            dressed = AbstractExpr.from_terms(
-                ((entry.beta_exp, word, m_exp + entry.m_exp), coeff * entry.weight)
-                for (_, word, m_exp), coeff in entry.element.expansion.terms()
-            )
-            total = total.add(dressed)
-        return total
 
 
 # Kind ranks: commutators first, then powers and products, then
@@ -356,12 +335,12 @@ def _solve(
 
 
 class BracketBasis:
-    """The admitted elements, found by class or by text.  A class holds its
-    elements in projection order (lower order first, then the curated
-    spellings, then the kind rank and the text), and `class_rows` their
-    rows in that order as one read-only int64 matrix, which the elements'
-    rows view.  It keeps no echelon: `min_hbar_order` eliminates a class's
-    rows level by level on each call, and `project` a suffix of them.
+    """The admitted elements, found by class.  A class holds its elements
+    in projection order (lower order first, then the curated spellings,
+    then the kind rank and the text), and `class_rows` their rows in that
+    order as one read-only int64 matrix, which the elements' rows view.
+    It keeps no echelon: `min_hbar_order` eliminates a class's rows level
+    by level on each call, and `project` a suffix of them.
 
     `classes` are the classes the basis was built for (None: every class
     in the budget).  Asking about a class outside their sub-class closure
@@ -375,13 +354,6 @@ class BracketBasis:
     ):
         self._by_class = by_class
         self._built_for = None if classes is None else tuple(sorted(set(classes)))
-        self.elements = tuple(
-            sorted(
-                (element for elements, _ in by_class.values() for element in elements),
-                key=attrgetter("order", "e_count", "o_count", "text"),
-            )
-        )
-        self._by_text = {element.text: element for element in self.elements}
 
     def _class(self, klass: tuple[int, int]) -> tuple[tuple[BasisElement, ...], np.ndarray]:
         if not _in_closure(klass, self._built_for):
@@ -398,14 +370,11 @@ class BracketBasis:
     def class_rows(self, klass: tuple[int, int]) -> np.ndarray:
         return self._class(klass)[1]
 
-    def element(self, text: str) -> BasisElement:
-        return self._by_text[text]
-
     def classes(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self._by_class))
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return sum(len(elements) for elements, _ in self._by_class.values())
 
 
 # (text, word, kind) of each atom.  Heavy letters first so the

@@ -60,8 +60,6 @@ __all__ = [
     "matrix_factor",
     "momentum",
     "field_factor",
-    "scalar_factor",
-    "eps_factor",
     "matrix_identity_report",
     "derive_electrostatic",
     "verify_uniform_commutator",
@@ -553,17 +551,6 @@ def field_factor(mode: str, multi_index: tuple[int, int, int] = (0, 0, 0)) -> Co
             "its derivatives are central field components"
         )
     return ConcreteExpr.term(mode, _ONE, word=(("f", tuple(multi_index)),))
-
-
-def scalar_factor(mode: str, coeff=1, **exponents: int) -> ConcreteExpr:
-    if not isinstance(coeff, QQi):
-        coeff = QQi.of(Fraction(coeff))
-    return ConcreteExpr.term(mode, coeff, scalars=_scalar_of(**exponents))
-
-
-def eps_factor(mode: str, name: str) -> ConcreteExpr:
-    """An opaque central prefactor symbol from the series registry."""
-    return ConcreteExpr.term(mode, _ONE, eps=name)
 
 
 # -- rendering ---------------------------------------------------------------------

@@ -150,10 +150,6 @@ class AbstractExpr:
             if not length
         )
 
-    def coefficient(self, beta_exp: int, word: str, m_exp: int) -> Fraction:
-        group = self._groups.get((len(word), word.count("E"), beta_exp, m_exp))
-        return Fraction(group.get(word, 0) if group else 0, self._den)
-
     def is_zero(self) -> bool:
         return not self._groups
 
@@ -234,29 +230,28 @@ class AbstractExpr:
 
     # -- multiplicative structure ---------------------------------------
 
-    def mul(self, other: "AbstractExpr", budget: "Budget | None" = None) -> "AbstractExpr":
+    def mul(self, other: "AbstractExpr", budget: "Budget") -> "AbstractExpr":
         """Product with beta normalized leftward, one group pair at a time.
 
         Moving beta^b2 of a right term across the left word w1 costs the
         sign (-1)^(b2 * oCount(w1)), one sign per group pair.  Both counts
         of a concatenated word are the sums of its parts' counts, so a
         group pair lands in the one group (l1 + l2, e1 + e2, b1 ^ b2,
-        k1 + k2), and under a budget it is kept when l1 + l2 <= maxWordLen
-        and e1 + e2 <= maxECount and skipped otherwise, without visiting
-        its term pairs.  Letters only accumulate under multiplication, so
+        k1 + k2), and it is kept when l1 + l2 <= maxWordLen and
+        e1 + e2 <= maxECount and skipped otherwise, without visiting its
+        term pairs.  Letters only accumulate under multiplication, so
         this equals filtering after full distribution and kept
         coefficients are exact.  The numerators multiply as integers over
         the denominator d1 * d2, reduced once at the end.
         """
         if not self._groups or not other._groups:
             return AbstractExpr.zero()
-        max_len = budget.max_word_len if budget is not None else None
-        max_e = budget.max_e_count if budget is not None else None
+        max_len, max_e = budget.max_word_len, budget.max_e_count
         out: Groups = {}
         for (l1, e1, b1, k1), left in self._groups.items():
             odd1 = (l1 - e1) & 1
             for (l2, e2, b2, k2), right in other._groups.items():
-                if max_len is not None and (l1 + l2 > max_len or e1 + e2 > max_e):
+                if l1 + l2 > max_len or e1 + e2 > max_e:
                     continue
                 key = (l1 + l2, e1 + e2, b1 ^ b2, k1 + k2)
                 acc = out.get(key)
@@ -290,10 +285,10 @@ class AbstractExpr:
             self._den,
         )
 
-    def commutator(self, other: "AbstractExpr", budget: "Budget | None" = None) -> "AbstractExpr":
+    def commutator(self, other: "AbstractExpr", budget: "Budget") -> "AbstractExpr":
         return self.mul(other, budget).sub(other.mul(self, budget))
 
-    def anticommutator(self, other: "AbstractExpr", budget: "Budget | None" = None) -> "AbstractExpr":
+    def anticommutator(self, other: "AbstractExpr", budget: "Budget") -> "AbstractExpr":
         return self.mul(other, budget).add(other.mul(self, budget))
 
     def filtered(self, budget: "Budget") -> "AbstractExpr":

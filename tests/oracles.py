@@ -10,6 +10,16 @@ program computes another way, or reads out what the program never needs:
   ``QQi`` matrices of those monomials (``monomial_matrix``) must agree
   with this construction entry for entry, and with ``mat_mul`` on every
   product;
+* single-term concrete expressions: a scalar monomial
+  (``scalar_factor``) and an opaque central prefactor symbol
+  (``eps_factor``), which no derivation builds on its own;
+* the bracket basis seen whole or by text: every element sorted by
+  order, class and text (``all_elements``), and the one element with a
+  given text (``element``).  The comparator reaches elements only by
+  class, through ``class_elements`` and ``class_rows``;
+* an element's row read as a word vector (``word_vector``) or an
+  expression (``expansion``), and a projection summed back into the
+  piece it decomposes (``reconstruct``);
 * the exact linear relation of every bracket-basis element that a class
   echelon, its elements taken from high order to low, skips
   (``dependencies``);
@@ -18,11 +28,14 @@ program computes another way, or reads out what the program never needs:
   ``word_brackets``, ``direction``, ``combine``): the comparator builds
   them as batched rows over the class words;
 * mini-language text for a bracket tree (``format_tree``);
-* the part of an expression in one letter class (``restrict_class``);
+* the part of an expression in one letter class (``restrict_class``), and
+  one coefficient of an expression read off its term listing
+  (``coefficient``);
 * the product of two expressions held as ``Fraction`` coefficient dicts,
-  one term pair at a time (``fraction_mul``): ``AbstractExpr.mul``
-  multiplies integer numerators over one denominator and skips whole
-  over-budget classes of terms.
+  one term pair at a time, with or without a budget (``fraction_mul``):
+  ``AbstractExpr.mul`` always takes a budget, multiplies integer
+  numerators over one denominator and skips whole over-budget classes of
+  terms.
 """
 
 from __future__ import annotations
@@ -30,12 +43,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 from typing import Mapping
 
 import numpy as np
 
-from fwforge.comparator import BasisElement, BracketBasis, _eliminate, _solve
-from fwforge.concretizer import QQi
+from fwforge.comparator import (
+    BasisElement,
+    BracketBasis,
+    Projection,
+    _class_words,
+    _eliminate,
+    _solve,
+)
+from fwforge.concretizer import ConcreteExpr, QQi, _scalar_of
 from fwforge.ncalg import (
     Acomm,
     AbstractExpr,
@@ -165,6 +186,67 @@ def recompose_matrix(
     total = mat_scale(basis["1"], _ZERO)
     for label, coeff in coords.items():
         total = mat_add(total, mat_scale(basis[label], coeff))
+    return total
+
+
+# -- single-term concrete expressions ------------------------------------------
+
+
+def scalar_factor(mode: str, coeff=1, **exponents: int) -> ConcreteExpr:
+    """coeff times a monomial in the scalar symbols, e.g. hbar=1, e=2."""
+    if not isinstance(coeff, QQi):
+        coeff = QQi.of(Fraction(coeff))
+    return ConcreteExpr.term(mode, coeff, scalars=_scalar_of(**exponents))
+
+
+def eps_factor(mode: str, name: str) -> ConcreteExpr:
+    """An opaque central prefactor symbol from the series registry."""
+    return ConcreteExpr.term(mode, QQi.of(1), eps=name)
+
+
+# -- the bracket basis whole, by text, and read as expressions -----------------
+
+
+def _every_element(basis: BracketBasis):
+    return (el for klass in basis.classes() for el in basis.class_elements(*klass))
+
+
+def all_elements(basis: BracketBasis) -> tuple[BasisElement, ...]:
+    """Every element of every class, by order, then class, then text."""
+    return tuple(
+        sorted(_every_element(basis), key=attrgetter("order", "e_count", "o_count", "text"))
+    )
+
+
+def element(basis: BracketBasis, text: str) -> BasisElement:
+    """The one element spelled `text`; fails unless exactly one is."""
+    matches = [el for el in _every_element(basis) if el.text == text]
+    assert len(matches) == 1, (text, len(matches))
+    return matches[0]
+
+
+def word_vector(el: BasisElement) -> dict[str, int]:
+    """The element's nonzero coefficients by word, words in sorted order."""
+    words = _class_words(el.klass)
+    return {words[col]: int(el.row[col]) for col in np.flatnonzero(el.row)}
+
+
+def expansion(el: BasisElement) -> AbstractExpr:
+    """The element's word vector as an expression."""
+    return AbstractExpr({(0, word, 0): coeff for word, coeff in word_vector(el).items()})
+
+
+def reconstruct(projection: Projection) -> AbstractExpr:
+    """The residual plus each entry's element, scaled by its weight and
+    dressed in its beta and m powers."""
+    total = projection.residual
+    for entry in projection.entries:
+        total = total.add(
+            AbstractExpr.from_terms(
+                ((entry.beta_exp, word, entry.m_exp), coeff * entry.weight)
+                for word, coeff in word_vector(entry.element).items()
+            )
+        )
     return total
 
 
@@ -326,7 +408,7 @@ def format_tree(tree: BracketExpr) -> str:
     raise TypeError(f"cannot format {type(tree).__name__}")
 
 
-# -- letter classes ------------------------------------------------------------
+# -- letter classes and coefficients -------------------------------------------
 
 
 def restrict_class(expr: AbstractExpr, e: int, o: int) -> AbstractExpr:
@@ -338,6 +420,12 @@ def restrict_class(expr: AbstractExpr, e: int, o: int) -> AbstractExpr:
             if key[1].count("O") == o and key[1].count("E") == e
         }
     )
+
+
+def coefficient(expr: AbstractExpr, beta_exp: int, word: str, m_exp: int) -> Fraction:
+    """The coefficient of m^m_exp beta^beta_exp word, read off the term
+    listing; 0 for a term the expression does not hold."""
+    return dict(expr.terms()).get((beta_exp, word, m_exp), Fraction(0))
 
 
 # -- Fraction coefficient dicts --------------------------------------------------

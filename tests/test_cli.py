@@ -487,6 +487,13 @@ def test_unknown_config_key_is_usage_error(argv, line, message, tmp_path, capsys
     assert not (tmp_path / "fwforge-manifest.json").exists()
 
 
+def test_help_says_a_config_file_takes_the_commands_own_flags(capsys):
+    assert cli.main(["spectra", "run", "--help"]) == 0
+    shown = " ".join(capsys.readouterr().out.split())
+    assert "--config CONFIG key = value file supplying defaults for this command's flags" in shown
+    assert "any flag" not in shown
+
+
 @pytest.mark.parametrize(
     "argv, line",
     [(["compare"], "format = xml"), (["spectra", "run"], "particle = spin2")],

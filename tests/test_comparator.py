@@ -50,9 +50,20 @@ from fwforge.ncalg import (
 )
 from fwforge.lang import parse_expr
 from fwforge.stepwise import DISPLAYED
-from oracles import class_rows
+from oracles import (
+    all_elements,
+    class_rows,
+    dependencies,
+    direction,
+    element,
+    expansion,
+    format_tree,
+    insertion_order,
+    reconstruct,
+    restrict_class,
+    word_vector,
+)
 from oracles import combine as _combine
-from oracles import dependencies, direction, format_tree, insertion_order, restrict_class
 from oracles import word_brackets as _word_brackets
 from oracles import word_product as _word_product
 
@@ -82,9 +93,9 @@ def _kind_rank(tree):
 
 def test_small_basis_contains_double_commutator():
     basis = build_basis(Budget(3, 1))
-    element = basis.element("comm(O, comm(O, E))")
-    assert element.order == 1
-    assert (element.e_count, element.o_count) == (1, 2)
+    el = element(basis, "comm(O, comm(O, E))")
+    assert el.order == 1
+    assert (el.e_count, el.o_count) == (1, 2)
 
 
 def test_curated_texts_are_canonical():
@@ -107,8 +118,8 @@ def test_diff_report_at_an_order_builds_the_basis_for_the_differing_classes():
 
 
 def test_order_two_pair(basis42):
-    assert basis42.element("pow(comm(O, E), 2)").order == 2
-    assert basis42.element("comm(comm(pow(O, 2), E), E)").order == 2
+    assert element(basis42, "pow(comm(O, E), 2)").order == 2
+    assert element(basis42, "comm(comm(pow(O, 2), E), E)").order == 2
 
 
 def test_recorded_dependency_for_padded_spelling(basis42):
@@ -125,7 +136,7 @@ def test_all_small_basis_dependencies_reexpand_exactly(basis42):
     for dep in dependencies(basis42):
         total = AbstractExpr.zero()
         for text, weight in dep.members:
-            total = total.add(basis42.element(text).expansion.scale(weight))
+            total = total.add(expansion(element(basis42, text)).scale(weight))
         assert expand(parse_expr(dep.text), budget).sub(total).is_zero(), dep.text
 
 
@@ -135,27 +146,33 @@ def test_sampled_full_basis_dependencies_reexpand_exactly(basis83, budget83):
     for dep in deps:
         total = AbstractExpr.zero()
         for text, weight in dep.members:
-            total = total.add(basis83.element(text).expansion.scale(weight))
+            total = total.add(expansion(element(basis83, text)).scale(weight))
         assert expand(parse_expr(dep.text), budget83).sub(total).is_zero(), dep.text
 
 
-def test_full_basis_shape_is_frozen(basis83):
-    assert len(basis83.elements) == 6208
+def test_full_basis_shape_is_frozen(basis83, budget83):
+    assert len(all_elements(basis83)) == 6208
+    assert len(basis83) == 6208
+    assert len(build_basis(budget83, classes=DIFFERING_83)) == 3530
     assert len(dependencies(basis83)) == 5956
+
+
+def test_element_texts_are_unique(basis83):
+    texts = [el.text for el in all_elements(basis83)]
+    assert len(set(texts)) == len(texts)
 
 
 def test_listing_order_and_determinism():
     first = build_basis(Budget(5, 2))
     second = build_basis(Budget(5, 2))
-    keys = [(el.order, el.klass, el.text) for el in first.elements]
-    assert keys == sorted(keys)
-    assert keys == [(el.order, el.klass, el.text) for el in second.elements]
+    keys = [(el.order, el.klass, el.text) for el in all_elements(first)]
+    assert keys == [(el.order, el.klass, el.text) for el in all_elements(second)]
     assert [d.text for d in dependencies(first)] == [d.text for d in dependencies(second)]
 
 
 def test_elements_store_exact_unmixed_expansions(basis42):
-    for element in basis42.elements:
-        words = {word for (_, word, _), _ in element.expansion.terms()}
+    for element in all_elements(basis42):
+        words = {word for (_, word, _), _ in expansion(element).terms()}
         assert words, element.text
         parities = {(len(w) - w.count("E")) % 2 for w in words}
         assert len(parities) == 1, element.text
@@ -166,17 +183,17 @@ def test_elements_agree_with_their_trees():
     the order, vector and kind built alongside the text are the ones that
     tree gives (products and three-factor products included)."""
     budget = Budget(6, 2)
-    for element in build_basis(budget).elements:
+    for element in all_elements(build_basis(budget)):
         tree = parse_expr(element.text)
         assert format_tree(tree) == element.text
         assert element.order == parity_and_order(tree)[1], element.text
-        assert element.expansion == expand(tree, budget), element.text
+        assert expansion(element) == expand(tree, budget), element.text
         assert element.kind == _kind_rank(tree), element.text
 
 
 def _listing(elements):
     return [
-        (el.text, el.order, el.klass, el.word_vector, el.expansion.terms())
+        (el.text, el.order, el.klass, word_vector(el), expansion(el).terms())
         for el in elements
     ]
 
@@ -192,7 +209,8 @@ def test_partial_basis_is_the_full_basis_on_each_closure_at_6_2():
     full = build_basis(budget)
     for klass in [(e, o) for e in range(3) for o in range(7 - e)]:
         partial = build_basis(budget, classes=[klass])
-        assert _listing(partial.elements) == _listing(_closure(full.elements, [klass])), klass
+        expected = _closure(all_elements(full), [klass])
+        assert _listing(all_elements(partial)) == _listing(expected), klass
 
 
 DIFFERING_83 = [(1, 4), (1, 6), (2, 2), (2, 4), (2, 6), (3, 2), (3, 4)]
@@ -200,9 +218,9 @@ DIFFERING_83 = [(1, 4), (1, 6), (2, 2), (2, 4), (2, 6), (3, 2), (3, 4)]
 
 def test_partial_basis_for_the_differing_classes_at_8_3(basis83, budget83):
     partial = build_basis(budget83, classes=DIFFERING_83)
-    expected = _closure(basis83.elements, DIFFERING_83)
+    expected = _closure(all_elements(basis83), DIFFERING_83)
     assert len(partial) == len(expected) == 3530
-    assert _listing(partial.elements) == _listing(expected)
+    assert _listing(all_elements(partial)) == _listing(expected)
 
 
 def test_partial_basis_refuses_classes_outside_its_closure():
@@ -362,7 +380,7 @@ def test_element_rows_are_int64_within_the_atom_bound(max_len, max_e, basis83):
     """A row's L1 norm is at most 2**(atoms - 1), and an element has no more
     atoms than letters."""
     basis = basis83 if (max_len, max_e) == (8, 3) else build_basis(Budget(max_len, max_e))
-    for element in basis.elements:
+    for element in all_elements(basis):
         assert element.row.dtype == np.int64, element.text
         norm = int(np.abs(element.row).sum())
         assert norm <= 1 << (element.e_count + element.o_count - 1), element.text
@@ -393,8 +411,9 @@ _ELEMENT_DIGESTS = {
 
 def _element_digest(basis) -> tuple[int, str]:
     digest = hashlib.sha256()
-    for el in basis.elements:
-        line = [el.text, el.kind, el.order, el.e_count, el.o_count, sorted(el.word_vector.items())]
+    for el in all_elements(basis):
+        vector = sorted(word_vector(el).items())
+        line = [el.text, el.kind, el.order, el.e_count, el.o_count, vector]
         digest.update(json.dumps(line).encode() + b"\n")
     return len(basis), digest.hexdigest()
 
@@ -423,7 +442,7 @@ def test_project_basis_member_onto_itself(basis83, budget83):
         ("comm(O, comm(O, E))", Fraction(1), 0)
     ]
     assert result.residual.is_zero()
-    assert result.reconstruct().sub(piece).is_zero()
+    assert reconstruct(result).sub(piece).is_zero()
 
 
 def test_project_zero(basis83):
@@ -452,7 +471,7 @@ def test_quartic_display_difference_projects_onto_three_brackets(basis83, budget
         ("acomm(pow(O, 2), pow(comm(O, E), 2))", Fraction(3, 32), 1, -5),
     ]
     assert result.residual.is_zero()
-    assert result.reconstruct().sub(mine.sub(other)).is_zero()
+    assert reconstruct(result).sub(mine.sub(other)).is_zero()
 
 
 def test_min_order_filter_restricts_vocabulary(basis83, budget83):
@@ -517,7 +536,7 @@ def test_residual_captures_out_of_span_content(basis42):
     result = project(piece, basis42, 0)
     assert result.entries == ()
     assert not result.residual.is_zero()
-    assert result.reconstruct().sub(piece).is_zero()
+    assert reconstruct(result).sub(piece).is_zero()
 
 
 @st.composite
@@ -548,15 +567,15 @@ def test_projection_reconstructs_arbitrary_span_members(basis42, combo):
     for index, weight, m_shift in picks:
         element = elements[index % len(elements)]
         chosen_orders.append(element.order)
-        piece = piece.add(element.expansion.scale(Fraction(weight)).shift_m(m_shift))
+        piece = piece.add(expansion(element).scale(Fraction(weight)).shift_m(m_shift))
     if piece.is_zero():
         return
     rebuilt, certified = AbstractExpr.zero(), []
     for part in _strata(piece).values():
         result = project(part, basis42, min_order=0)
         assert result.residual.is_zero()
-        assert result.reconstruct().sub(part).is_zero()
-        rebuilt = rebuilt.add(result.reconstruct())
+        assert reconstruct(result).sub(part).is_zero()
+        rebuilt = rebuilt.add(reconstruct(result))
         order = min_hbar_order(part, basis42)
         assert order is not None
         certified.append(order)
@@ -795,7 +814,7 @@ def _dict_rows(echelon):
 def _oracle_echelon(basis, klass):
     oracle = _Echelon()
     for element in insertion_order(basis, klass):
-        oracle.insert(element.text, element.word_vector)
+        oracle.insert(element.text, word_vector(element))
     return oracle
 
 
@@ -805,7 +824,7 @@ def test_dependencies_match_the_tracked_dict_echelon():
     for klass in basis.classes():
         oracle = _Echelon(tracked=True)
         for element in insertion_order(basis, klass):
-            members = oracle.insert(element.text, element.word_vector)
+            members = oracle.insert(element.text, word_vector(element))
             if members is not None:
                 expected[element.text] = tuple(sorted(members.items()))
     assert expected
@@ -921,7 +940,7 @@ def test_sparse_solve_matches_the_subset_scan_on_every_stratum_at_8_3(
     for klass, row, delta in _differing_83(report83, eriksen83, static13_83):
         columns, index, matrix = _projection_columns(basis83, klass, row.hbar_order_min)
         _, beta_exp, m_exp, vector = comparator._stratum(delta)
-        expected, visited = _subset_scan(vector, [el.word_vector for el in columns])
+        expected, visited = _subset_scan(vector, [word_vector(el) for el in columns])
         assert _kernel_solve(vector, index, matrix) == expected, (klass, beta_exp, m_exp)
         if expected is None:
             exhausted.append((klass, visited))
@@ -940,7 +959,7 @@ def test_sparse_solve_gives_up_after_exactly_the_budget(
     )
     columns, index, matrix = _projection_columns(basis83, klass, row.hbar_order_min)
     *_, vector = comparator._stratum(delta)
-    expected, visited = _subset_scan(vector, [el.word_vector for el in columns])
+    expected, visited = _subset_scan(vector, [word_vector(el) for el in columns])
     assert expected is not None and visited > 1000
     for budget, block in [(visited, 1 << 13), (visited, 100), (visited - 1, 1 << 13), (visited - 1, 100)]:
         monkeypatch.setattr(comparator, "_SUBSET_BUDGET", budget)
@@ -995,7 +1014,7 @@ def subset_scans_83(report83, eriksen83, static13_83, basis83):
     for klass, row, delta in _differing_83(report83, eriksen83, static13_83):
         columns, index, matrix = _projection_columns(basis83, klass, row.hbar_order_min)
         _, beta_exp, m_exp, vector = comparator._stratum(delta)
-        expected, _ = _subset_scan(vector, [el.word_vector for el in columns])
+        expected, _ = _subset_scan(vector, [word_vector(el) for el in columns])
         scans.append((klass, (beta_exp, m_exp), vector, index, matrix, expected))
     return scans
 
@@ -1072,8 +1091,8 @@ def test_certificates_match_the_oracle_on_every_differing_class(
         klass = (row.e_count, row.o_count)
         delta = restrict_class(eriksen83, *klass).sub(restrict_class(static13_83, *klass))
         oracle = _GaussJordan()
-        for element in sorted(basis83.class_elements(*klass), key=lambda el: -el.order):
-            oracle.insert(element.text, element.word_vector)
+        for el in sorted(basis83.class_elements(*klass), key=lambda el: -el.order):
+            oracle.insert(el.text, word_vector(el))
         strata = {}
         for (beta_exp, word, m_exp), coeff in delta.terms():
             strata.setdefault((beta_exp, m_exp), {})[word] = coeff
@@ -1081,7 +1100,7 @@ def test_certificates_match_the_oracle_on_every_differing_class(
         for vector in strata.values():
             remainder, weights = oracle.reduce(vector)
             assert not remainder, klass
-            orders.extend(basis83.element(text).order for text in weights)
+            orders.extend(element(basis83, text).order for text in weights)
         assert min_hbar_order(delta, basis83) == min(orders) == row.hbar_order_min, klass
 
 
@@ -1138,7 +1157,7 @@ def test_report_reconstruction_and_residuals(report83, eriksen83, static13_83):
             restrict_class(static13_83, row.e_count, row.o_count)
         )
         assert row.projection.residual.is_zero()
-        assert row.projection.reconstruct().sub(delta).is_zero()
+        assert reconstruct(row.projection).sub(delta).is_zero()
 
 
 def test_report_projection_idempotent(report83, eriksen83, static13_83, basis83):
@@ -1146,7 +1165,7 @@ def test_report_projection_idempotent(report83, eriksen83, static13_83, basis83)
         if row.projection is None:
             continue
         again = project(
-            row.projection.reconstruct(), basis83, min_order=row.hbar_order_min
+            reconstruct(row.projection), basis83, min_order=row.hbar_order_min
         )
         assert [
             (e.element.text, e.weight, e.beta_exp, e.m_exp) for e in again.entries

@@ -28,24 +28,24 @@ from fwforge.concretizer import (
     _product_table,
     _require_matrices,
     derive_electrostatic,
-    eps_factor,
     field_factor,
     matrix_factor,
     matrix_identity_report,
     momentum,
-    scalar_factor,
     term_strings,
     verify_uniform_commutator,
 )
 from oracles import (
     PAULI_BLOCK_BASIS,
     decompose_matrix,
+    eps_factor,
     inner,
     mat_add,
     mat_mul,
     mat_scale,
     monomial_matrix,
     recompose_matrix,
+    scalar_factor,
 )
 
 
