@@ -139,6 +139,16 @@ MUTANTS = (
         "coeff * QQi.of(0, -sign),",
         (
             "tests/test_concretizer.py::test_kinetic_momenta_do_not_commute_in_uniform_mode",
+            "tests/test_spectra.py::test_both_layers_read_one_sign_of_the_kinetic_momentum_commutator",
+        ),
+    ),
+    Mutant(
+        "concrete-product-drops-right-scalars",
+        "src/fwforge/concretizer.py",
+        'key = (label, "", _scalar_merge(sc1, sc2), w1 + w2)',
+        'key = (label, "", sc1, w1 + w2)',
+        (
+            "tests/test_concretizer.py::test_electrostatic_derivation_passes",
         ),
     ),
     Mutant(

@@ -192,7 +192,7 @@ def _load_config(path: str, key: str) -> dict[str, str]:
     accepted = {_dest(row[0]) for row in _COMMANDS[key][2]} - {"config"}
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     mapping: dict[str, str] = {}
     for number, raw_line in enumerate(text.splitlines(), start=1):

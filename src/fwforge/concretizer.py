@@ -31,11 +31,6 @@ evaluated on the concrete inputs by ``ncalg.evaluate``.  Operator words
 are normal ordered with every momentum-past-function swap emitting one
 explicit power of hbar, which is what makes the hbar-grading of each
 derived term exact.
-
-Closed-form functions of the kinetic energy (``sqrt(m^2 + p^2)`` and
-friends) are never expanded here: they enter as opaque central prefactor
-symbols drawn from the series registry, and derived and encoded blocks
-are matched per symbol.
 """
 
 from __future__ import annotations
@@ -45,7 +40,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping
 
-from fwforge.fseries import REGISTRY as _EPS_REGISTRY
 from fwforge.lang import parse_expr
 from fwforge.ncalg import evaluate
 from fwforge.stepwise import ORDER2_BLOCKS
@@ -259,7 +253,9 @@ _SCALAR_ORDER = {name: index for index, name in enumerate(_FORMAL_SCALARS + _FIE
 ScalarKey = tuple  # sorted tuple of (symbol, exponent)
 Factor = tuple  # ("f", (ax, ay, az)) or ("p", axis)
 Word = tuple  # tuple of factors
-TermKey = tuple  # (matrix label, eps symbol or "", ScalarKey, Word)
+# (matrix label, "", ScalarKey, Word): the second field is always empty,
+# kept because bench/checks.py unpacks four-field keys from terms().
+TermKey = tuple
 
 
 def _scalar_merge(a: ScalarKey, b: ScalarKey) -> ScalarKey:
@@ -309,10 +305,9 @@ class MatrixIdentityError(RuntimeError):
 class ConcreteExpr:
     """Sum of (matrix-basis factor) x (scalar monomial) x (operator word).
 
-    Terms may carry one opaque central prefactor symbol from the series
-    registry.  Words are stored as written; :meth:`normal_order` rewrites
-    them into the canonical field-functions-left form, emitting one power
-    of hbar per swap.
+    Words are stored as written; :meth:`normal_order` rewrites them into
+    the canonical field-functions-left form, emitting one power of hbar
+    per swap.
     """
 
     __slots__ = ("mode", "_terms")
@@ -335,19 +330,11 @@ class ConcreteExpr:
         return ConcreteExpr(mode)
 
     @staticmethod
-    def term(
-        mode: str,
-        coeff: QQi,
-        matrix: str = "1",
-        eps: str = "",
-        scalars: ScalarKey = (),
-        word: Word = (),
-    ) -> "ConcreteExpr":
+    def term(mode: str, matrix: str = "1", word: Word = ()) -> "ConcreteExpr":
+        """The single term matrix x word with coefficient 1."""
         if matrix not in MATRIX_BASIS:
             raise ValueError(f"unknown matrix label: {matrix}")
-        if eps and eps not in _EPS_REGISTRY:
-            raise ValueError(f"unknown central prefactor symbol: {eps}")
-        return ConcreteExpr(mode, {(matrix, eps, scalars, word): coeff})
+        return ConcreteExpr(mode, {(matrix, "", (), word): _ONE})
 
     # inspection ----------------------------------------------------------------
 
@@ -401,8 +388,8 @@ class ConcreteExpr:
         return ConcreteExpr(
             self.mode,
             {
-                (matrix, eps, _scalar_merge(scalars, extra), word): coeff
-                for (matrix, eps, scalars, word), coeff in self._terms.items()
+                (matrix, "", _scalar_merge(scalars, extra), word): coeff
+                for (matrix, _, scalars, word), coeff in self._terms.items()
             },
         )
 
@@ -412,14 +399,10 @@ class ConcreteExpr:
         """Raw product: labels multiply by structure constants, words concatenate."""
         self._check_mode(other)
         out: dict[TermKey, QQi] = {}
-        for (mat1, eps1, sc1, w1), c1 in self._terms.items():
-            for (mat2, eps2, sc2, w2), c2 in other._terms.items():
-                if eps1 and eps2:
-                    raise ValueError(
-                        "cannot multiply two opaque central prefactors"
-                    )
+        for (mat1, _, sc1, w1), c1 in self._terms.items():
+            for (mat2, _, sc2, w2), c2 in other._terms.items():
                 label, phase = _basis_product(mat1, mat2)
-                key = (label, eps1 or eps2, _scalar_merge(sc1, sc2), w1 + w2)
+                key = (label, "", _scalar_merge(sc1, sc2), w1 + w2)
                 _accumulate(out, key, c1 * c2 * phase)
         return ConcreteExpr(self.mode, out)
 
@@ -436,9 +419,9 @@ class ConcreteExpr:
         reorderings emit the magnetic central terms.
         """
         out: dict[TermKey, QQi] = {}
-        for (matrix, eps, scalars, word), coeff in self._terms.items():
+        for (matrix, _, scalars, word), coeff in self._terms.items():
             for extra_coeff, extra_scalars, canonical in _normalize_word(self.mode, word):
-                key = (matrix, eps, _scalar_merge(scalars, extra_scalars), canonical)
+                key = (matrix, "", _scalar_merge(scalars, extra_scalars), canonical)
                 _accumulate(out, key, coeff * extra_coeff)
         return ConcreteExpr(self.mode, out)
 
@@ -459,8 +442,8 @@ class ConcreteExpr:
 
 
 def _term_sort_key(key: TermKey) -> tuple:
-    matrix, eps, scalars, word = key
-    return (_LABEL_ORDER[matrix], eps, scalars, word)
+    matrix, _, scalars, word = key
+    return (_LABEL_ORDER[matrix], scalars, word)
 
 
 def _normalize_word(mode: str, word: Word) -> list[tuple[QQi, ScalarKey, Word]]:
@@ -533,13 +516,13 @@ def _first_inversion(word: Word) -> int | None:
 
 
 def matrix_factor(mode: str, label: str) -> ConcreteExpr:
-    return ConcreteExpr.term(mode, _ONE, matrix=label)
+    return ConcreteExpr.term(mode, matrix=label)
 
 
 def momentum(mode: str, axis: int) -> ConcreteExpr:
     if axis not in (0, 1, 2):
         raise ValueError("axis must be 0, 1, or 2")
-    return ConcreteExpr.term(mode, _ONE, word=(("p", axis),))
+    return ConcreteExpr.term(mode, word=(("p", axis),))
 
 
 def field_factor(mode: str, multi_index: tuple[int, int, int] = (0, 0, 0)) -> ConcreteExpr:
@@ -550,7 +533,7 @@ def field_factor(mode: str, multi_index: tuple[int, int, int] = (0, 0, 0)) -> Co
             "uniform mode keeps only the bare potential as a field factor; "
             "its derivatives are central field components"
         )
-    return ConcreteExpr.term(mode, _ONE, word=(("f", tuple(multi_index)),))
+    return ConcreteExpr.term(mode, word=(("f", tuple(multi_index)),))
 
 
 # -- rendering ---------------------------------------------------------------------
@@ -575,13 +558,11 @@ def _render_factor(factor: Factor) -> str:
 
 
 def render_term(key: TermKey, coeff: QQi) -> str:
-    matrix, eps, scalars, word = key
+    matrix, _, scalars, word = key
     parts = [str(coeff)]
     rendered_scalars = _render_scalars(scalars)
     if rendered_scalars:
         parts.append(rendered_scalars)
-    if eps:
-        parts.append(f"f({eps})")
     if matrix != "1":
         parts.append(matrix)
     parts.extend(_render_factor(factor) for factor in word)
@@ -726,87 +707,87 @@ def _unit_multi(axis: int) -> tuple[int, int, int]:
     return tuple(multi)
 
 
-def _field_derivative(mode: str, axis: int) -> ConcreteExpr:
-    return field_factor(mode, _unit_multi(axis))
+def _field_derivative(axis: int) -> ConcreteExpr:
+    return field_factor(ELECTROSTATIC, _unit_multi(axis))
 
 
-def _spin_cross_terms(mode: str, field_first: bool) -> ConcreteExpr:
+def _spin_cross_terms(field_first: bool) -> ConcreteExpr:
     """Sigma . (p x E) when field_first is False, Sigma . (E x p) when True,
     written with the raw operator ordering of the displayed form and the
     field expressed through the potential (E_i = -d_i Phi)."""
-    total = ConcreteExpr.zero(mode)
+    total = ConcreteExpr.zero(ELECTROSTATIC)
     for (i, j, k), sign in _EPSILON.items():
-        sigma = matrix_factor(mode, f"Sigma_{_AXES[k]}")
+        sigma = matrix_factor(ELECTROSTATIC, f"Sigma_{_AXES[k]}")
         if field_first:
-            factors = _field_derivative(mode, i).mul(momentum(mode, j))
+            factors = _field_derivative(i).mul(momentum(ELECTROSTATIC, j))
         else:
-            factors = momentum(mode, i).mul(_field_derivative(mode, j))
+            factors = momentum(ELECTROSTATIC, i).mul(_field_derivative(j))
         total = total.add(sigma.mul(factors).scale(Fraction(-sign)))
     return total
 
 
-def _laplacian(mode: str) -> ConcreteExpr:
-    total = ConcreteExpr.zero(mode)
+def _laplacian() -> ConcreteExpr:
+    total = ConcreteExpr.zero(ELECTROSTATIC)
     for axis in range(3):
         multi = [0, 0, 0]
         multi[axis] = 2
-        total = total.add(field_factor(mode, tuple(multi)))
+        total = total.add(field_factor(ELECTROSTATIC, tuple(multi)))
     return total
 
 
-def _field_squared(mode: str) -> ConcreteExpr:
-    total = ConcreteExpr.zero(mode)
+def _field_squared() -> ConcreteExpr:
+    total = ConcreteExpr.zero(ELECTROSTATIC)
     for axis in range(3):
-        component = _field_derivative(mode, axis)
+        component = _field_derivative(axis)
         total = total.add(component.mul(component))
     return total
 
 
-def _power_transfer(mode: str) -> ConcreteExpr:
+def _power_transfer() -> ConcreteExpr:
     """p . E + E . p written through the potential: -(p_i Phi_i + Phi_i p_i)."""
-    total = ConcreteExpr.zero(mode)
+    total = ConcreteExpr.zero(ELECTROSTATIC)
     for axis in range(3):
-        p = momentum(mode, axis)
-        phi = _field_derivative(mode, axis)
+        p = momentum(ELECTROSTATIC, axis)
+        phi = _field_derivative(axis)
         total = total.add(p.mul(phi)).add(phi.mul(p))
     return total.scale(Fraction(-1))
 
 
-def _directional_curvature(mode: str) -> ConcreteExpr:
+def _directional_curvature() -> ConcreteExpr:
     """The canonical normal-ordered reading of (p . grad)(p . grad) Phi:
     second-derivative functions on the left, two momenta on the right."""
-    total = ConcreteExpr.zero(mode)
+    total = ConcreteExpr.zero(ELECTROSTATIC)
     for i in range(3):
         for j in range(3):
             multi = [0, 0, 0]
             multi[i] += 1
             multi[j] += 1
             total = total.add(
-                field_factor(mode, tuple(multi))
-                .mul(momentum(mode, min(i, j)))
-                .mul(momentum(mode, max(i, j)))
+                field_factor(ELECTROSTATIC, tuple(multi))
+                .mul(momentum(ELECTROSTATIC, min(i, j)))
+                .mul(momentum(ELECTROSTATIC, max(i, j)))
             )
     return total
 
 
-def _encoded_interiors(mode: str) -> dict[str, ConcreteExpr]:
-    spin_orbit = _spin_cross_terms(mode, field_first=False).sub(
-        _spin_cross_terms(mode, field_first=True)
+def _encoded_interiors() -> dict[str, ConcreteExpr]:
+    spin_orbit = _spin_cross_terms(field_first=False).sub(
+        _spin_cross_terms(field_first=True)
     )
     return {
         # -e hbar (Sigma.(p x E) - Sigma.(E x p) + hbar * div grad Phi)
         "inv_eps_epsm": spin_orbit.add(
-            _laplacian(mode).scalar_mul(hbar=1)
+            _laplacian().scalar_mul(hbar=1)
         ).scalar_mul(e=1, hbar=1).scale(Fraction(-1)),
         # -4 e hbar^2 (p . grad)(p . grad) Phi
-        "quartic_kernel": _directional_curvature(mode)
+        "quartic_kernel": _directional_curvature()
         .scalar_mul(e=1, hbar=2)
         .scale(Fraction(-4)),
         # -e^2 hbar^2 E^2
-        "inv_eps3": _field_squared(mode).scalar_mul(e=2, hbar=2).scale(Fraction(-1)),
+        "inv_eps3": _field_squared().scalar_mul(e=2, hbar=2).scale(Fraction(-1)),
         # -e^2 hbar^2 (p . E + E . p)^2
-        "inv_eps5": _power_transfer(mode)
-        .mul(_power_transfer(mode))
+        "inv_eps5": _power_transfer()
+        .mul(_power_transfer())
         .scalar_mul(e=2, hbar=2)
         .scale(Fraction(-1)),
     }
@@ -834,16 +815,16 @@ def derive_electrostatic() -> dict:
     The odd input is alpha . p and the even input is e Phi.  Each of the
     four interiors of the order-2 closed form (``stepwise.ORDER2_BLOCKS``)
     is evaluated from its text in the concrete algebra, normal ordered at
-    every bracket and power, and compared -- per opaque kinetic-energy
-    prefactor symbol -- against the encoded displayed form, exactly, for
-    all terms with hbar power <= ``HBAR_MAX``.  Any deeper remainder is pure
+    every bracket and power, and compared against the displayed form
+    encoded under the same prefactor label, exactly, for all terms with
+    hbar power <= ``HBAR_MAX``.  Any deeper remainder is pure
     operator-ordering content of the displayed directional-curvature
     term; it is reported, never compared.
     """
     _require_matrices()
     mode = ELECTROSTATIC
     letters = {"O": _alpha_dot_p(mode), "E": field_factor(mode).scalar_mul(e=1)}
-    encoded = _encoded_interiors(mode)
+    encoded = _encoded_interiors()
 
     blocks = []
     status = "pass"

@@ -10,9 +10,8 @@ program computes another way, or reads out what the program never needs:
   ``QQi`` matrices of those monomials (``monomial_matrix``) must agree
   with this construction entry for entry, and with ``mat_mul`` on every
   product;
-* single-term concrete expressions: a scalar monomial
-  (``scalar_factor``) and an opaque central prefactor symbol
-  (``eps_factor``), which no derivation builds on its own;
+* a single-term concrete expression holding only a scalar monomial
+  (``scalar_factor``), which no derivation builds on its own;
 * the bracket basis seen whole or by text: every element sorted by
   order, class and text (``all_elements``), and the one element with a
   given text (``element``).  The comparator reaches elements only by
@@ -56,7 +55,7 @@ from fwforge.comparator import (
     _eliminate,
     _solve,
 )
-from fwforge.concretizer import ConcreteExpr, QQi, _scalar_of
+from fwforge.concretizer import ConcreteExpr, QQi
 from fwforge.ncalg import (
     Acomm,
     AbstractExpr,
@@ -189,19 +188,12 @@ def recompose_matrix(
     return total
 
 
-# -- single-term concrete expressions ------------------------------------------
+# -- a single-term concrete expression -----------------------------------------
 
 
 def scalar_factor(mode: str, coeff=1, **exponents: int) -> ConcreteExpr:
     """coeff times a monomial in the scalar symbols, e.g. hbar=1, e=2."""
-    if not isinstance(coeff, QQi):
-        coeff = QQi.of(Fraction(coeff))
-    return ConcreteExpr.term(mode, coeff, scalars=_scalar_of(**exponents))
-
-
-def eps_factor(mode: str, name: str) -> ConcreteExpr:
-    """An opaque central prefactor symbol from the series registry."""
-    return ConcreteExpr.term(mode, QQi.of(1), eps=name)
+    return ConcreteExpr.term(mode).scalar_mul(**exponents).scale(coeff)
 
 
 # -- the bracket basis whole, by text, and read as expressions -----------------

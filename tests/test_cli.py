@@ -518,6 +518,16 @@ def test_missing_config_file_is_usage_error(capsys):
     assert "cannot read config file" in capsys.readouterr().err
 
 
+def test_undecodable_config_file_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "fw.cfg"
+    cfg.write_bytes(b"\xff\xfemax-len = 4\n")
+    assert cli.main(["compare", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"fwforge: error: cannot read config file {cfg}: 'utf-8' codec can't decode "
+        "byte 0xff in position 0: invalid start byte\n"
+    )
+
+
 def test_config_line_without_equals_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "fw.cfg"
     cfg.write_text("max-len 4\n")
@@ -715,6 +725,23 @@ def test_symbolic_commands_do_not_import_numpy(argv, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["0", "False", "False"]
+
+
+def test_concretize_commands_do_not_import_the_series_registry(tmp_path):
+    """The concretizations read their bracket interiors as text and load no
+    fwforge.fseries."""
+    for target in ["electrostatic", "uniform-field"]:
+        script = (
+            "import sys\n"
+            "from fwforge import cli\n"
+            f"code = cli.main(['concretize', {target!r}, '--out', 'report.json'])\n"
+            "print(code, 'fwforge.fseries' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, env=_child_env()
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["0", "False"], target
 
 
 def test_spectra_commands_do_not_import_symbolic_modules(tmp_path):

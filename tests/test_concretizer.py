@@ -38,7 +38,6 @@ from fwforge.concretizer import (
 from oracles import (
     PAULI_BLOCK_BASIS,
     decompose_matrix,
-    eps_factor,
     inner,
     mat_add,
     mat_mul,
@@ -418,22 +417,9 @@ def test_mode_mixing_is_rejected():
         momentum(ELECTROSTATIC, 0).add(momentum(UNIFORM, 0))
 
 
-def test_two_opaque_prefactors_cannot_multiply():
-    first = eps_factor(ELECTROSTATIC, "eps")
-    second = eps_factor(ELECTROSTATIC, "inv_eps3")
-    with pytest.raises(ValueError):
-        first.mul(second)
-    tagged = first.mul(field_factor(ELECTROSTATIC))
-    ((_, eps, _, word),) = [key for key, _ in tagged.terms()]
-    assert eps == "eps"
-    assert word == (("f", (0, 0, 0)),)
-
-
 def test_unknown_names_are_rejected():
     with pytest.raises(ValueError):
         matrix_factor(ELECTROSTATIC, "delta")
-    with pytest.raises(ValueError):
-        eps_factor(ELECTROSTATIC, "not_registered")
     with pytest.raises(ValueError):
         scalar_factor(ELECTROSTATIC, 1, q=2)
     with pytest.raises(ValueError):

@@ -630,3 +630,20 @@ def test_dirac_matrices_are_the_concretizer_basis():
     for label, matrix in zip(labels, spectra._dirac_matrices()):
         expected = [[complex(float(c.re), float(c.im)) for c in row] for row in MATRIX_BASIS[label]]
         assert np.array_equal(matrix, np.array(expected)), label
+
+
+def test_both_layers_read_one_sign_of_the_kinetic_momentum_commutator():
+    """[pi_x, pi_y] = i e hbar B_z in the concretizer's normal ordering and
+    on the spectra's truncated Landau levels, for either sign of the charge.
+    The levels start at 0, so only the top level is cut by truncation."""
+    from fwforge.concretizer import UNIFORM, momentum, term_strings
+
+    bracket = momentum(UNIFORM, 0).commutator(momentum(UNIFORM, 1)).normal_order()
+    assert term_strings(bracket) == ["i e hbar B_z"]
+    hbar, B = 1.0, 0.5
+    for e in (1.0, -1.0, 2.5):
+        pi_x, pi_y = spectra._transverse_momenta(e, hbar, B, np.arange(8))
+        commutator = pi_x @ pi_y - pi_y @ pi_x
+        diagonal = np.diag(commutator)
+        assert np.all(commutator - np.diag(diagonal) == 0), e
+        assert np.abs(diagonal[:-1] - 1j * e * hbar * B).max() <= 1e-12 * abs(e * hbar * B), e
